@@ -33,33 +33,29 @@ def observation_dim(n_cells: int, k: int) -> int:
     return k * (2 * n_cells + 5)
 
 
-def build_observation(frames, cell_bw: np.ndarray, n_ues: int, k: int) -> np.ndarray:
-    """Stack the last k step-metric frames, oldest first, zero-padded at
-    episode start. Per frame: per-cell [avail_bw ratio, active ratio]
+def build_observation(traj, step: int, cell_bw: np.ndarray, n_ues: int,
+                      k: int) -> np.ndarray:
+    """Stack the k trajectory rows before `step`, oldest first, zero-padded
+    at episode start. Per frame: per-cell [avail_bw ratio, active ratio]
     pairs, then five global summaries (mean/std of each ratio, idle ratio).
     """
     if k < 1:
         raise RlenvError("history length k must be >= 1")
     cell_bw = np.asarray(cell_bw, dtype=float)
     n_cells = len(cell_bw)
-    frame_len = 2 * n_cells + 5
-    out = np.zeros(k * frame_len)
-    take = list(frames)[-k:]
-    offset = k - len(take)
-    for j, m in enumerate(take):
-        avail = np.asarray(m.per_cell_avail_bw, dtype=float) / cell_bw
-        active = np.asarray(m.per_cell_active, dtype=float) / n_ues
-        f = np.empty(frame_len)
-        f[0:2 * n_cells:2] = avail
-        f[1:2 * n_cells:2] = active
-        f[2 * n_cells + 0] = avail.mean()
-        f[2 * n_cells + 1] = avail.std()
-        f[2 * n_cells + 2] = active.mean()
-        f[2 * n_cells + 3] = active.std()
-        f[2 * n_cells + 4] = m.idle_count / n_ues
-        start = (offset + j) * frame_len
-        out[start:start + frame_len] = f
-    return out
+    lo = max(step - k, 0)
+    avail = traj.per_cell_avail_bw[lo:step] / cell_bw
+    active = traj.per_cell_active[lo:step] / n_ues
+    out = np.zeros((k, 2 * n_cells + 5))
+    f = out[k - (step - lo):]
+    f[:, 0:2 * n_cells:2] = avail
+    f[:, 1:2 * n_cells:2] = active
+    f[:, 2 * n_cells + 0] = avail.mean(axis=1)
+    f[:, 2 * n_cells + 1] = avail.std(axis=1)
+    f[:, 2 * n_cells + 2] = active.mean(axis=1)
+    f[:, 2 * n_cells + 3] = active.std(axis=1)
+    f[:, 2 * n_cells + 4] = traj.idle_count[lo:step] / n_ues
+    return out.ravel()
 
 
 # ---------------------------------------------------------------------------
@@ -101,17 +97,18 @@ class IntervalAggregate:
     avg_active: float  # mean ACTIVE count
 
 
-def interval_aggregates(steps, pri: int) -> list[IntervalAggregate]:
-    """Group a step trajectory into PRI-sized intervals (last may be short)."""
+def interval_aggregates(traj, pri: int) -> list[IntervalAggregate]:
+    """Group a trajectory into PRI-sized intervals (last may be short)."""
+    sigma = traj.per_cell_tput.std(axis=1)
     out = []
-    for t in range(0, (len(steps) + pri - 1) // pri):
-        chunk = steps[t * pri:(t + 1) * pri]
+    for t in range(0, (len(traj) + pri - 1) // pri):
+        chunk = slice(t * pri, (t + 1) * pri)
         out.append(IntervalAggregate(
             interval=t,
-            tput=float(np.mean([m.total_tput for m in chunk])),
-            sigma=float(np.mean([np.asarray(m.per_cell_tput).std() for m in chunk])),
-            ue=float(np.mean([m.per_ue_mean_tput for m in chunk])),
-            avg_active=float(np.mean([m.active_count for m in chunk])),
+            tput=float(traj.total_tput[chunk].mean()),
+            sigma=float(sigma[chunk].mean()),
+            ue=float(traj.per_ue_mean_tput[chunk].mean()),
+            avg_active=float(traj.active_count[chunk].mean()),
         ))
     return out
 
@@ -241,8 +238,3 @@ def compute_reward(agg: IntervalAggregate, baselines: BaselineTable, seed: int,
     total = w1 * r_tput + w2 * r_bal + w3 * r_ue
     return RewardBreakdown(r_tput, r_bal, r_ue, total, (w1, w2, w3))
 
-
-def update_baselines(table: BaselineTable, seed: int,
-                     aggs: list[IntervalAggregate]) -> BaselineTable:
-    table.push(seed, aggs)
-    return table

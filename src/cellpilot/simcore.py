@@ -15,8 +15,7 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-from collections import deque
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -65,17 +64,27 @@ class EpisodeConfig:
         return self.pri * DT / self.traffic.mean_dwell_s
 
 
-@dataclass
-class StepMetrics:
-    time: float
-    total_tput: float
+@dataclass(eq=False)
+class Trajectory:
+    """Per-step episode record, one row per step: (T,) and (T, C) float64
+    arrays. Count columns are stored as float."""
+    time: np.ndarray
+    total_tput: np.ndarray
     per_cell_tput: np.ndarray
     per_cell_avail_bw: np.ndarray
-    per_cell_active: np.ndarray   # ACTIVE UEs scheduled per cell
-    active_count: int
-    idle_count: int
-    per_ue_mean_tput: float
-    reselection_events: int
+    per_cell_active: np.ndarray      # ACTIVE UEs scheduled per cell
+    active_count: np.ndarray
+    idle_count: np.ndarray
+    per_ue_mean_tput: np.ndarray
+    reselection_events: np.ndarray
+
+    @classmethod
+    def zeros(cls, n_steps: int, n_cells: int) -> "Trajectory":
+        return cls(**{f.name: np.zeros((n_steps, n_cells) if f.name.startswith("per_cell")
+                                       else n_steps) for f in fields(cls)})
+
+    def __len__(self) -> int:
+        return len(self.time)
 
 
 @dataclass
@@ -88,26 +97,12 @@ class UpdateRecord:
 
 @dataclass
 class EpisodeResult:
-    steps: list[StepMetrics]
+    steps: Trajectory
     updates: list[UpdateRecord]
     n_cells: int
     n_ues: int
     pri: int
     udr: float
-
-    def arrays(self) -> dict[str, np.ndarray]:
-        s = self.steps
-        return {
-            "time": np.array([m.time for m in s]),
-            "total_tput": np.array([m.total_tput for m in s]),
-            "per_cell_tput": np.array([m.per_cell_tput for m in s]),
-            "per_cell_avail_bw": np.array([m.per_cell_avail_bw for m in s]),
-            "per_cell_active": np.array([m.per_cell_active for m in s], dtype=float),
-            "active_count": np.array([m.active_count for m in s], dtype=float),
-            "idle_count": np.array([m.idle_count for m in s], dtype=float),
-            "per_ue_mean_tput": np.array([m.per_ue_mean_tput for m in s]),
-            "reselection_events": np.array([m.reselection_events for m in s], dtype=float),
-        }
 
 
 def _cell_id_rank(topo: Topology) -> np.ndarray:
@@ -131,8 +126,7 @@ def run_episode(cfg: EpisodeConfig, controller) -> EpisodeResult:
     id_rank = _cell_id_rank(topo)
     ues = traffic.init_population(cfg.n_ues, topo, cfg.episode_seed, cfg.traffic)
     n_steps = int(round(cfg.length / DT))
-    history: deque[StepMetrics] = deque(maxlen=cfg.history_k)
-    steps: list[StepMetrics] = []
+    traj = Trajectory.zeros(n_steps, n_cells)
     updates: list[UpdateRecord] = []
     params: ReselectionParams | None = None
     rx: np.ndarray | None = None
@@ -146,7 +140,7 @@ def run_episode(cfg: EpisodeConfig, controller) -> EpisodeResult:
             rx = radio.received_power_matrix(
                 pos, topo, obstruction_enabled=cfg.obstruction_enabled)
         if s % cfg.pri == 0:
-            obs = build_observation(list(history), topo.cell_bandwidth,
+            obs = build_observation(traj, s, topo.cell_bandwidth,
                                     cfg.n_ues, cfg.history_k)
             proposed = controller(obs, s // cfg.pri)
             params, clamped = reselect.clamp_params(proposed)
@@ -190,21 +184,17 @@ def run_episode(cfg: EpisodeConfig, controller) -> EpisodeResult:
                 allocs.append(scheduler.Allocation.empty(topo.cell_bandwidth[c]))
         total, per_cell, ue_mean, _ = scheduler.network_throughput(allocs)
         active_count = sum(1 for ue in ues if ue.mode == traffic.ACTIVE)
-        metrics = StepMetrics(
-            time=t,
-            total_tput=total,
-            per_cell_tput=per_cell,
-            per_cell_avail_bw=np.array([a.available_bw for a in allocs]),
-            per_cell_active=np.array([len(ids) for ids in cell_ues]),
-            active_count=active_count,
-            idle_count=cfg.n_ues - active_count,
-            per_ue_mean_tput=ue_mean,
-            reselection_events=resel_events,
-        )
-        steps.append(metrics)
-        history.append(metrics)
+        traj.time[s] = t
+        traj.total_tput[s] = total
+        traj.per_cell_tput[s] = per_cell
+        traj.per_cell_avail_bw[s] = [a.available_bw for a in allocs]
+        traj.per_cell_active[s] = [len(ids) for ids in cell_ues]
+        traj.active_count[s] = active_count
+        traj.idle_count[s] = cfg.n_ues - active_count
+        traj.per_ue_mean_tput[s] = ue_mean
+        traj.reselection_events[s] = resel_events
 
-    return EpisodeResult(steps, updates, n_cells, cfg.n_ues, cfg.pri, cfg.udr)
+    return EpisodeResult(traj, updates, n_cells, cfg.n_ues, cfg.pri, cfg.udr)
 
 
 def constant_controller(params: ReselectionParams):
@@ -244,25 +234,6 @@ def reference_fingerprint(cfg: EpisodeConfig, params: ReselectionParams) -> str:
     return hashlib.sha256(blob).hexdigest()
 
 
-def _result_from_arrays(arr: dict[str, np.ndarray], n_ues: int, pri: int,
-                        udr: float) -> EpisodeResult:
-    steps = []
-    for i in range(len(arr["time"])):
-        steps.append(StepMetrics(
-            time=float(arr["time"][i]),
-            total_tput=float(arr["total_tput"][i]),
-            per_cell_tput=arr["per_cell_tput"][i],
-            per_cell_avail_bw=arr["per_cell_avail_bw"][i],
-            per_cell_active=arr["per_cell_active"][i],
-            active_count=int(arr["active_count"][i]),
-            idle_count=int(arr["idle_count"][i]),
-            per_ue_mean_tput=float(arr["per_ue_mean_tput"][i]),
-            reselection_events=int(arr["reselection_events"][i]),
-        ))
-    n_cells = arr["per_cell_tput"].shape[1]
-    return EpisodeResult(steps, [], n_cells, n_ues, pri, udr)
-
-
 def run_heuristic_reference(cfg: EpisodeConfig, params: ReselectionParams,
                             cache: str | os.PathLike | None = None,
                             preset_name: str = "") -> EpisodeResult:
@@ -273,15 +244,17 @@ def run_heuristic_reference(cfg: EpisodeConfig, params: ReselectionParams,
     if path.exists():
         try:
             meta, arrays = load_container(path)
+            traj = Trajectory(**arrays)
         except Exception as exc:
             raise SimError(f"corrupt reference cache {path}: {exc}") from exc
-        return _result_from_arrays(arrays, meta["n_ues"], cfg.pri, cfg.udr)
+        return EpisodeResult(traj, [], traj.per_cell_tput.shape[1], meta["n_ues"],
+                             cfg.pri, cfg.udr)
     result = run_episode(cfg, constant_controller(params))
     try:
         cdir.mkdir(parents=True, exist_ok=True)
         meta = {"fingerprint": fp, "n_ues": cfg.n_ues, "preset": preset_name,
                 "length": cfg.length}
-        save_container(path, meta, result.arrays())
+        save_container(path, meta, vars(result.steps))
     except OSError as exc:
         raise SimError(f"cannot write reference cache {path}: {exc}") from exc
     return result
@@ -301,8 +274,8 @@ def reference_for_length(cfg: EpisodeConfig, params: ReselectionParams,
     n = int(round(length / DT))
     if n >= len(base.steps):
         return base
-    return EpisodeResult(base.steps[:n], [], base.n_cells, base.n_ues,
-                         base.pri, base.udr)
+    head = Trajectory(**{k: v[:n] for k, v in vars(base.steps).items()})
+    return replace(base, steps=head, updates=[])
 
 
 # ---------------------------------------------------------------------------
@@ -322,13 +295,14 @@ def write_trajectory_csv(result: EpisodeResult, path, cell_ids: list[str]) -> No
     cols += [f"active_{cid}" for cid in cell_ids]
     with open(path, "w", newline="") as fh:
         fh.write(",".join(cols) + "\n")
-        for i, m in enumerate(result.steps):
-            row = [str(i), _fmt(m.time), _fmt(m.total_tput),
-                   _fmt(m.per_ue_mean_tput), str(m.active_count),
-                   str(m.idle_count), str(m.reselection_events)]
-            row += [_fmt(v) for v in m.per_cell_tput]
-            row += [_fmt(v) for v in m.per_cell_avail_bw]
-            row += [str(int(v)) for v in m.per_cell_active]
+        tr = result.steps
+        for i in range(len(tr)):
+            row = [str(i), _fmt(tr.time[i]), _fmt(tr.total_tput[i]),
+                   _fmt(tr.per_ue_mean_tput[i]), str(int(tr.active_count[i])),
+                   str(int(tr.idle_count[i])), str(int(tr.reselection_events[i]))]
+            row += [_fmt(v) for v in tr.per_cell_tput[i]]
+            row += [_fmt(v) for v in tr.per_cell_avail_bw[i]]
+            row += [str(int(v)) for v in tr.per_cell_active[i]]
             fh.write(",".join(row) + "\n")
 
 

@@ -46,12 +46,6 @@ class Cell:
     tx_power: float = DEFAULT_TX_POWER_DBM  # dBm
 
 
-@dataclass(frozen=True)
-class PlacementZone:
-    kind: str               # "street" | "building"
-    geometry: np.ndarray    # polyline (street) or polygon (building), Vx2
-
-
 @dataclass
 class Topology:
     """Immutable after load; safe for concurrent read by parallel episodes."""
@@ -102,11 +96,6 @@ class Topology:
             if c.id == cell_id:
                 return i
         raise KeyError(cell_id)
-
-    def placement_zones(self) -> list[PlacementZone]:
-        zones = [PlacementZone("street", s) for s in self.streets]
-        zones += [PlacementZone("building", b) for b in self.buildings]
-        return zones
 
 
 # ---------------------------------------------------------------------------
@@ -441,13 +430,6 @@ def sample_placement(topo: Topology, rng: np.random.Generator,
         y = ymin + rng.random() * (ymax - ymin)
         if _point_in_polygon(x, y, poly):
             return Placement((float(x), float(y)), indoor=True)
-
-
-def sample_ue_position(topo: Topology, rng: np.random.Generator,
-                       building_weight: float = 0.5) -> tuple[tuple[float, float], bool]:
-    """(point, indoor) for one UE; deterministic given the rng state."""
-    p = sample_placement(topo, rng, building_weight)
-    return p.point, p.indoor
 
 
 # ---------------------------------------------------------------------------

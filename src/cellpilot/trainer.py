@@ -11,7 +11,6 @@ trajectory bit-exactly.
 
 from __future__ import annotations
 
-from collections import deque
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 from pathlib import Path
@@ -146,14 +145,14 @@ class ConvergenceMonitor:
     eps: float = 5e-3
     std_threshold: float = 7e-3
     ewma: float | None = None
-    recent: deque = field(default_factory=deque)
+    recent: list = field(default_factory=list)
 
     def update(self, value: float) -> tuple[float, float]:
         self.ewma = value if self.ewma is None else \
             self.alpha * value + (1.0 - self.alpha) * self.ewma
         self.recent.append(value)
         while len(self.recent) > self.window:
-            self.recent.popleft()
+            del self.recent[0]
         return self.ewma, self.rolling_std()
 
     def rolling_std(self) -> float:
@@ -171,7 +170,7 @@ class ConvergenceMonitor:
 
     def restore(self, st: dict) -> None:
         self.ewma = st["ewma"]
-        self.recent = deque(st["recent"])
+        self.recent = list(st["recent"])
 
 
 @dataclass
@@ -260,7 +259,7 @@ def _train_episode(net, opt, baselines, cfg: TrainRunConfig, seed: int,
                     for obs, action, interval in records]
     grads = pol.reinforce_backward(net, grad_records)
     grad_norm = pol.apply_update(net, opt, grads)
-    rlenv.update_baselines(baselines, seed, aggs)
+    baselines.push(seed, aggs)
     clamped = sum(len(u.clamped) for u in result.updates)
     return {
         "r_total": float(np.mean(totals)),
@@ -417,22 +416,12 @@ def train(cfg: TrainRunConfig, schedule: CurriculumSchedule,
 
     pos = max(pos - 1, 0)  # loop_state stores the next position
     final_path = out_dir / "ckpt_final.bin"
-    _save_state(final_path, net, opt, baselines, rng, cfg, schedule,
-                {"round": round_idx, "pass": pass_idx, "pos": pos + 1,
-                 "seed_order": seed_order, "episode": episode,
-                 "monitor": monitor.state(), "best_score": best_score,
-                 "converged_at": converged_at,
-                 "train_seeds": train_seeds, "val_seeds": val_seeds})
+    _save_state(final_path, net, opt, baselines, rng, cfg, schedule, loop_state())
     score = validation_score(net, cfg, val_seeds, eval_length, max_length,
                              cache, preset_params)
     if best_score is None or score > best_score:
         best_score = score
-        _save_state(best_path, net, opt, baselines, rng, cfg, schedule,
-                    {"round": round_idx, "pass": pass_idx, "pos": pos + 1,
-                     "seed_order": seed_order, "episode": episode,
-                     "monitor": monitor.state(), "best_score": best_score,
-                     "converged_at": converged_at,
-                     "train_seeds": train_seeds, "val_seeds": val_seeds})
+        _save_state(best_path, net, opt, baselines, rng, cfg, schedule, loop_state())
         have_best = True
     write_training_log(rows, out_dir / "training_log.csv",
                        append=resume_from is not None)
@@ -485,16 +474,14 @@ def _eval_one(args) -> EvalRow:
         controller = simcore.constant_controller(net_or_params)
     else:
         controller = _mean_action_controller(net_or_params)
-    agent = simcore.run_episode(ep, controller)
-    a = agent.arrays()
-    r = ref.arrays()
-    tput_gain = _gain_ratio(float(a["total_tput"].mean()),
-                            float(r["total_tput"].mean()))
-    sig_a = float(a["per_cell_tput"].std(axis=1).mean())
-    sig_r = float(r["per_cell_tput"].std(axis=1).mean())
+    a = simcore.run_episode(ep, controller).steps
+    r = ref.steps
+    tput_gain = _gain_ratio(float(a.total_tput.mean()), float(r.total_tput.mean()))
+    sig_a = float(a.per_cell_tput.std(axis=1).mean())
+    sig_r = float(r.per_cell_tput.std(axis=1).mean())
     bal_gain = _gain_ratio(sig_r, sig_a)  # lower spread is better
-    ue_gain = _gain_ratio(float(a["per_ue_mean_tput"].mean()),
-                          float(r["per_ue_mean_tput"].mean()))
+    ue_gain = _gain_ratio(float(a.per_ue_mean_tput.mean()),
+                          float(r.per_ue_mean_tput.mean()))
     return EvalRow(ep.episode_seed, tput_gain, bal_gain, ue_gain)
 
 

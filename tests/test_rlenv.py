@@ -14,21 +14,20 @@ from cellpilot.rlenv import (
     map_action,
     normalize_params,
     observation_dim,
-    update_baselines,
 )
+from cellpilot.simcore import Trajectory
 
 
-def frame(avail, active, idle):
+def frames(avail, active, idle):
     return SimpleNamespace(per_cell_avail_bw=np.asarray(avail, float),
                            per_cell_active=np.asarray(active, float),
-                           idle_count=idle)
+                           idle_count=np.asarray(idle, float))
 
 
 def test_observation_layout_and_padding():
     cell_bw = np.array([10e6, 20e6])
-    f1 = frame([5e6, 20e6], [4, 0], 2)
-    f2 = frame([0.0, 10e6], [8, 2], 0)
-    obs = build_observation([f1, f2], cell_bw, n_ues=10, k=3)
+    traj = frames([[5e6, 20e6], [0.0, 10e6]], [[4, 0], [8, 2]], [2, 0])
+    obs = build_observation(traj, 2, cell_bw, n_ues=10, k=3)
     flen = 2 * 2 + 5
     assert obs.shape == (observation_dim(2, 3),) == (3 * flen,)
     assert not obs[:flen].any()              # zero padding, oldest first
@@ -47,12 +46,12 @@ def test_observation_layout_and_padding():
 
 def test_observation_keeps_last_k():
     cell_bw = np.array([10e6])
-    frames = [frame([i * 1e6], [0], 0) for i in range(5)]
-    obs = build_observation(frames, cell_bw, n_ues=10, k=2)
+    traj = frames([[i * 1e6] for i in range(5)], [[0]] * 5, [0] * 5)
+    obs = build_observation(traj, 5, cell_bw, n_ues=10, k=2)
     assert obs[0] == pytest.approx(0.3)      # frame 3, not frame 0
     assert obs[7] == pytest.approx(0.4)
     with pytest.raises(RlenvError):
-        build_observation(frames, cell_bw, 10, k=0)
+        build_observation(traj, 5, cell_bw, 10, k=0)
 
 
 def test_map_action_endpoints_and_clip():
@@ -78,16 +77,13 @@ def test_normalize_round_trip_and_frozen_values():
         p.validate()
 
 
-def step(total, per_cell, ue, active):
-    return SimpleNamespace(total_tput=total, per_cell_tput=np.asarray(per_cell, float),
-                           per_ue_mean_tput=ue, active_count=active)
-
-
 def test_interval_aggregates_grouping():
-    steps = [step(10.0, [10, 0], 5.0, 2),
-             step(20.0, [10, 10], 10.0, 2),
-             step(30.0, [0, 30], 15.0, 4)]
-    aggs = interval_aggregates(steps, pri=2)
+    traj = Trajectory.zeros(3, 2)
+    traj.total_tput[:] = [10.0, 20.0, 30.0]
+    traj.per_cell_tput[:] = [[10, 0], [10, 10], [0, 30]]
+    traj.per_ue_mean_tput[:] = [5.0, 10.0, 15.0]
+    traj.active_count[:] = [2, 2, 4]
+    aggs = interval_aggregates(traj, pri=2)
     assert [a.interval for a in aggs] == [0, 1]
     assert aggs[0].tput == pytest.approx(15.0)
     assert aggs[0].sigma == pytest.approx(np.mean([np.std([10, 0]), np.std([10, 10])]))
@@ -114,9 +110,9 @@ def test_baseline_ring_buffer_and_first_touch():
     assert t.means(3, 0)[0] == 100.0
     t.seed_reference(3, [agg(0, tput=999.0)])   # no overwrite on second touch
     assert t.means(3, 0)[0] == 100.0
-    update_baselines(t, 3, [agg(0, tput=200.0)])
+    t.push(3, [agg(0, tput=200.0)])
     assert t.means(3, 0)[0] == pytest.approx(150.0)
-    update_baselines(t, 3, [agg(0, tput=400.0)])
+    t.push(3, [agg(0, tput=400.0)])
     assert t.means(3, 0)[0] == pytest.approx(300.0)  # 100 fell out of the window
     with pytest.raises(RlenvError, match="baseline missing"):
         t.means(3, 1)

@@ -72,17 +72,34 @@ def test_idle_only_reselection_and_event_counting():
     cfg = EpisodeConfig(topo, episode_seed=17, n_ues=40, length=4.0, pri=1,
                         traffic=FROZEN_TRAFFIC)
     res = run_episode(cfg, constant_controller(DESCENT_PARAMS))
-    idle0 = res.steps[0].idle_count
+    tr = res.steps
+    idle0 = tr.idle_count[0]
     assert 0 < idle0 < 40  # the seed must give a mixed population
-    assert [m.idle_count for m in res.steps] == [idle0] * 4  # no mode flips
-    assert [m.reselection_events for m in res.steps] == [0, idle0, 0, 0]
-    for m in res.steps:
+    assert tr.idle_count.tolist() == [idle0] * 4  # no mode flips
+    assert tr.reselection_events.tolist() == [0, idle0, 0, 0]
+    for i in range(len(tr)):
         # scheduling covers ACTIVE UEs only, all of them still on B
-        assert m.per_cell_active.tolist() == [0, 40 - idle0]
-        assert m.per_cell_tput[0] == 0.0
-        assert m.per_cell_tput[1] > 0.0
-        assert m.per_cell_avail_bw[0] == 10e6
+        assert tr.per_cell_active[i].tolist() == [0, 40 - idle0]
+        assert tr.per_cell_tput[i][0] == 0.0
+        assert tr.per_cell_tput[i][1] > 0.0
+        assert tr.per_cell_avail_bw[i][0] == 10e6
     assert res.n_cells == 2 and res.n_ues == 40 and res.pri == 1
+
+
+def test_camp_on_tie_breaks_by_cell_id_not_index():
+    # two co-located identical same-priority cells listed "B" then "A"; with
+    # every UE ACTIVE from step 0, all of them must be scheduled on "A"
+    base = two_layer_topo()
+    cells = [Cell(id=cid, tower_id="T1", position=(100.0, 100.0), azimuth=0.0,
+                  beamwidth=360.0, frequency=1.0e9, bandwidth=10e6, priority=2,
+                  tx_power=15.0) for cid in ("B", "A")]
+    topo = Topology(base.area_bounds, base.towers, cells, base.buildings,
+                    base.streets)
+    all_active = TrafficConfig(lambda_idle=1e6, lambda_active=1e-6)
+    cfg = EpisodeConfig(topo, 17, n_ues=20, length=3.0, pri=1, traffic=all_active)
+    tr = run_episode(cfg, constant_controller(CONFIG_B)).steps
+    assert tr.per_cell_active.tolist() == [[0, 20]] * 3
+    assert tr.reselection_events.tolist() == [0, 0, 0]
 
 
 def test_updates_recorded_at_pri_boundaries():
@@ -116,13 +133,13 @@ def test_degenerate_se_table_makes_tput_equal_bandwidth():
                         traffic=FROZEN_TRAFFIC,
                         se_table=(np.array([0.0]), np.array([1.0])))
     res = run_episode(cfg, constant_controller(DESCENT_PARAMS))
-    m = res.steps[0]
-    assert m.per_cell_tput[1] == pytest.approx(10e6, rel=1e-12)
-    assert m.total_tput == pytest.approx(10e6, rel=1e-12)
+    tr = res.steps
+    assert tr.per_cell_tput[0][1] == pytest.approx(10e6, rel=1e-12)
+    assert tr.total_tput[0] == pytest.approx(10e6, rel=1e-12)
 
 
 def arrays_bytes(res):
-    return {k: v.tobytes() for k, v in res.arrays().items()}
+    return {k: v.tobytes() for k, v in vars(res.steps).items()}
 
 
 def test_episode_determinism():
@@ -146,7 +163,7 @@ def test_prefix_property_under_mobility():
     short_cfg = EpisodeConfig(topo, 9, n_ues=15, length=12.0, pri=1, traffic=mob)
     long_res = run_episode(long_cfg, constant_controller(CONFIG_B))
     short_res = run_episode(short_cfg, constant_controller(CONFIG_B))
-    la, sa = long_res.arrays(), short_res.arrays()
+    la, sa = vars(long_res.steps), vars(short_res.steps)
     for k in sa:
         assert la[k][:12].tobytes() == sa[k].tobytes(), k
 
@@ -163,6 +180,14 @@ def test_reference_cache_roundtrip(tmp_path):
     assert meta["preset"] == "config_b" and meta["n_ues"] == 12
     r2 = run_heuristic_reference(cfg, CONFIG_B, cache=tmp_path)
     assert arrays_bytes(r1) == arrays_bytes(r2)
+    # the cache stores count columns as float; the CSV must still print ints
+    ids = [c.id for c in topo.cells]
+    fresh, hit = tmp_path / "fresh.csv", tmp_path / "hit.csv"
+    write_trajectory_csv(r1, fresh, ids)
+    write_trajectory_csv(r2, hit, ids)
+    assert hit.read_bytes() == fresh.read_bytes()
+    rows = [line.split(",") for line in hit.read_text().splitlines()[1:]]
+    assert all(v.isdigit() for row in rows for v in row[4:7] + row[-len(ids):])
 
 
 def test_corrupt_cache_raises(tmp_path):
@@ -182,7 +207,7 @@ def test_reference_for_length_truncates(tmp_path):
     full = run_heuristic_reference(cfg, CONFIG_B, cache=tmp_path)
     part = reference_for_length(cfg, CONFIG_B, 8.0, cache=tmp_path)
     assert len(part.steps) == 8
-    fa, pa = full.arrays(), part.arrays()
+    fa, pa = vars(full.steps), vars(part.steps)
     for k in pa:
         assert fa[k][:8].tobytes() == pa[k].tobytes(), k
     assert len(list(tmp_path.glob("ref_*.bin"))) == 1  # one cache entry serves both
