@@ -24,7 +24,7 @@ import numpy as np
 from . import __version__
 from . import policy as pol
 from . import simcore, trainer
-from .container import ContainerError
+from .container import ContainerError, write_atomic
 from .reselect import PRESETS
 from .simcore import SimError
 from .topology import (TopologyError, generate_topology, load_topology,
@@ -80,9 +80,7 @@ def write_manifest(path: Path, command: str, payload: dict) -> None:
     doc = {"tool": "cellpilot", "version": __version__, "command": command}
     doc.update(payload)
     path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_atomic(path, (json.dumps(doc, indent=2, sort_keys=True) + "\n").encode())
 
 
 # ---------------------------------------------------------------------------

@@ -3,13 +3,14 @@
 Layout: 8-byte magic, u32 format version, u64 header length, UTF-8 JSON
 header (sorted keys), raw little-endian array payload, SHA-256 over all
 preceding bytes. No timestamps anywhere, so identical content always
-produces identical bytes.
+produces identical bytes. Files are replaced atomically (:func:`write_atomic`).
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import os
 import struct
 
 import numpy as np
@@ -20,6 +21,29 @@ FORMAT_VERSION = 1
 
 class ContainerError(Exception):
     """Corrupt, truncated, or version-incompatible container file."""
+
+
+def write_atomic(path, data: bytes) -> None:
+    """Write `data` to a temporary file beside `path`, then rename it over
+    `path`, so readers and concurrent writers see the old file or the whole
+    new one, never a torn write. If the write raises, the temporary file is
+    removed and `path` is left as it was. This covers a process dying
+    mid-write, not an OS crash: there is no fsync."""
+    path = os.fspath(path)
+    head, name = os.path.split(path)
+    tmp = os.path.join(head, f".{name}.{os.getpid()}.{os.urandom(4).hex()}.tmp")
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+    try:
+        try:
+            view = memoryview(data)
+            while view:
+                view = view[os.write(fd, view):]
+        finally:
+            os.close(fd)
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
 
 
 def save_container(path, meta: dict, arrays: dict) -> None:
@@ -55,8 +79,7 @@ def save_container(path, meta: dict, arrays: dict) -> None:
     blob.extend(header)
     blob.extend(payload)
     blob.extend(hashlib.sha256(bytes(blob)).digest())
-    with open(path, "wb") as fh:
-        fh.write(bytes(blob))
+    write_atomic(path, blob)
 
 
 def load_container(path) -> tuple[dict, dict]:

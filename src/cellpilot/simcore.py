@@ -129,16 +129,20 @@ def run_episode(cfg: EpisodeConfig, controller) -> EpisodeResult:
     traj = Trajectory.zeros(n_steps, n_cells)
     updates: list[UpdateRecord] = []
     params: ReselectionParams | None = None
-    rx: np.ndarray | None = None
 
     for s in range(n_steps):
         t = s * DT
-        if s > 0:
-            traffic.step_mobility(ues, topo, DT, cfg.traffic)
-        if rx is None or (cfg.traffic.mobility_enabled and s > 0):
-            pos = np.array([ue.position for ue in ues])
+        if s == 0:
             rx = radio.received_power_matrix(
-                pos, topo, obstruction_enabled=cfg.obstruction_enabled)
+                np.array([ue.position for ue in ues]), topo,
+                obstruction_enabled=cfg.obstruction_enabled)
+        else:
+            # rows are pure functions of position: only movers need new ones
+            moved = traffic.step_mobility(ues, topo, DT, cfg.traffic)
+            if moved:
+                rx[moved] = radio.received_power_matrix(
+                    np.array([ues[i].position for i in moved]), topo,
+                    obstruction_enabled=cfg.obstruction_enabled)
         if s % cfg.pri == 0:
             obs = build_observation(traj, s, topo.cell_bandwidth,
                                     cfg.n_ues, cfg.history_k)

@@ -9,6 +9,7 @@ bundled under ``cellpilot/data`` and can be regenerated with
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass, field
@@ -90,6 +91,19 @@ class Topology:
     @property
     def n_cells(self) -> int:
         return len(self.cells)
+
+    # Placement and mobility sums, computed on first use rather than at load.
+    @functools.cached_property
+    def street_segment_lengths(self) -> list[np.ndarray]:
+        return [_polyline_lengths(s) for s in self.streets]
+
+    @functools.cached_property
+    def street_lengths(self) -> np.ndarray:
+        return np.array([seg.sum() for seg in self.street_segment_lengths])
+
+    @functools.cached_property
+    def building_areas(self) -> np.ndarray:
+        return np.array([_polygon_area(b) for b in self.buildings])
 
     def cell_index(self, cell_id: str) -> int:
         for i, c in enumerate(self.cells):
@@ -321,35 +335,37 @@ def wall_crossings(a, b, topo: Topology) -> int:
 def wall_crossings_to_cells(ue_xy: np.ndarray, topo: Topology) -> np.ndarray:
     """Crossing counts for every (UE, cell) pair; shape (N, C).
 
-    Same counting rule as :func:`wall_crossings`, vectorized over pairs.
+    Same counting rule as :func:`wall_crossings`, vectorized over UEs. The
+    segment UE->cell depends only on the cell's site, so counts are taken
+    once per distinct cell position and shared by its co-located cells.
     """
     n, c = len(ue_xy), topo.n_cells
-    out = np.zeros((n, c), dtype=int)
     if len(topo._wall_edges) == 0 or n == 0 or c == 0:
-        return out
-    for j in range(c):
-        cx, cy = topo.cell_xy[j]
+        return np.zeros((n, c), dtype=int)
+    sites, site_of = np.unique(topo.cell_xy, axis=0, return_inverse=True)
+    per_site = np.empty((n, len(sites)), dtype=int)
+    edges = topo._wall_edges                              # (E, 4)
+    ex, ey = edges[:, 2] - edges[:, 0], edges[:, 3] - edges[:, 1]
+    verts = topo._wall_vertices                           # (V, 2)
+    for k, (cx, cy) in enumerate(sites):
         dx = ue_xy[:, 0] - cx          # (N,)
         dy = ue_xy[:, 1] - cy
-        edges = topo._wall_edges       # (E, 4)
         p1x = edges[:, 0] - cx
         p1y = edges[:, 1] - cy
         p2x = edges[:, 2] - cx
         p2y = edges[:, 3] - cy
         d1 = np.outer(dx, p1y) - np.outer(dy, p1x)       # (N, E)
         d2 = np.outer(dx, p2y) - np.outer(dy, p2x)
-        ex, ey = edges[:, 2] - edges[:, 0], edges[:, 3] - edges[:, 1]
-        d3 = ey * p1x - ex * p1y                          # (E,) cell vs edge line
+        d3 = ey * p1x - ex * p1y                          # (E,) site vs edge line
         d4 = np.outer(dy, ex) - np.outer(dx, ey) + d3     # (N, E) UE vs edge line
         proper = (d1 * d2 < 0) & (d3 * d4 < 0)
-        verts = topo._wall_vertices                       # (V, 2)
         vx, vy = verts[:, 0] - cx, verts[:, 1] - cy
         cross = np.outer(dx, vy) - np.outer(dy, vx)       # (N, V)
         dot = np.outer(dx, vx) + np.outer(dy, vy)
         seg_len2 = (dx * dx + dy * dy)[:, None]
         on_open = (cross == 0) & (dot > 0) & (dot < seg_len2)
-        out[:, j] = proper.sum(axis=1) + on_open.sum(axis=1)
-    return out
+        per_site[:, k] = proper.sum(axis=1) + on_open.sum(axis=1)
+    return per_site[:, site_of.ravel()]
 
 
 def _point_in_polygon(x: float, y: float, poly: np.ndarray) -> bool:
@@ -369,9 +385,15 @@ def _polyline_lengths(line: np.ndarray) -> np.ndarray:
     return np.hypot(np.diff(line[:, 0]), np.diff(line[:, 1]))
 
 
-def polyline_point_at(line: np.ndarray, arc: float) -> tuple[float, float]:
-    """Point at arc-length `arc` along the polyline (clamped to its ends)."""
-    seg = _polyline_lengths(line)
+def polyline_point_at(line: np.ndarray, arc: float,
+                      seg: np.ndarray | None = None) -> tuple[float, float]:
+    """Point at arc-length `arc` along the polyline (clamped to its ends).
+
+    `seg` is the polyline's segment lengths when the caller has them cached
+    (``Topology.street_segment_lengths``).
+    """
+    if seg is None:
+        seg = _polyline_lengths(line)
     total = seg.sum()
     arc = min(max(arc, 0.0), total)
     acc = 0.0
@@ -411,14 +433,16 @@ def sample_placement(topo: Topology, rng: np.random.Generator,
     else:
         indoor = has_buildings
     if not indoor:
-        lengths = np.array([_polyline_lengths(s).sum() for s in topo.streets])
+        lengths = topo.street_lengths
+        cum = np.cumsum(lengths)
         target = rng.random() * lengths.sum()
-        idx = int(np.searchsorted(np.cumsum(lengths), target, side="right"))
+        idx = int(np.searchsorted(cum, target, side="right"))
         idx = min(idx, len(topo.streets) - 1)
-        arc = target - (np.cumsum(lengths)[idx] - lengths[idx])
-        point = polyline_point_at(topo.streets[idx], arc)
+        arc = target - (cum[idx] - lengths[idx])
+        point = polyline_point_at(topo.streets[idx], arc,
+                                  topo.street_segment_lengths[idx])
         return Placement(point, indoor=False, street_index=idx, arc_pos=float(arc))
-    areas = np.array([_polygon_area(b) for b in topo.buildings])
+    areas = topo.building_areas
     target = rng.random() * areas.sum()
     idx = int(np.searchsorted(np.cumsum(areas), target, side="right"))
     idx = min(idx, len(topo.buildings) - 1)

@@ -118,16 +118,18 @@ def step_modes(ues: list[UeState], t: float, dt: float, cfg: TrafficConfig) -> i
 
 
 def step_mobility(ues: list[UeState], topo: Topology, dt: float,
-                  cfg: TrafficConfig) -> None:
+                  cfg: TrafficConfig) -> list[int]:
     """Advance street UEs along their polyline by speed*dt, reflecting at
-    the ends; indoor UEs do not move."""
+    the ends; indoor UEs do not move. Returns the indices of the UEs it
+    moved (none when mobility is off)."""
     if not cfg.mobility_enabled:
-        return
-    for ue in ues:
+        return []
+    moved = []
+    for i, ue in enumerate(ues):
         if ue.indoor or ue.street_index < 0:
             continue
-        line = topo.streets[ue.street_index]
-        total = float(np.hypot(np.diff(line[:, 0]), np.diff(line[:, 1])).sum())
+        k = ue.street_index
+        total = float(topo.street_lengths[k])
         pos = ue.arc_pos + ue.direction * ue.speed_mps * dt
         while pos < 0.0 or pos > total:
             if pos < 0.0:
@@ -137,4 +139,7 @@ def step_mobility(ues: list[UeState], topo: Topology, dt: float,
                 pos = 2.0 * total - pos
                 ue.direction = -ue.direction
         ue.arc_pos = pos
-        ue.position = polyline_point_at(line, pos)
+        ue.position = polyline_point_at(topo.streets[k], pos,
+                                        topo.street_segment_lengths[k])
+        moved.append(i)
+    return moved

@@ -1,8 +1,9 @@
+import io
 import json
 
 import pytest
 
-from cellpilot.cli import main
+from cellpilot.cli import main, write_manifest
 from cellpilot.policy import load_checkpoint
 from cellpilot.topology import load_topology
 
@@ -137,3 +138,20 @@ def test_report_eval_csv(tmp_path, capsys):
     junk = tmp_path / "junk.csv"
     junk.write_text("alpha,beta\n1,2\n")
     assert main(["report", str(junk)]) == 2
+
+
+def test_manifest_write_is_atomic(tmp_path, monkeypatch, failing_write):
+    path = tmp_path / "manifest.json"
+    write_manifest(path, "eval", {"seeds": [1, 2]})
+    old = path.read_bytes()
+    buf = io.StringIO()
+    json.dump(json.loads(old), buf, indent=2, sort_keys=True)
+    assert old == (buf.getvalue() + "\n").encode()
+    failing_write()
+    with pytest.raises(OSError):
+        write_manifest(path, "train", {"episodes": 4})
+    with pytest.raises(OSError):
+        write_manifest(tmp_path / "other.json", "train", {"episodes": 4})
+    monkeypatch.undo()
+    assert path.read_bytes() == old
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["manifest.json"]

@@ -68,3 +68,19 @@ def test_repeated_save_is_deterministic(tmp_path):
     save_container(p1, meta, arrays)
     save_container(p2, meta, arrays)
     assert p1.read_bytes() == p2.read_bytes()
+
+
+def test_failed_write_keeps_old_file_and_leaves_no_temp(tmp_path, monkeypatch,
+                                                        failing_write):
+    path = tmp_path / "keep.bin"
+    save_container(path, {"v": 1}, {"a": np.arange(50.0)})
+    old = path.read_bytes()
+    failing_write()
+    with pytest.raises(OSError):
+        save_container(path, {"v": 2}, {"a": np.arange(500.0)})
+    with pytest.raises(OSError):
+        save_container(tmp_path / "new.bin", {"v": 3}, {"a": np.ones(9)})
+    monkeypatch.undo()
+    assert path.read_bytes() == old
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["keep.bin"]
+    assert load_container(path)[0] == {"v": 1}

@@ -1,3 +1,4 @@
+import hashlib
 import importlib.resources
 import types
 
@@ -166,6 +167,25 @@ def test_prefix_property_under_mobility():
     la, sa = vars(long_res.steps), vars(short_res.steps)
     for k in sa:
         assert la[k][:12].tobytes() == sa[k].tobytes(), k
+
+
+def test_mobility_with_obstruction_trajectory_digest():
+    # moving UEs get fresh rx rows (walls included) while indoor rows are
+    # kept; the digest pins the trajectory of the full per-step recompute
+    with importlib.resources.as_file(
+            importlib.resources.files("cellpilot.data") / "baseline.topo") as p:
+        topo = load_topology(p)
+    cfg = EpisodeConfig(topo, 3, n_ues=40, length=10.0,
+                        traffic=TrafficConfig(mobility_enabled=True),
+                        obstruction_enabled=True)
+    res = run_episode(cfg, constant_controller(CONFIG_B))
+    h = hashlib.sha256()
+    for name, arr in vars(res.steps).items():
+        h.update(name.encode())
+        h.update(arr.tobytes())
+    assert res.steps.reselection_events.sum() > 0
+    assert h.hexdigest() == (
+        "9115109450dfa391b248dbe8655b9e8a764e331704f51bf27507a905d6f16e6c")
 
 
 def test_reference_cache_roundtrip(tmp_path):

@@ -1,14 +1,18 @@
 """Topology loading, validation, geometry queries, and the generator."""
 
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import cellpilot
 from cellpilot.topology import (
     GENERATOR_PRESETS,
+    Cell,
     Placement,
     Topology,
+    Tower,
     TopologyError,
     generate_topology,
     load_topology,
@@ -20,6 +24,8 @@ from cellpilot.topology import (
     wall_crossings,
     wall_crossings_to_cells,
 )
+
+DATA = Path(cellpilot.__file__).parent / "data"
 
 
 def minimal_doc():
@@ -160,6 +166,48 @@ def test_vectorized_matches_scalar():
         for c in range(topo.n_cells):
             expect = wall_crossings(pts[i], tuple(topo.cell_xy[c]), topo)
             assert counts[i, c] == expect
+
+
+def assert_matches_scalar(pts, topo):
+    counts = wall_crossings_to_cells(pts, topo)
+    expect = [[wall_crossings(p, tuple(xy), topo) for xy in topo.cell_xy]
+              for p in pts]
+    assert counts.tolist() == expect
+    return counts
+
+
+def test_vectorized_matches_scalar_on_large_shared_sites():
+    # 48 cells on 6 towers: counts are taken per site and scattered to cells
+    topo = load_topology(DATA / "large.topo")
+    assert topo.n_cells == 48 and len(np.unique(topo.cell_xy, axis=0)) == 6
+    rng = np.random.default_rng(11)
+    xmin, ymin, xmax, ymax = topo.area_bounds
+    pts = [(x, y) for x, y in rng.uniform((xmin, ymin), (xmax, ymax), size=(30, 2))]
+    pts += [sample_placement(topo, rng).point for _ in range(12)]
+    # segments parallel to the axis-aligned building walls
+    pts += [(tx, ymin + 0.3 * (ymax - ymin)) for tx, _ in topo.cell_xy[::16]]
+    pts += [(xmin + 0.6 * (xmax - xmin), ty) for _, ty in topo.cell_xy[::16]]
+    counts = assert_matches_scalar(np.array(pts), topo)
+    assert counts.any()
+    for tower in topo.towers:
+        cols = [c for c, cell in enumerate(topo.cells) if cell.tower_id == tower.id]
+        assert (counts[:, cols] == counts[:, cols[:1]]).all()
+
+
+def test_vectorized_matches_scalar_one_cell_per_site_out_of_order():
+    # site order (sorted by position) and cell ids both differ from index order
+    xy = [(80.0, 15.0), (10.0, 90.0), (55.0, 5.0), (10.0, 20.0), (95.0, 60.0)]
+    towers = [Tower(f"T{i}", x, y) for i, (x, y) in enumerate(xy)]
+    cells = [Cell(id=f"C{5 - i}", tower_id=t.id, position=(t.x, t.y),
+                  azimuth=0.0, beamwidth=120.0, frequency=1.0e9,
+                  bandwidth=10e6, priority=1) for i, t in enumerate(towers)]
+    blds = [box(20, 20, 40, 35), box(55, 50, 70, 80), box(10, 70, 25, 90),
+            box(60, 10, 75, 30)]
+    topo = Topology((0.0, 0.0, 100.0, 100.0), towers, cells,
+                    [np.asarray(b, dtype=float) for b in blds], [])
+    pts = np.random.default_rng(5).uniform(0, 100, size=(40, 2))
+    counts = assert_matches_scalar(pts, topo)
+    assert len(set(map(tuple, counts.T.tolist()))) == topo.n_cells
 
 
 # --- placement / polyline ---------------------------------------------------

@@ -172,3 +172,17 @@ def test_mobility_reflects_at_both_ends():
     step_mobility([near], topo, 1.0, cfg)    # -7 -> reflect to 7
     assert near.arc_pos == pytest.approx(7.0) and near.direction == 1
     assert near.position == pytest.approx((7.0, 0.0))
+
+
+def test_step_mobility_returns_exactly_the_street_ues():
+    topo = street_topo()
+    cfg = TrafficConfig(mobility_enabled=True)
+    ues = init_population(30, topo, 4, cfg)
+    street = [u.id for u in ues if not u.indoor]
+    assert 0 < len(street) < 30
+    before = [u.position for u in ues]
+    moved = step_mobility(ues, topo, 1.0, cfg)
+    assert moved == street
+    assert [u.id for u in ues if u.position != before[u.id]] == street
+    off = TrafficConfig(mobility_enabled=False)
+    assert step_mobility(ues, topo, 1.0, off) == []
