@@ -205,20 +205,37 @@ def global_norm(grads: dict[str, np.ndarray]) -> float:
 def apply_update(net: PolicyNet, opt: OptimizerState,
                  grads: dict[str, np.ndarray]) -> float:
     """One clipped, bias-corrected adaptive step with decoupled weight
-    decay on the weight matrices; returns the pre-clip global norm."""
+    decay on the weight matrices; returns the pre-clip global norm.
+
+    The moments and the parameters are updated in place through two scratch
+    buffers per parameter, with the float operations, operand order
+    included, of m = b1*m + (1-b1)*g, v = b2*v + (1-b2)*g*g,
+    p -= lr*(m/bc1) / (sqrt(v/bc2) + eps) and p -= lr*wd*p.
+    """
     norm = global_norm(grads)
     scale = opt.clip / norm if norm > opt.clip else 1.0
     opt.step += 1
     bc1 = 1.0 - opt.beta1 ** opt.step
     bc2 = 1.0 - opt.beta2 ** opt.step
     for name, p in net.params().items():
+        m, v = opt.m[name], opt.v[name]
         g = grads[name] * scale
-        opt.m[name] = opt.beta1 * opt.m[name] + (1.0 - opt.beta1) * g
-        opt.v[name] = opt.beta2 * opt.v[name] + (1.0 - opt.beta2) * g * g
-        step = opt.lr * (opt.m[name] / bc1) / (np.sqrt(opt.v[name] / bc2) + opt.eps)
+        tmp = np.multiply(g, 1.0 - opt.beta1)
+        m *= opt.beta1
+        m += tmp
+        np.multiply(g, 1.0 - opt.beta2, out=tmp)
+        tmp *= g
+        v *= opt.beta2
+        v += tmp
+        step = np.divide(m, bc1, out=g)
+        step *= opt.lr
+        np.divide(v, bc2, out=tmp)
+        np.sqrt(tmp, out=tmp)
+        tmp += opt.eps
+        step /= tmp
         p -= step
         if name in WEIGHT_NAMES and opt.weight_decay:
-            p -= opt.lr * opt.weight_decay * p
+            p -= np.multiply(p, opt.lr * opt.weight_decay, out=tmp)
     return norm
 
 

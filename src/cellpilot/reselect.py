@@ -16,6 +16,10 @@ the step it fails; the UE reselects once elapsed time reaches t_resel.
 When several targets fire in one step the order high > equal > low
 applies, then (priority desc,) metric desc, cell id asc.
 
+The state machine is one kernel over a leading UE axis: the simulator
+advances its whole population with one :func:`step_ues` call per step, and
+:func:`run_ue_trace` is the same call for a single UE.
+
 `brute_force_oracle` re-implements the whole protocol with plain Python
 loops and dictionaries as an independent cross-check.
 """
@@ -27,9 +31,11 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-# criterion rows in the (3, C) timer array
+# criterion rows in the (N, 3, C) timer array; the per-UE event codes of
+# `step_ues` extend them with SELECT and OUTAGE (-1 = no event)
 HIGH, EQUAL, LOW = 0, 1, 2
-CRITERION_NAMES = ("high", "equal", "low")
+SELECT, OUTAGE = 3, 4
+EVENT_NAMES = ("high", "equal", "low", "select", "outage")
 
 PARAM_ORDER = ("t_xhigh", "t_xlow", "t_slow", "q_hyst", "q_offset", "q_rxlevmin")
 PARAM_RANGES = {
@@ -114,7 +120,7 @@ def load_presets(path) -> dict[str, ReselectionParams]:
 
 
 # ---------------------------------------------------------------------------
-# State machine
+# State machine: one kernel over a leading UE axis
 # ---------------------------------------------------------------------------
 
 def is_suitable(rx, params: ReselectionParams):
@@ -122,111 +128,165 @@ def is_suitable(rx, params: ReselectionParams):
     return np.asarray(rx, dtype=float) - params.q_rxlevmin > 0.0
 
 
+def cell_id_rank(ids) -> np.ndarray:
+    """rank[i] = position of cell i when the ids are sorted (tie-break key)."""
+    order = sorted(range(len(ids)), key=ids.__getitem__)
+    rank = np.empty(len(ids), dtype=int)
+    rank[order] = np.arange(len(ids))
+    return rank
+
+
+def _top_priority(cand: np.ndarray, priorities: np.ndarray) -> np.ndarray:
+    """The candidates of each row that sit on the row's highest priority."""
+    pr = np.where(cand, priorities, -np.inf)
+    return cand & (pr == pr.max(axis=1, keepdims=True))
+
+
+def _pick(cand: np.ndarray, metric: np.ndarray,
+          id_rank: np.ndarray | None) -> np.ndarray:
+    """Per row, the candidate column with the largest `metric`, then the
+    smallest id rank (the column index without `id_rank`); -1 for a row
+    without candidates. Masked maxima order the candidates as a lexsort over
+    (rank, -metric) does, ties included."""
+    n_cells = cand.shape[1]
+    rank = id_rank if id_rank is not None else np.arange(n_cells)
+    m = np.where(cand, metric, -np.inf)
+    cand = cand & (m == m.max(axis=1, keepdims=True))
+    best = np.where(cand, rank, n_cells).argmin(axis=1)
+    return np.where(cand.any(axis=1), best, -1)
+
+
 def initial_select(rx: np.ndarray, priorities: np.ndarray,
                    params: ReselectionParams,
-                   id_rank: np.ndarray | None = None) -> int | None:
-    """Best suitable cell: highest priority layer, then max rx, then id."""
-    suit = is_suitable(rx, params)
-    if not suit.any():
-        return None
-    idx = np.flatnonzero(suit)
-    pr = priorities[idx]
-    idx = idx[pr == pr.max()]
-    rank = id_rank[idx] if id_rank is not None else idx
-    order = np.lexsort((rank, -rx[idx]))
-    return int(idx[order[0]])
+                   id_rank: np.ndarray | None = None) -> np.ndarray:
+    """Best suitable cell per row of rx (N, C): highest priority layer, then
+    max rx, then smallest id rank; -1 where no cell is suitable."""
+    rx = np.asarray(rx, dtype=float)
+    cand = _top_priority(is_suitable(rx, params), priorities)
+    return _pick(cand, rx, id_rank)
 
 
-def new_timers(n_cells: int) -> np.ndarray:
-    return np.zeros((3, n_cells), dtype=float)
-
-
-def _conditions(serving: int, rx: np.ndarray, priorities: np.ndarray,
-                frequencies: np.ndarray, params: ReselectionParams) -> np.ndarray:
-    suitable = rx - params.q_rxlevmin > 0.0
-    pr_s = priorities[serving]
-    rx_s = rx[serving]
-    s_lev = rx_s - params.q_rxlevmin
-    cond = np.zeros((3, rx.shape[0]), dtype=bool)
-    cond[HIGH] = (priorities > pr_s) & (rx > params.t_xhigh) & suitable
-    eq = (priorities == pr_s) & suitable & (rx - params.q_offset > rx_s + params.q_hyst)
-    eq[serving] = False
-    cond[EQUAL] = eq
-    same_freq = frequencies == frequencies[serving]
-    measured = np.where(same_freq, s_lev < params.s_intra, s_lev < params.s_inter)
-    cond[LOW] = ((priorities < pr_s) & measured & (rx_s < params.t_slow)
-                 & (rx > params.t_xlow) & suitable)
-    return cond
-
-
-def step_reselection(serving: int, timers: np.ndarray, rx: np.ndarray,
+def step_reselection(serving: np.ndarray, timers: np.ndarray, rx: np.ndarray,
                      priorities: np.ndarray, frequencies: np.ndarray,
                      params: ReselectionParams, dt: float,
                      id_rank: np.ndarray | None = None
-                     ) -> tuple[int, np.ndarray, str | None]:
-    """One dwell-timer step for a camped UE with a suitable serving cell.
+                     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """One dwell-timer step for N camped UEs whose serving cells are suitable.
 
-    Returns (new serving index, timers, fired criterion or None). Timers
-    are mutated in place and zeroed wholesale after a reselection (every
-    criterion is relative to the serving cell, which just changed).
+    serving (N,), timers (N, 3, C), rx (N, C). Returns (new serving cells,
+    timers, fired criterion per row or -1). Timers are mutated in place, and
+    a row that reselects has all of its timers zeroed (every criterion is
+    relative to the serving cell, which just changed).
     """
-    cond = _conditions(serving, rx, priorities, frequencies, params)
-    np.minimum(timers + dt, params.t_resel, out=timers, where=cond)
-    timers[~cond] = 0.0
+    rows = np.arange(len(serving))
+    suitable = rx - params.q_rxlevmin > 0.0
+    pr_s = priorities[serving][:, None]
+    rx_s = rx[rows, serving][:, None]
+    s_lev = rx_s - params.q_rxlevmin
+    cond = np.empty(timers.shape, dtype=bool)
+    cond[:, HIGH] = (priorities > pr_s) & (rx > params.t_xhigh) & suitable
+    cond[:, EQUAL] = ((priorities == pr_s) & suitable
+                      & (rx - params.q_offset > rx_s + params.q_hyst))
+    cond[rows, EQUAL, serving] = False
+    same_freq = frequencies == frequencies[serving][:, None]
+    measured = np.where(same_freq, s_lev < params.s_intra, s_lev < params.s_inter)
+    cond[:, LOW] = ((priorities < pr_s) & measured & (rx_s < params.t_slow)
+                    & (rx > params.t_xlow) & suitable)
+    timers[...] = np.where(cond, np.minimum(timers + dt, params.t_resel), 0.0)
     fired = cond & (timers >= params.t_resel)
-    rank = id_rank if id_rank is not None else np.arange(rx.shape[0])
-    if fired[HIGH].any():
-        idx = np.flatnonzero(fired[HIGH])
-        order = np.lexsort((rank[idx], -rx[idx], -priorities[idx].astype(float)))
-        target, crit = int(idx[order[0]]), "high"
-    elif fired[EQUAL].any():
-        idx = np.flatnonzero(fired[EQUAL])
-        order = np.lexsort((rank[idx], -(rx[idx] - params.q_offset)))
-        target, crit = int(idx[order[0]]), "equal"
-    elif fired[LOW].any():
-        idx = np.flatnonzero(fired[LOW])
-        order = np.lexsort((rank[idx], -rx[idx]))
-        target, crit = int(idx[order[0]]), "low"
-    else:
-        return serving, timers, None
-    timers[:] = 0.0
-    return target, timers, crit
+    # criterion order high > equal > low: the first criterion row that fired
+    any_fired = fired.any(axis=2)
+    crit = np.where(any_fired.any(axis=1), any_fired.argmax(axis=1), -1)
+    new = serving.copy()
+    moving = np.flatnonzero(crit >= 0)
+    if moving.size:
+        c = crit[moving][:, None]
+        cand = fired[moving, crit[moving]]
+        cand = np.where(c == HIGH, _top_priority(cand, priorities), cand)
+        metric = np.where(c == EQUAL, rx[moving] - params.q_offset, rx[moving])
+        new[moving] = _pick(cand, metric, id_rank)
+        timers[moving] = 0.0
+    return new, timers, crit
 
 
-def run_ue_trace(rx_trace: np.ndarray, priorities: np.ndarray,
-                 frequencies: np.ndarray, params: ReselectionParams,
-                 dt: float = 1.0) -> list[tuple[int, str, int | None, int | None]]:
-    """Full idle-UE protocol over a (T, C) rx trace; returns the event list.
+def step_ues(serving: np.ndarray, timers: np.ndarray, rx: np.ndarray,
+             may_reselect: np.ndarray, priorities: np.ndarray,
+             frequencies: np.ndarray, params: ReselectionParams, dt: float,
+             id_rank: np.ndarray | None = None) -> np.ndarray:
+    """One protocol step for N UEs against the step's rx snapshot (N, C).
+
+    serving (N,), with -1 for out of service, and timers (N, 3, C) are
+    updated in place. Out-of-service rows run initial selection; a camped
+    row whose serving cell lost suitability drops out of service (initial
+    selection re-runs on the next step); the other camped rows where
+    `may_reselect` holds run one dwell-timer step. Returns the event code
+    per row: SELECT, OUTAGE, the fired criterion, or -1.
+    """
+    event = np.full(len(serving), -1)
+    camped = np.flatnonzero(serving >= 0)
+    out = np.flatnonzero(serving < 0)
+    ok = is_suitable(rx[camped, serving[camped]], params)
+    lost = camped[~ok]
+    staying = camped[ok & may_reselect[camped]]
+    if out.size:
+        sel = initial_select(rx[out], priorities, params, id_rank)
+        got = sel >= 0
+        serving[out[got]] = sel[got]
+        timers[out] = 0.0
+        event[out[got]] = SELECT
+    serving[lost] = -1
+    timers[lost] = 0.0
+    event[lost] = OUTAGE
+    if staying.size:
+        new, t, crit = step_reselection(
+            serving[staying], timers[staying], rx[staying], priorities,
+            frequencies, params, dt, id_rank)
+        serving[staying] = new
+        timers[staying] = t
+        event[staying] = crit
+    return event
+
+
+def _cell(c) -> int | None:
+    return int(c) if c >= 0 else None
+
+
+def run_traces(rx_traces: np.ndarray, priorities: np.ndarray,
+               frequencies: np.ndarray, params: ReselectionParams,
+               dt: float = 1.0, id_rank: np.ndarray | None = None
+               ) -> list[list[tuple[int, str, int | None, int | None]]]:
+    """Full idle-UE protocol for N UEs over a (T, N, C) rx trace, one
+    :func:`step_ues` call per step; returns each UE's event list.
 
     Events are (step, kind, from, to) with kind in {select, outage, high,
     equal, low}: `select` when an out-of-service UE acquires a cell (this
     includes step 0), `outage` when the serving cell loses suitability
     (initial selection then re-runs on the next step).
     """
-    rx_trace = np.asarray(rx_trace, dtype=float)
-    t_steps, n_cells = rx_trace.shape
-    timers = new_timers(n_cells)
-    serving: int | None = None
-    events: list[tuple[int, str, int | None, int | None]] = []
+    rx_traces = np.asarray(rx_traces, dtype=float)
+    t_steps, n, n_cells = rx_traces.shape
+    serving = np.full(n, -1)
+    timers = np.zeros((n, 3, n_cells))
+    idle = np.ones(n, dtype=bool)
+    events: list[list] = [[] for _ in range(n)]
     for t in range(t_steps):
-        rx = rx_trace[t]
-        if serving is None:
-            serving = initial_select(rx, priorities, params)
-            if serving is not None:
-                events.append((t, "select", None, serving))
-            timers[:] = 0.0
-            continue
-        if not (rx[serving] - params.q_rxlevmin > 0.0):
-            events.append((t, "outage", serving, None))
-            serving = None
-            timers[:] = 0.0
-            continue
-        new_serving, timers, crit = step_reselection(
-            serving, timers, rx, priorities, frequencies, params, dt)
-        if crit is not None:
-            events.append((t, crit, serving, new_serving))
-            serving = new_serving
+        before = serving.copy()
+        event = step_ues(serving, timers, rx_traces[t], idle, priorities,
+                         frequencies, params, dt, id_rank)
+        for i in np.flatnonzero(event >= 0):
+            events[i].append((t, EVENT_NAMES[event[i]], _cell(before[i]),
+                              _cell(serving[i])))
     return events
+
+
+def run_ue_trace(rx_trace: np.ndarray, priorities: np.ndarray,
+                 frequencies: np.ndarray, params: ReselectionParams,
+                 dt: float = 1.0, id_rank: np.ndarray | None = None
+                 ) -> list[tuple[int, str, int | None, int | None]]:
+    """:func:`run_traces` for one UE over a (T, C) rx trace."""
+    rx_trace = np.asarray(rx_trace, dtype=float)
+    return run_traces(rx_trace[:, None, :], priorities, frequencies, params,
+                      dt, id_rank)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -234,30 +294,33 @@ def run_ue_trace(rx_trace: np.ndarray, priorities: np.ndarray,
 # ---------------------------------------------------------------------------
 
 def brute_force_oracle(rx_trace, priorities, frequencies, params: ReselectionParams,
-                       dt: float = 1.0) -> list[tuple[int, str, int | None, int | None]]:
+                       dt: float = 1.0, cell_ids: list[str] | None = None
+                       ) -> list[tuple[int, str, int | None, int | None]]:
     """Exhaustive per-step re-evaluation of the reselection protocol.
 
     Same event contract as :func:`run_ue_trace`, computed with explicit
     loops and dict timer bookkeeping. Exists to cross-check the vectorized
-    implementation, so it deliberately shares no code with it.
+    implementation, so it deliberately shares no code with it. Final ties
+    go to the smaller cell id string when `cell_ids` is given, else to the
+    smaller cell index.
     """
     trace = [[float(v) for v in row] for row in np.asarray(rx_trace, dtype=float)]
     prio = [int(p) for p in priorities]
     freq = [float(f) for f in frequencies]
     n = len(prio)
+
+    def tie(c):
+        return cell_ids[c] if cell_ids is not None else c
+
     timers: dict[tuple[str, int], float] = {}
     serving = None
     events = []
     for t, rx in enumerate(trace):
         if serving is None:
-            best = None
-            for c in range(n):
-                if rx[c] - params.q_rxlevmin > 0.0:
-                    key = (prio[c], rx[c], -c)
-                    if best is None or key > best[0]:
-                        best = (key, c)
-            if best is not None:
-                serving = best[1]
+            suitable = [c for c in range(n) if rx[c] - params.q_rxlevmin > 0.0]
+            if suitable:
+                serving = sorted(suitable,
+                                 key=lambda c: (-prio[c], -rx[c], tie(c)))[0]
                 events.append((t, "select", None, serving))
             timers.clear()
             continue
@@ -294,14 +357,14 @@ def brute_force_oracle(rx_trace, priorities, frequencies, params: ReselectionPar
         target = crit_name = None
         if fired["high"]:
             target = sorted(fired["high"],
-                            key=lambda c: (-prio[c], -rx[c], c))[0]
+                            key=lambda c: (-prio[c], -rx[c], tie(c)))[0]
             crit_name = "high"
         elif fired["equal"]:
             target = sorted(fired["equal"],
-                            key=lambda c: (-(rx[c] - params.q_offset), c))[0]
+                            key=lambda c: (-(rx[c] - params.q_offset), tie(c)))[0]
             crit_name = "equal"
         elif fired["low"]:
-            target = sorted(fired["low"], key=lambda c: (-rx[c], c))[0]
+            target = sorted(fired["low"], key=lambda c: (-rx[c], tie(c)))[0]
             crit_name = "low"
         if target is not None:
             events.append((t, crit_name, serving, target))

@@ -2,8 +2,9 @@
 
 Per step, in fixed order: mobility (from step 1 on) -> frozen rx snapshot
 -> parameter update at PRI boundaries -> mode switching -> (re)selection
--> scheduling -> metrics. All reads during (re)selection come from the
-step's frozen snapshot, so UE iteration order cannot change results.
+-> scheduling -> metrics. The UE population is a `traffic.Population` of
+arrays, and (re)selection is one `reselect.step_ues` call per step over
+all UEs, reading only the step's frozen snapshot.
 
 Episodes are pure functions of (config, controller outputs). Constant-
 parameter reference episodes are cached on disk, keyed by a fingerprint
@@ -21,13 +22,16 @@ from pathlib import Path
 import numpy as np
 
 from . import radio, reselect, scheduler, traffic
-from .container import load_container, save_container
+from .container import load_container, save_container, write_atomic
 from .reselect import ReselectionParams
 from .rlenv import build_observation
 from .topology import Topology, topology_fingerprint
 from .traffic import TrafficConfig
 
 DT = 1.0  # s per step
+# part of the reference cache key; bump it whenever a change to the
+# simulator alters trajectories, so stale cached references are never served
+SIM_VERSION = 1
 
 CACHE_ENV_VAR = "CELLPILOT_CACHE"
 DEFAULT_CACHE_DIR = "~/.cache/cellpilot"
@@ -105,15 +109,6 @@ class EpisodeResult:
     udr: float
 
 
-def _cell_id_rank(topo: Topology) -> np.ndarray:
-    """rank[i] = position of cell i when ids are sorted (tie-break key)."""
-    order = sorted(range(topo.n_cells), key=lambda i: topo.cells[i].id)
-    rank = np.empty(topo.n_cells, dtype=int)
-    for pos, idx in enumerate(order):
-        rank[idx] = pos
-    return rank
-
-
 def run_episode(cfg: EpisodeConfig, controller) -> EpisodeResult:
     """Run one seeded episode; `controller(obs, interval) -> ReselectionParams`
     is invoked at every PRI boundary and its output applied network-wide
@@ -123,8 +118,8 @@ def run_episode(cfg: EpisodeConfig, controller) -> EpisodeResult:
     n_cells = topo.n_cells
     se_table = cfg.se_table if cfg.se_table is not None else radio.default_se_table()
     noise_floor = radio.noise_floor_dbm(topo.cell_bandwidth)
-    id_rank = _cell_id_rank(topo)
-    ues = traffic.init_population(cfg.n_ues, topo, cfg.episode_seed, cfg.traffic)
+    id_rank = reselect.cell_id_rank([c.id for c in topo.cells])
+    pop = traffic.init_population(cfg.n_ues, topo, cfg.episode_seed, cfg.traffic)
     n_steps = int(round(cfg.length / DT))
     traj = Trajectory.zeros(n_steps, n_cells)
     updates: list[UpdateRecord] = []
@@ -134,14 +129,13 @@ def run_episode(cfg: EpisodeConfig, controller) -> EpisodeResult:
         t = s * DT
         if s == 0:
             rx = radio.received_power_matrix(
-                np.array([ue.position for ue in ues]), topo,
-                obstruction_enabled=cfg.obstruction_enabled)
+                pop.pos, topo, obstruction_enabled=cfg.obstruction_enabled)
         else:
             # rows are pure functions of position: only movers need new ones
-            moved = traffic.step_mobility(ues, topo, DT, cfg.traffic)
+            moved = traffic.step_mobility(pop, topo, DT, cfg.traffic)
             if moved:
                 rx[moved] = radio.received_power_matrix(
-                    np.array([ues[i].position for i in moved]), topo,
+                    pop.pos[moved], topo,
                     obstruction_enabled=cfg.obstruction_enabled)
         if s % cfg.pri == 0:
             obs = build_observation(traj, s, topo.cell_bandwidth,
@@ -149,52 +143,38 @@ def run_episode(cfg: EpisodeConfig, controller) -> EpisodeResult:
             proposed = controller(obs, s // cfg.pri)
             params, clamped = reselect.clamp_params(proposed)
             updates.append(UpdateRecord(s // cfg.pri, s, params, clamped))
-        traffic.step_modes(ues, t, DT, cfg.traffic)
+        traffic.step_modes(pop, t, DT, cfg.traffic)
 
-        resel_events = 0
-        for ue in ues:
-            rxu = rx[ue.id]
-            if ue.serving is None:
-                sel = reselect.initial_select(rxu, topo.cell_priority, params, id_rank)
-                if sel is not None:
-                    ue.serving = sel
-                    ue.timers[:] = 0.0
-                    if s > 0:
-                        resel_events += 1  # service recovery counts, t=0 camp-on does not
-                continue
-            if not (rxu[ue.serving] - params.q_rxlevmin > 0.0):
-                ue.serving = None   # outage; initial selection re-runs next step
-                ue.timers[:] = 0.0
-                continue
-            if ue.mode == traffic.IDLE:
-                new_serving, _, crit = reselect.step_reselection(
-                    ue.serving, ue.timers, rxu, topo.cell_priority,
-                    topo.cell_frequency, params, DT, id_rank)
-                if crit is not None:
-                    ue.serving = new_serving
-                    resel_events += 1
+        idle = pop.mode == traffic.IDLE
+        event = reselect.step_ues(pop.serving, pop.timers, rx, idle,
+                                  topo.cell_priority, topo.cell_frequency,
+                                  params, DT, id_rank)
+        # recoveries and reselections count; camp-on at t=0 and outages do not
+        resel_events = (np.count_nonzero((event >= 0) & (event != reselect.OUTAGE))
+                        if s > 0 else 0)
 
-        cell_ues: list[list[int]] = [[] for _ in range(n_cells)]
-        for ue in ues:
-            if ue.mode == traffic.ACTIVE and ue.serving is not None:
-                cell_ues[ue.serving].append(ue.id)
+        # ACTIVE UEs per serving cell, in UE-id order within each cell
+        scheduled = np.flatnonzero(~idle & (pop.serving >= 0))
+        cells = pop.serving[scheduled]
+        per_cell_active = np.bincount(cells, minlength=n_cells)
+        groups = np.split(scheduled[np.argsort(cells, kind="stable")],
+                          np.cumsum(per_cell_active)[:-1])
         allocs = []
-        for c in range(n_cells):
-            ids = cell_ues[c]
-            if ids:
+        for c, ids in enumerate(groups):
+            if ids.size:
                 se = radio.spectral_efficiency(rx[ids, c] - noise_floor[c], se_table)
                 allocs.append(scheduler.allocate(topo.cell_bandwidth[c], ids, se))
             else:
                 allocs.append(scheduler.Allocation.empty(topo.cell_bandwidth[c]))
         total, per_cell, ue_mean, _ = scheduler.network_throughput(allocs)
-        active_count = sum(1 for ue in ues if ue.mode == traffic.ACTIVE)
+        idle_count = np.count_nonzero(idle)
         traj.time[s] = t
         traj.total_tput[s] = total
         traj.per_cell_tput[s] = per_cell
         traj.per_cell_avail_bw[s] = [a.available_bw for a in allocs]
-        traj.per_cell_active[s] = [len(ids) for ids in cell_ues]
-        traj.active_count[s] = active_count
-        traj.idle_count[s] = cfg.n_ues - active_count
+        traj.per_cell_active[s] = per_cell_active
+        traj.active_count[s] = cfg.n_ues - idle_count
+        traj.idle_count[s] = idle_count
         traj.per_ue_mean_tput[s] = ue_mean
         traj.reselection_events[s] = resel_events
 
@@ -220,6 +200,7 @@ def reference_fingerprint(cfg: EpisodeConfig, params: ReselectionParams) -> str:
     with a constant controller it cannot change the dynamics)."""
     se = cfg.se_table if cfg.se_table is not None else radio.default_se_table()
     doc = {
+        "sim_version": SIM_VERSION,
         "topology": topology_fingerprint(cfg.topology),
         "episode_seed": cfg.episode_seed,
         "n_ues": cfg.n_ues,
@@ -297,17 +278,17 @@ def write_trajectory_csv(result: EpisodeResult, path, cell_ids: list[str]) -> No
     cols += [f"tput_{cid}" for cid in cell_ids]
     cols += [f"avail_bw_{cid}" for cid in cell_ids]
     cols += [f"active_{cid}" for cid in cell_ids]
-    with open(path, "w", newline="") as fh:
-        fh.write(",".join(cols) + "\n")
-        tr = result.steps
-        for i in range(len(tr)):
-            row = [str(i), _fmt(tr.time[i]), _fmt(tr.total_tput[i]),
-                   _fmt(tr.per_ue_mean_tput[i]), str(int(tr.active_count[i])),
-                   str(int(tr.idle_count[i])), str(int(tr.reselection_events[i]))]
-            row += [_fmt(v) for v in tr.per_cell_tput[i]]
-            row += [_fmt(v) for v in tr.per_cell_avail_bw[i]]
-            row += [str(int(v)) for v in tr.per_cell_active[i]]
-            fh.write(",".join(row) + "\n")
+    lines = [",".join(cols)]
+    tr = result.steps
+    for i in range(len(tr)):
+        row = [str(i), _fmt(tr.time[i]), _fmt(tr.total_tput[i]),
+               _fmt(tr.per_ue_mean_tput[i]), str(int(tr.active_count[i])),
+               str(int(tr.idle_count[i])), str(int(tr.reselection_events[i]))]
+        row += [_fmt(v) for v in tr.per_cell_tput[i]]
+        row += [_fmt(v) for v in tr.per_cell_avail_bw[i]]
+        row += [str(int(v)) for v in tr.per_cell_active[i]]
+        lines.append(",".join(row))
+    write_atomic(path, ("\n".join(lines) + "\n").encode())
 
 
 def write_updates_csv(result: EpisodeResult, path,
@@ -317,14 +298,14 @@ def write_updates_csv(result: EpisodeResult, path,
     cols = ["interval", "step", *reselect.PARAM_ORDER, "clamped"]
     if rewards is not None:
         cols += ["r_tput", "r_bal", "r_ue_eff", "r_total"]
-    with open(path, "w", newline="") as fh:
-        fh.write(",".join(cols) + "\n")
-        for i, u in enumerate(result.updates):
-            row = [str(u.interval), str(u.step)]
-            row += [_fmt(getattr(u.params, f)) for f in reselect.PARAM_ORDER]
-            row.append("|".join(u.clamped))
-            if rewards is not None:
-                r = rewards[i]
-                row += [_fmt(r.r_tput), _fmt(r.r_bal), _fmt(r.r_ue_eff),
-                        _fmt(r.r_total)]
-            fh.write(",".join(row) + "\n")
+    lines = [",".join(cols)]
+    for i, u in enumerate(result.updates):
+        row = [str(u.interval), str(u.step)]
+        row += [_fmt(getattr(u.params, f)) for f in reselect.PARAM_ORDER]
+        row.append("|".join(u.clamped))
+        if rewards is not None:
+            r = rewards[i]
+            row += [_fmt(r.r_tput), _fmt(r.r_bal), _fmt(r.r_ue_eff),
+                    _fmt(r.r_total)]
+        lines.append(",".join(row))
+    write_atomic(path, ("\n".join(lines) + "\n").encode())

@@ -16,6 +16,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .container import write_atomic
+
 TOPOLOGY_FORMAT = "cellpilot-topology"
 TOPOLOGY_VERSION = 1
 
@@ -288,9 +290,8 @@ def topology_fingerprint(topo: Topology) -> str:
 
 
 def save_topology(topo: Topology, path) -> None:
-    with open(path, "w") as fh:
-        json.dump(topology_doc(topo), fh, indent=1, sort_keys=True)
-        fh.write("\n")
+    text = json.dumps(topology_doc(topo), indent=1, sort_keys=True) + "\n"
+    write_atomic(path, text.encode())
 
 
 # ---------------------------------------------------------------------------

@@ -9,11 +9,10 @@ placement, speed, travel direction, initial mode, first dwell.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from . import reselect
 from .topology import Topology, polyline_point_at, sample_placement
 
 IDLE, ACTIVE = 0, 1
@@ -41,20 +40,23 @@ class TrafficConfig:
         return 0.5 * (1.0 / self.lambda_idle + 1.0 / self.lambda_active)
 
 
-@dataclass
-class UeState:
-    id: int
-    position: tuple[float, float]
-    indoor: bool
-    mode: int                     # IDLE | ACTIVE
-    next_switch_time: float       # absolute sim time of the next mode flip
-    rng: np.random.Generator
-    speed_mps: float
-    street_index: int = -1        # valid for street UEs
-    arc_pos: float = 0.0          # arc length along the street polyline
-    direction: int = 1            # +1/-1 along the polyline
-    serving: int | None = None    # camped cell index
-    timers: np.ndarray = field(default_factory=lambda: np.zeros((3, 0)))
+@dataclass(eq=False)
+class Population:
+    """The UE population, one array per field; row i is UE i."""
+    pos: np.ndarray               # (N, 2) position
+    indoor: np.ndarray            # (N,) bool
+    street_index: np.ndarray      # (N,) int; valid for street UEs, else -1
+    arc_pos: np.ndarray           # (N,) arc length along the street polyline
+    direction: np.ndarray         # (N,) int, +1/-1 along the polyline
+    speed_mps: np.ndarray         # (N,)
+    mode: np.ndarray              # (N,) int, IDLE | ACTIVE
+    next_switch_time: np.ndarray  # (N,) absolute sim time of the next mode flip
+    serving: np.ndarray           # (N,) int camped cell index, -1 = out of service
+    timers: np.ndarray            # (N, 3, C) reselection dwell timers
+    rngs: list[np.random.Generator]   # UE i's stream, SeedSequence([episode_seed, i])
+
+    def __len__(self) -> int:
+        return len(self.mode)
 
 
 def _dwell_rate(mode: int, cfg: TrafficConfig) -> float:
@@ -62,39 +64,40 @@ def _dwell_rate(mode: int, cfg: TrafficConfig) -> float:
 
 
 def init_population(n: int, topo: Topology, episode_seed: int,
-                    cfg: TrafficConfig) -> list[UeState]:
+                    cfg: TrafficConfig) -> Population:
     """n UEs with positions, speeds, modes, and first switch times drawn
     from their own streams; bit-identical for the same episode_seed."""
     if n <= 0:
         raise ValueError("population size must be > 0")
     cfg.validate()
-    ues = []
+    pos = np.empty((n, 2))
+    indoor = np.empty(n, dtype=bool)
+    street_index = np.empty(n, dtype=int)
+    arc_pos = np.empty(n)
+    direction = np.empty(n, dtype=int)
+    speed_mps = np.empty(n)
+    mode = np.empty(n, dtype=int)
+    next_switch_time = np.empty(n)
+    rngs = []
     for i in range(n):
         rng = np.random.default_rng(np.random.SeedSequence([episode_seed, i]))
         placement = sample_placement(topo, rng, cfg.building_weight)
         speed = cfg.speed_kmh * (1.0 + cfg.speed_spread * (2.0 * rng.random() - 1.0))
-        direction = 1 if rng.random() < 0.5 else -1
-        mode = ACTIVE if rng.random() < 0.5 else IDLE
-        dwell = rng.exponential(1.0 / _dwell_rate(mode, cfg))
-        ues.append(
-            UeState(
-                id=i,
-                position=placement.point,
-                indoor=placement.indoor,
-                mode=mode,
-                next_switch_time=dwell,
-                rng=rng,
-                speed_mps=speed / 3.6,
-                street_index=placement.street_index,
-                arc_pos=placement.arc_pos,
-                direction=direction,
-                timers=reselect.new_timers(topo.n_cells),
-            )
-        )
-    return ues
+        direction[i] = 1 if rng.random() < 0.5 else -1
+        mode[i] = m = ACTIVE if rng.random() < 0.5 else IDLE
+        next_switch_time[i] = rng.exponential(1.0 / _dwell_rate(m, cfg))
+        pos[i] = placement.point
+        indoor[i] = placement.indoor
+        street_index[i] = placement.street_index
+        arc_pos[i] = placement.arc_pos
+        speed_mps[i] = speed / 3.6
+        rngs.append(rng)
+    return Population(pos, indoor, street_index, arc_pos, direction, speed_mps,
+                      mode, next_switch_time, np.full(n, -1),
+                      np.zeros((n, 3, topo.n_cells)), rngs)
 
 
-def step_modes(ues: list[UeState], t: float, dt: float, cfg: TrafficConfig) -> int:
+def step_modes(pop: Population, t: float, dt: float, cfg: TrafficConfig) -> int:
     """Process every mode-switch event in (t, t+dt]; returns the flip count.
 
     A UE may flip more than once inside one window (each flip draws the
@@ -105,41 +108,41 @@ def step_modes(ues: list[UeState], t: float, dt: float, cfg: TrafficConfig) -> i
         raise ValueError("dt must be > 0")
     flips = 0
     horizon = t + dt
-    for ue in ues:
-        flipped = False
-        while ue.next_switch_time <= horizon:
-            ue.mode = ACTIVE if ue.mode == IDLE else IDLE
-            ue.next_switch_time += ue.rng.exponential(1.0 / _dwell_rate(ue.mode, cfg))
+    due = np.flatnonzero(pop.next_switch_time <= horizon)
+    for i in due.tolist():
+        mode, nxt, rng = int(pop.mode[i]), float(pop.next_switch_time[i]), pop.rngs[i]
+        while nxt <= horizon:
+            mode = ACTIVE if mode == IDLE else IDLE
+            nxt += rng.exponential(1.0 / _dwell_rate(mode, cfg))
             flips += 1
-            flipped = True
-        if flipped:
-            ue.timers[:] = 0.0
+        pop.mode[i] = mode
+        pop.next_switch_time[i] = nxt
+    pop.timers[due] = 0.0
     return flips
 
 
-def step_mobility(ues: list[UeState], topo: Topology, dt: float,
+def step_mobility(pop: Population, topo: Topology, dt: float,
                   cfg: TrafficConfig) -> list[int]:
     """Advance street UEs along their polyline by speed*dt, reflecting at
     the ends; indoor UEs do not move. Returns the indices of the UEs it
     moved (none when mobility is off)."""
     if not cfg.mobility_enabled:
         return []
-    moved = []
-    for i, ue in enumerate(ues):
-        if ue.indoor or ue.street_index < 0:
-            continue
-        k = ue.street_index
-        total = float(topo.street_lengths[k])
-        pos = ue.arc_pos + ue.direction * ue.speed_mps * dt
-        while pos < 0.0 or pos > total:
-            if pos < 0.0:
-                pos = -pos
-                ue.direction = -ue.direction
-            else:
-                pos = 2.0 * total - pos
-                ue.direction = -ue.direction
-        ue.arc_pos = pos
-        ue.position = polyline_point_at(topo.streets[k], pos,
-                                        topo.street_segment_lengths[k])
-        moved.append(i)
-    return moved
+    moved = np.flatnonzero(~pop.indoor & (pop.street_index >= 0))
+    k = pop.street_index[moved]
+    total = topo.street_lengths[k]
+    direction = pop.direction[moved]
+    arc = pop.arc_pos[moved] + direction * pop.speed_mps[moved] * dt
+    while True:
+        low, high = arc < 0.0, arc > total
+        bounce = low | high
+        if not bounce.any():
+            break
+        arc = np.where(low, -arc, np.where(high, 2.0 * total - arc, arc))
+        direction = np.where(bounce, -direction, direction)
+    pop.arc_pos[moved] = arc
+    pop.direction[moved] = direction
+    for i, ki, a in zip(moved.tolist(), k.tolist(), arc.tolist()):
+        pop.pos[i] = polyline_point_at(topo.streets[ki], a,
+                                       topo.street_segment_lengths[ki])
+    return moved.tolist()

@@ -19,6 +19,7 @@ import numpy as np
 
 from . import policy as pol
 from . import rlenv, simcore
+from .container import write_atomic
 from .reselect import PRESETS, ReselectionParams
 from .rlenv import BaselineTable, compute_reward, interval_aggregates, map_action
 from .simcore import EpisodeConfig
@@ -527,15 +528,15 @@ def validation_score(net, cfg: TrainRunConfig, val_seeds: list[int],
 
 
 def write_eval_csv(report: EvalReport, path) -> None:
-    with open(path, "w", newline="") as fh:
-        fh.write("seed,tput_gain,bal_gain,ue_gain\n")
-        for r in report.rows:
-            fh.write(f"{r.seed},{r.tput_gain:.17g},{r.bal_gain:.17g},"
-                     f"{r.ue_gain:.17g}\n")
-        for name, d in (("median", report.medians), ("p25", report.p25),
-                        ("p75", report.p75)):
-            fh.write(f"{name},{d['tput_gain']:.17g},{d['bal_gain']:.17g},"
-                     f"{d['ue_gain']:.17g}\n")
+    lines = ["seed,tput_gain,bal_gain,ue_gain"]
+    for r in report.rows:
+        lines.append(f"{r.seed},{r.tput_gain:.17g},{r.bal_gain:.17g},"
+                     f"{r.ue_gain:.17g}")
+    for name, d in (("median", report.medians), ("p25", report.p25),
+                    ("p75", report.p75)):
+        lines.append(f"{name},{d['tput_gain']:.17g},{d['bal_gain']:.17g},"
+                     f"{d['ue_gain']:.17g}")
+    write_atomic(path, ("\n".join(lines) + "\n").encode())
 
 
 # ---------------------------------------------------------------------------
@@ -592,12 +593,12 @@ def ablate(cfg: TrainRunConfig, schedule: CurriculumSchedule, variant: str,
 
 def write_ablation_csv(result: AblationResult, path) -> None:
     base = {r.seed: r for r in result.base_report.rows} if result.base_report else {}
-    with open(path, "w", newline="") as fh:
-        fh.write("seed,variant_tput_gain,variant_bal_gain,variant_ue_gain,"
-                 "base_tput_gain,base_bal_gain,base_ue_gain\n")
-        for r in result.report.rows:
-            b = base.get(r.seed)
-            bvals = (f"{b.tput_gain:.17g},{b.bal_gain:.17g},{b.ue_gain:.17g}"
-                     if b else ",,")
-            fh.write(f"{r.seed},{r.tput_gain:.17g},{r.bal_gain:.17g},"
-                     f"{r.ue_gain:.17g},{bvals}\n")
+    lines = ["seed,variant_tput_gain,variant_bal_gain,variant_ue_gain,"
+             "base_tput_gain,base_bal_gain,base_ue_gain"]
+    for r in result.report.rows:
+        b = base.get(r.seed)
+        bvals = (f"{b.tput_gain:.17g},{b.bal_gain:.17g},{b.ue_gain:.17g}"
+                 if b else ",,")
+        lines.append(f"{r.seed},{r.tput_gain:.17g},{r.bal_gain:.17g},"
+                     f"{r.ue_gain:.17g},{bvals}")
+    write_atomic(path, ("\n".join(lines) + "\n").encode())

@@ -226,3 +226,36 @@ def test_checkpoint_rejects_foreign_files(tmp_path):
     save_checkpoint(good, net, opt, BaselineTable(), None, {})
     meta_ok = load_checkpoint(good)
     assert meta_ok.rng_state is None
+
+
+def test_in_place_adam_matches_the_formula_bit_for_bit():
+    def reference_step(params, m, v, grads, opt, t):
+        norm = math.sqrt(sum(float(np.sum(g * g)) for g in grads.values()))
+        scale = opt.clip / norm if norm > opt.clip else 1.0
+        bc1 = 1.0 - opt.beta1 ** t
+        bc2 = 1.0 - opt.beta2 ** t
+        for name, p in params.items():
+            g = grads[name] * scale
+            m[name] = opt.beta1 * m[name] + (1.0 - opt.beta1) * g
+            v[name] = opt.beta2 * v[name] + (1.0 - opt.beta2) * g * g
+            p -= opt.lr * (m[name] / bc1) / (np.sqrt(v[name] / bc2) + opt.eps)
+            if name.startswith("w") and opt.weight_decay:
+                p -= opt.lr * opt.weight_decay * p
+
+    net = init_policy(12, 16, seed=8)
+    opt = init_optimizer(net, lr=3e-3, weight_decay=1e-2, clip=1.0)
+    params = {n: p.copy() for n, p in net.params().items()}
+    m = {n: np.zeros_like(p) for n, p in params.items()}
+    v = {n: np.zeros_like(p) for n, p in params.items()}
+    rng = np.random.default_rng(12)
+    for t in range(1, 21):
+        # every third step stays under the clip threshold
+        size = 0.01 if t % 3 == 0 else 1.0
+        grads = {n: rng.normal(0.0, size, p.shape) for n, p in params.items()}
+        apply_update(net, opt, grads)
+        reference_step(params, m, v, grads, opt, t)
+    assert opt.step == 20
+    for n, p in net.params().items():
+        assert p.tobytes() == params[n].tobytes(), n
+        assert opt.m[n].tobytes() == m[n].tobytes(), n
+        assert opt.v[n].tobytes() == v[n].tobytes(), n

@@ -6,15 +6,17 @@ import pytest
 from cellpilot.reselect import (
     CONFIG_A,
     CONFIG_B,
+    EVENT_NAMES,
     PARAM_ORDER,
     PARAM_RANGES,
     ReselectionParams,
     brute_force_oracle,
+    cell_id_rank,
     clamp_params,
     initial_select,
     is_suitable,
     load_presets,
-    new_timers,
+    run_traces,
     run_ue_trace,
     step_reselection,
 )
@@ -79,27 +81,41 @@ def test_suitability_is_strict():
     assert suit.tolist() == [False, True, False]
 
 
+def select1(rx, prio, params):
+    """initial_select for one UE: a cell index, or None."""
+    sel = int(initial_select(np.asarray(rx, float)[None], np.asarray(prio), params)[0])
+    return sel if sel >= 0 else None
+
+
+def step1(serving, timers, rx, prio, freq, params, dt):
+    """step_reselection for one UE: (serving, its (3, C) timers, criterion
+    name or None)."""
+    new, t, crit = step_reselection(
+        np.array([serving]), timers[None], np.asarray(rx, float)[None],
+        np.asarray(prio), np.asarray(freq, float), params, dt)
+    return int(new[0]), t[0], EVENT_NAMES[crit[0]] if crit[0] >= 0 else None
+
+
 def test_initial_select_priority_then_rx_then_id():
     p = make_params(q_rxlevmin=-60.0)
     prio = np.array([1, 2, 2, 2])
     # cell 0 strongest but lower priority; among priority 2 cells pick max rx
     rx = np.array([-40.0, -50.0, -45.0, -45.0])
-    assert initial_select(rx, prio, p) == 2
+    assert select1(rx, prio, p) == 2
     # exact rx tie inside the top layer -> lowest id
     rx = np.array([-40.0, -45.0, -45.0, -45.0])
-    assert initial_select(rx, prio, p) == 1
+    assert select1(rx, prio, p) == 1
     # nothing suitable
-    assert initial_select(np.full(4, -61.0), prio, p) is None
+    assert select1(np.full(4, -61.0), prio, p) is None
     # unsuitable cells are ignored even when strongest
     rx = np.array([-40.0, -61.0, -59.0, -61.0])
-    assert initial_select(rx, prio, p) == 2
+    assert select1(rx, prio, p) == 2
 
 
 def one_step(serving, rx, prio, freq, params, dt=1.0, timers=None):
     if timers is None:
-        timers = new_timers(len(rx))
-    return step_reselection(serving, timers, np.asarray(rx, float),
-                            np.asarray(prio), np.asarray(freq, float), params, dt)
+        timers = np.zeros((3, len(rx)))
+    return step1(serving, timers, rx, prio, freq, params, dt)
 
 
 def test_high_priority_criterion():
@@ -184,10 +200,10 @@ def test_dt_half_needs_two_sustained_steps():
     prio = np.array([1, 2])
     freq = np.array([1e9, 2e9])
     rx = np.array([-50.0, -55.0])
-    timers = new_timers(2)
-    new, timers, crit = step_reselection(0, timers, rx, prio, freq, p, 0.5)
+    timers = np.zeros((3, 2))
+    new, timers, crit = step1(0, timers, rx, prio, freq, p, 0.5)
     assert crit is None and timers[0, 1] == 0.5
-    new, timers, crit = step_reselection(0, timers, rx, prio, freq, p, 0.5)
+    new, timers, crit = step1(0, timers, rx, prio, freq, p, 0.5)
     assert (new, crit) == (1, "high")
     assert np.all(timers == 0.0)       # timers zeroed after the move
 
@@ -198,12 +214,12 @@ def test_timer_resets_when_condition_breaks():
     freq = np.array([1e9, 2e9])
     good = np.array([-50.0, -55.0])
     bad = np.array([-50.0, -57.0])
-    timers = new_timers(2)
-    _, timers, crit = step_reselection(0, timers, good, prio, freq, p, 0.5)
+    timers = np.zeros((3, 2))
+    _, timers, crit = step1(0, timers, good, prio, freq, p, 0.5)
     assert timers[0, 1] == 0.5
-    _, timers, crit = step_reselection(0, timers, bad, prio, freq, p, 0.5)
+    _, timers, crit = step1(0, timers, bad, prio, freq, p, 0.5)
     assert timers[0, 1] == 0.0         # one bad step clears the credit
-    _, timers, crit = step_reselection(0, timers, good, prio, freq, p, 0.5)
+    _, timers, crit = step1(0, timers, good, prio, freq, p, 0.5)
     assert crit is None and timers[0, 1] == 0.5
 
 
@@ -279,3 +295,50 @@ def test_fuzz_covers_all_kinds():
         for ev in run_ue_trace(trace, prio, freq, params):
             kinds.add(ev[1])
     assert kinds == {"select", "outage", "high", "equal", "low"}
+
+
+def tied_instance(rng, n_ues):
+    """Cells whose ids sort out of index order, one column duplicating
+    another (same priority and rx: exact ties in every criterion), and
+    n_ues traces on a 1 dB grid, stacked on the UE axis: (T, N, C)."""
+    n_cells = int(rng.integers(3, 8))
+    ids = [f"C{v}" for v in rng.choice(np.arange(1, 40), n_cells, replace=False)]
+    if ids == sorted(ids):
+        ids.reverse()
+    t_steps = int(rng.integers(10, 31))
+    prio = rng.integers(0, 3, size=n_cells)
+    freq = rng.choice([7e8, 1.8e9, 2.6e9], size=n_cells)
+    base = rng.uniform(-75.0, -45.0, size=(n_ues, n_cells))
+    walk = rng.normal(0.0, 2.5, size=(t_steps, n_ues, n_cells)).cumsum(axis=0)
+    trace = np.round(base + walk)
+    a, b = rng.choice(n_cells, 2, replace=False)
+    trace[:, :, b] = trace[:, :, a]
+    prio[b] = prio[a]
+    _, _, _, params = random_instance(rng)
+    return trace, prio, freq, params, ids
+
+
+def test_stacked_traces_match_oracle_with_cell_ids():
+    """Many UEs in one kernel call per step: every row's events equal the
+    oracle's, whose cell-id tie-break sorts the id strings itself."""
+    rng = np.random.default_rng(2468)
+    traces = 0
+    kinds = set()
+    decided_by_id = set()   # event kinds where the id order changed the outcome
+    for trial in range(8):
+        trace, prio, freq, params, ids = tied_instance(rng, n_ues=40)
+        dt = 1.0 if trial % 3 else 0.5
+        got = run_traces(trace, prio, freq, params, dt, cell_id_rank(ids))
+        assert len(got) == trace.shape[1]
+        for i, events in enumerate(got):
+            want = brute_force_oracle(trace[:, i], prio, freq, params, dt, cell_ids=ids)
+            assert events == want, f"trial {trial}, UE {i}: {events} != {want}"
+            by_index = brute_force_oracle(trace[:, i], prio, freq, params, dt)
+            diff = [w for w, x in zip(want, by_index) if w != x]
+            if diff:
+                decided_by_id.add(diff[0][1])
+            kinds.update(ev[1] for ev in events)
+            traces += 1
+    assert traces >= 256
+    assert kinds == {"select", "outage", "high", "equal", "low"}
+    assert {"select", "high", "equal", "low"} <= decided_by_id

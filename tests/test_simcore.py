@@ -5,6 +5,7 @@ import types
 import numpy as np
 import pytest
 
+from cellpilot import simcore
 from cellpilot.container import load_container
 from cellpilot.reselect import CONFIG_B, ReselectionParams
 from cellpilot.simcore import (
@@ -233,7 +234,7 @@ def test_reference_for_length_truncates(tmp_path):
     assert len(list(tmp_path.glob("ref_*.bin"))) == 1  # one cache entry serves both
 
 
-def test_fingerprint_sensitivity():
+def test_fingerprint_sensitivity(monkeypatch):
     topo = two_layer_topo()
     cfg = EpisodeConfig(topo, 5, n_ues=12, length=6.0, pri=1)
     base = reference_fingerprint(cfg, CONFIG_B)
@@ -249,6 +250,9 @@ def test_fingerprint_sensitivity():
     assert reference_fingerprint(cfg, other) != base
     # a constant controller cannot act differently at another PRI
     assert reference_fingerprint(dataclasses.replace(cfg, pri=7), CONFIG_B) == base
+    # a new simulator version never serves an older version's references
+    monkeypatch.setattr(simcore, "SIM_VERSION", simcore.SIM_VERSION + 1)
+    assert reference_fingerprint(cfg, CONFIG_B) != base
 
 
 def test_cache_dir_resolution(monkeypatch):
@@ -276,6 +280,28 @@ def test_trajectory_csv(tmp_path):
                         "active", "idle", "reselections"]
     assert "tput_A" in head and "avail_bw_B" in head and "active_A" in head
     assert lines[1].split(",")[0] == "0"
+
+
+def test_trajectory_csv_write_is_atomic(tmp_path, monkeypatch, failing_write):
+    topo = two_layer_topo()
+    ids = [c.id for c in topo.cells]
+    short = run_episode(EpisodeConfig(topo, 17, n_ues=8, length=3.0, pri=1,
+                                      traffic=FROZEN_TRAFFIC),
+                        constant_controller(CONFIG_B))
+    longer = run_episode(EpisodeConfig(topo, 17, n_ues=8, length=40.0, pri=1,
+                                       traffic=FROZEN_TRAFFIC),
+                         constant_controller(CONFIG_B))
+    path = tmp_path / "traj.csv"
+    write_trajectory_csv(short, path, ids)
+    old = path.read_bytes()
+    failing_write()
+    with pytest.raises(OSError):
+        write_trajectory_csv(longer, path, ids)
+    with pytest.raises(OSError):
+        write_trajectory_csv(longer, tmp_path / "other.csv", ids)
+    monkeypatch.undo()
+    assert path.read_bytes() == old
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["traj.csv"]
 
 
 def test_updates_csv(tmp_path):

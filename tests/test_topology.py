@@ -19,6 +19,7 @@ from cellpilot.topology import (
     polyline_point_at,
     sample_placement,
     save_topology,
+    topology_doc,
     topology_fingerprint,
     validate_topology,
     wall_crossings,
@@ -63,6 +64,26 @@ def test_save_load_fingerprint_stable(tmp_path):
     save_topology(topo, p)
     again = load_topology(p)
     assert topology_fingerprint(again) == topology_fingerprint(topo)
+
+
+def test_save_topology_is_atomic(tmp_path, monkeypatch, failing_write):
+    topo = generate_topology("desk", seed=4)
+    path = tmp_path / "d.topo"
+    save_topology(topo, path)
+    old = path.read_bytes()
+    with open(tmp_path / "ref.topo", "w") as fh:   # the bytes of a plain dump
+        json.dump(topology_doc(topo), fh, indent=1, sort_keys=True)
+        fh.write("\n")
+    assert old == (tmp_path / "ref.topo").read_bytes()
+    (tmp_path / "ref.topo").unlink()
+    failing_write()
+    with pytest.raises(OSError):
+        save_topology(generate_topology("desk", seed=5), path)
+    with pytest.raises(OSError):
+        save_topology(topo, tmp_path / "other.topo")
+    monkeypatch.undo()
+    assert path.read_bytes() == old
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["d.topo"]
 
 
 def test_parse_error_names_position(tmp_path):
