@@ -67,8 +67,7 @@ class Topology:
     cell_bandwidth: np.ndarray = field(init=False)
     cell_priority: np.ndarray = field(init=False)
     cell_tx_power: np.ndarray = field(init=False)
-    _wall_edges: np.ndarray = field(init=False)     # Ex4: x1,y1,x2,y2
-    _wall_vertices: np.ndarray = field(init=False)  # Vx2
+    _wall_edges: np.ndarray = field(init=False)     # 4xE rows x1,y1,x2,y2, grouped by building
 
     def __post_init__(self):
         self.cell_xy = np.array([c.position for c in self.cells], dtype=float).reshape(-1, 2)
@@ -78,16 +77,9 @@ class Topology:
         self.cell_bandwidth = np.array([c.bandwidth for c in self.cells], dtype=float)
         self.cell_priority = np.array([c.priority for c in self.cells], dtype=int)
         self.cell_tx_power = np.array([c.tx_power for c in self.cells], dtype=float)
-        edges, verts = [], []
-        for poly in self.buildings:
-            rolled = np.roll(poly, -1, axis=0)
-            edges.append(np.hstack([poly, rolled]))
-            verts.append(poly)
+        edges = [np.hstack([poly, np.roll(poly, -1, axis=0)]) for poly in self.buildings]
         self._wall_edges = (
-            np.vstack(edges) if edges else np.zeros((0, 4), dtype=float)
-        )
-        self._wall_vertices = (
-            np.vstack(verts) if verts else np.zeros((0, 2), dtype=float)
+            np.vstack(edges).T.copy() if edges else np.zeros((4, 0), dtype=float)
         )
 
     @property
@@ -107,11 +99,42 @@ class Topology:
     def building_areas(self) -> np.ndarray:
         return np.array([_polygon_area(b) for b in self.buildings])
 
-    def cell_index(self, cell_id: str) -> int:
-        for i, c in enumerate(self.cells):
-            if c.id == cell_id:
-                return i
-        raise KeyError(cell_id)
+    @functools.cached_property
+    def _street_table(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """Streets padded to the longest one: segment counts (S,), segment
+        lengths (S, M), arc length at each segment start (S, M; the running
+        sum :func:`polyline_point_at` accumulates) and vertices (S, M+1, 2)."""
+        n = np.array([len(seg) for seg in self.street_segment_lengths], dtype=int)
+        m = int(n.max(initial=0))
+        seg = np.zeros((len(n), m))
+        start = np.zeros((len(n), m))
+        pts = np.zeros((len(n), m + 1, 2))
+        for k, (line, lens) in enumerate(zip(self.streets, self.street_segment_lengths)):
+            seg[k, :len(lens)] = lens
+            start[k, 1:len(lens)] = np.cumsum(lens)[:-1]
+            pts[k, :len(line)] = line
+        return n, seg, start, pts
+
+    # Per-building edge ranges and boxes that prune the wall-crossing test.
+    @functools.cached_property
+    def _wall_ranges(self) -> tuple[np.ndarray, np.ndarray]:
+        """First column in `_wall_edges` and edge count of each building."""
+        counts = np.array([len(b) for b in self.buildings], dtype=int)
+        return np.cumsum(counts) - counts, counts
+
+    @functools.cached_property
+    def _wall_boxes(self) -> np.ndarray:
+        """(4, B) rows xmin, ymin, xmax, ymax of the building boxes, padded
+        outward by 1e-9 of the largest building or cell coordinate, over
+        10^5 times the rounding of the crossing tests: a segment that misses
+        a padded box can neither cross nor touch that building's walls."""
+        if not self.buildings:
+            return np.zeros((4, 0))
+        lo = np.array([b.min(axis=0) for b in self.buildings])
+        hi = np.array([b.max(axis=0) for b in self.buildings])
+        pad = 1e-9 * max(np.abs(self._wall_edges).max(),
+                         np.abs(self.cell_xy).max(initial=0.0))
+        return np.vstack([(lo - pad).T, (hi + pad).T])
 
 
 # ---------------------------------------------------------------------------
@@ -310,27 +333,22 @@ def wall_crossings(a, b, topo: Topology) -> int:
     bx, by = float(b[0]), float(b[1])
     if ax == bx and ay == by:
         raise ValueError("wall_crossings: segment endpoints coincide")
-    edges = topo._wall_edges
-    if len(edges) == 0:
-        return 0
+    x1, y1, x2, y2 = topo._wall_edges
     dx, dy = bx - ax, by - ay
     # orientation of each edge endpoint relative to the segment line
-    d1 = dx * (edges[:, 1] - ay) - dy * (edges[:, 0] - ax)
-    d2 = dx * (edges[:, 3] - ay) - dy * (edges[:, 2] - ax)
+    d1 = dx * (y1 - ay) - dy * (x1 - ax)
+    d2 = dx * (y2 - ay) - dy * (x2 - ax)
     # orientation of the segment endpoints relative to each edge line
-    ex, ey = edges[:, 2] - edges[:, 0], edges[:, 3] - edges[:, 1]
-    d3 = ex * (ay - edges[:, 1]) - ey * (ax - edges[:, 0])
-    d4 = ex * (by - edges[:, 1]) - ey * (bx - edges[:, 0])
+    ex, ey = x2 - x1, y2 - y1
+    d3 = ex * (ay - y1) - ey * (ax - x1)
+    d4 = ex * (by - y1) - ey * (bx - x1)
     proper = (d1 * d2 < 0) & (d3 * d4 < 0)
-    count = int(np.count_nonzero(proper))
-    # vertices exactly on the open segment, each counted once
-    verts = topo._wall_vertices
-    cross = dx * (verts[:, 1] - ay) - dy * (verts[:, 0] - ax)
-    dot = (verts[:, 0] - ax) * dx + (verts[:, 1] - ay) * dy
+    # vertices (the edge start points) exactly on the open segment, each
+    # counted once; d1 is their orientation relative to the segment line
+    dot = (x1 - ax) * dx + (y1 - ay) * dy
     seg_len2 = dx * dx + dy * dy
-    on_open = (cross == 0) & (dot > 0) & (dot < seg_len2)
-    count += int(np.count_nonzero(on_open))
-    return count
+    on_open = (d1 == 0) & (dot > 0) & (dot < seg_len2)
+    return int(np.count_nonzero(proper)) + int(np.count_nonzero(on_open))
 
 
 def wall_crossings_to_cells(ue_xy: np.ndarray, topo: Topology) -> np.ndarray:
@@ -339,33 +357,55 @@ def wall_crossings_to_cells(ue_xy: np.ndarray, topo: Topology) -> np.ndarray:
     Same counting rule as :func:`wall_crossings`, vectorized over UEs. The
     segment UE->cell depends only on the cell's site, so counts are taken
     once per distinct cell position and shared by its co-located cells.
+    Per site, only the edges of buildings whose padded box the segment
+    touches (its box overlaps the padded box and its line passes through
+    it) are tested; every other building is too far from it to count.
     """
     n, c = len(ue_xy), topo.n_cells
-    if len(topo._wall_edges) == 0 or n == 0 or c == 0:
+    if not topo.buildings or n == 0 or c == 0:
         return np.zeros((n, c), dtype=int)
     sites, site_of = np.unique(topo.cell_xy, axis=0, return_inverse=True)
     per_site = np.empty((n, len(sites)), dtype=int)
-    edges = topo._wall_edges                              # (E, 4)
-    ex, ey = edges[:, 2] - edges[:, 0], edges[:, 3] - edges[:, 1]
-    verts = topo._wall_vertices                           # (V, 2)
+    x1, y1, x2, y2 = topo._wall_edges                     # (E,) each
+    ex, ey = x2 - x1, y2 - y1
+    first, n_edges = topo._wall_ranges                    # (B,), (B,)
+    bx0, by0, bx1, by1 = topo._wall_boxes                 # (B,) each
+    mx, my = (bx0 + bx1) / 2, (by0 + by1) / 2
+    hx, hy = (bx1 - bx0) / 2, (by1 - by0) / 2
+    ux, uy = ue_xy[:, 0], ue_xy[:, 1]
     for k, (cx, cy) in enumerate(sites):
-        dx = ue_xy[:, 0] - cx          # (N,)
-        dy = ue_xy[:, 1] - cy
-        p1x = edges[:, 0] - cx
-        p1y = edges[:, 1] - cy
-        p2x = edges[:, 2] - cx
-        p2y = edges[:, 3] - cy
-        d1 = np.outer(dx, p1y) - np.outer(dy, p1x)       # (N, E)
-        d2 = np.outer(dx, p2y) - np.outer(dy, p2x)
-        d3 = ey * p1x - ex * p1y                          # (E,) site vs edge line
-        d4 = np.outer(dy, ex) - np.outer(dx, ey) + d3     # (N, E) UE vs edge line
+        sdx, sdy = ux - cx, uy - cy                       # (N,) site -> UE
+        # (B, N): the segment's box overlaps the padded building box
+        hit = ((np.minimum(ux, cx) <= bx1[:, None])
+               & (np.maximum(ux, cx) >= bx0[:, None])
+               & (np.minimum(uy, cy) <= by1[:, None])
+               & (np.maximum(uy, cy) >= by0[:, None]))
+        bld, ue = np.nonzero(hit)
+        # ... and the segment's line passes through it: the box centre lies
+        # no farther from the line than the box's half-width along its normal
+        dx, dy = sdx[ue], sdy[ue]
+        centre = dx * (my[bld] - cy) - dy * (mx[bld] - cx)
+        keep = np.abs(centre) <= np.abs(dy) * hx[bld] + np.abs(dx) * hy[bld]
+        ue, bld = ue[keep], bld[keep]
+        # expand each (UE, building) pair to the building's edges
+        reps = n_edges[bld]
+        ue = np.repeat(ue, reps)
+        e = np.repeat(first[bld] - (np.cumsum(reps) - reps), reps) + np.arange(len(ue))
+        dx, dy = sdx[ue], sdy[ue]                         # (P,) per (UE, edge)
+        p1x = x1[e] - cx
+        p1y = y1[e] - cy
+        p2x = x2[e] - cx
+        p2y = y2[e] - cy
+        ex_, ey_ = ex[e], ey[e]
+        d1 = dx * p1y - dy * p1x
+        d2 = dx * p2y - dy * p2x
+        d3 = ey_ * p1x - ex_ * p1y                         # site vs edge line
+        d4 = dy * ex_ - dx * ey_ + d3                      # UE vs edge line
         proper = (d1 * d2 < 0) & (d3 * d4 < 0)
-        vx, vy = verts[:, 0] - cx, verts[:, 1] - cy
-        cross = np.outer(dx, vy) - np.outer(dy, vx)       # (N, V)
-        dot = np.outer(dx, vx) + np.outer(dy, vy)
-        seg_len2 = (dx * dx + dy * dy)[:, None]
-        on_open = (cross == 0) & (dot > 0) & (dot < seg_len2)
-        per_site[:, k] = proper.sum(axis=1) + on_open.sum(axis=1)
+        # the edge's start vertex on the open segment (d1 is its cross product)
+        dot = dx * p1x + dy * p1y
+        on_open = (d1 == 0) & (dot > 0) & (dot < dx * dx + dy * dy)
+        per_site[:, k] = np.bincount(ue[proper | on_open], minlength=n)
     return per_site[:, site_of.ravel()]
 
 
@@ -406,6 +446,27 @@ def polyline_point_at(line: np.ndarray, arc: float,
         acc += s
     p = line[-1]
     return (float(p[0]), float(p[1]))
+
+
+def street_points_at(topo: Topology, street: np.ndarray,
+                     arc: np.ndarray) -> np.ndarray:
+    """(P, 2) points at arc lengths `arc` along streets `street`: row j is
+    ``polyline_point_at(topo.streets[street[j]], arc[j])``, bit for bit, for
+    all rows in one array pass over ``Topology._street_table``."""
+    n, seg, start, pts = topo._street_table
+    total = topo.street_lengths[street]
+    arc = np.where(arc < 0.0, 0.0, arc)          # max(arc, 0.0)
+    arc = np.where(total < arc, total, arc)      # min(arc, total)
+    # the first segment i with arc <= start_i + s_i, else the last one
+    seg, start = seg[street], start[street]
+    before = np.arange(seg.shape[1]) < n[street, None]
+    i = np.count_nonzero(before & (arc[:, None] > start + seg), axis=1)
+    i = np.minimum(i, n[street] - 1)
+    rows = np.arange(len(street))
+    s, acc = seg[rows, i], start[rows, i]
+    t = np.divide(arc - acc, s, out=np.zeros_like(arc), where=s != 0)
+    p0, p1 = pts[street, i], pts[street, i + 1]
+    return p0 + t[:, None] * (p1 - p0)
 
 
 @dataclass

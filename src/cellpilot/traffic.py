@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .topology import Topology, polyline_point_at, sample_placement
+from .topology import Topology, sample_placement, street_points_at
 
 IDLE, ACTIVE = 0, 1
 MODE_NAMES = ("IDLE", "ACTIVE")
@@ -142,7 +142,5 @@ def step_mobility(pop: Population, topo: Topology, dt: float,
         direction = np.where(bounce, -direction, direction)
     pop.arc_pos[moved] = arc
     pop.direction[moved] = direction
-    for i, ki, a in zip(moved.tolist(), k.tolist(), arc.tolist()):
-        pop.pos[i] = polyline_point_at(topo.streets[ki], a,
-                                       topo.street_segment_lengths[ki])
+    pop.pos[moved] = street_points_at(topo, k, arc)
     return moved.tolist()

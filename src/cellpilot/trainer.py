@@ -198,14 +198,16 @@ LOG_COLUMNS = ("episode", "seed", "round", "pass_index", "lr", "length",
 
 
 def write_training_log(rows: list[TrainLogRow], path, append: bool = False) -> None:
-    mode = "a" if append and Path(path).exists() else "w"
-    with open(path, mode, newline="") as fh:
-        if mode == "w":
-            fh.write(",".join(LOG_COLUMNS) + "\n")
-        for r in rows:
-            vals = [getattr(r, c) for c in LOG_COLUMNS]
-            fh.write(",".join(
-                str(v) if isinstance(v, int) else f"{v:.17g}" for v in vals) + "\n")
+    """Write the log, or with `append` add `rows` to an existing one; either
+    way the file is replaced whole (:func:`write_atomic`)."""
+    path = Path(path)
+    old = path.read_bytes() if append and path.exists() else None
+    lines = [",".join(LOG_COLUMNS)] if old is None else []
+    for r in rows:
+        vals = [getattr(r, c) for c in LOG_COLUMNS]
+        lines.append(",".join(
+            str(v) if isinstance(v, int) else f"{v:.17g}" for v in vals))
+    write_atomic(path, (old or b"") + "".join(line + "\n" for line in lines).encode())
 
 
 @dataclass

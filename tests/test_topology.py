@@ -231,6 +231,74 @@ def test_vectorized_matches_scalar_one_cell_per_site_out_of_order():
     assert len(set(map(tuple, counts.T.tolist()))) == topo.n_cells
 
 
+# Lattice geometry: every coordinate is a multiple of 0.5, so both counting
+# paths compute exact products and any disagreement is a pruning error.
+TRIANGLE = np.array([(0, 0), (6, 0), (0, 6)], dtype=float)
+PENTAGON = np.array([(0, 0), (4, 0), (6, 3), (2, 6), (-2, 3)], dtype=float)
+RECT = box(0, 0, 6, 4)
+
+
+def lattice_topology(sites, buildings, offset):
+    towers = [Tower(f"T{i}", x + offset, y + offset)
+              for i, (x, y) in enumerate(sites)]
+    cells = [Cell(id=f"C{i}", tower_id=t.id, position=(t.x, t.y), azimuth=0.0,
+                  beamwidth=120.0, frequency=1.0e9, bandwidth=10e6, priority=1)
+             for i, t in enumerate(towers)]
+    return Topology((offset - 20, offset - 20, offset + 70, offset + 70), towers,
+                    cells, [np.asarray(b, dtype=float) + offset for b in buildings], [])
+
+
+def degenerate_points(sites, buildings):
+    """UE points that end segments on vertices and on edges, and send them
+    through vertices and along edges (from sites on an edge's line)."""
+    pts = []
+    for poly in buildings:
+        for p, q in zip(poly, np.roll(poly, -1, axis=0)):
+            pts += [p, (p + q) / 2, 2 * q - p]
+            pts += [2 * p - np.asarray(s) for s in sites]
+    # the scalar count is undefined for a segment of length zero
+    return [pt for pt in pts if tuple(pt) not in set(map(tuple, sites))]
+
+
+@pytest.mark.parametrize("offset", [0.0, 1_000_000.25])
+def test_pruned_matches_scalar_on_degenerate_segments(offset):
+    buildings = [TRIANGLE, PENTAGON + (20, 0), RECT + (0, 20), PENTAGON + (24, 24)]
+    sites = [(10, 10),
+             (26, -4),     # below the pentagon's rightmost vertex (26, 3)
+             (-6, 0),      # on the line of the triangle's bottom edge
+             (0, 14),      # on the line of the triangle's left edge
+             (6, 24)]      # a rectangle corner: segments leave from a vertex
+    # (site, UE, count), checked by hand
+    cases = [(1, (26, 12), 1),   # boxes touch only at the vertex it runs through
+             (3, (0, -6), 2),    # along the triangle's left edge: both vertices
+             (2, (12, 0), 2),    # along the triangle's bottom edge
+             (4, (6, 10), 1),    # along the rectangle's right edge, from its corner
+             (0, (-2, -2), 2),   # crosses the hypotenuse, leaves through (0, 0)
+             (0, (3, 3), 0),     # ends on the triangle's hypotenuse
+             (0, (6, 0), 0)]     # ends on a triangle vertex
+    pts = [ue for _, ue, _ in cases] + degenerate_points(sites, buildings)
+    topo = lattice_topology(sites, buildings, offset)
+    counts = assert_matches_scalar(np.array(pts, dtype=float) + offset, topo)
+    assert [counts[i, site] for i, (site, _, _) in enumerate(cases)] == \
+        [n for _, _, n in cases]
+
+
+@pytest.mark.parametrize("offset", [0.0, 1_000_000.25])
+def test_pruned_matches_scalar_lattice_fuzz(offset):
+    rng = np.random.default_rng(31)
+    shapes = [TRIANGLE, PENTAGON, RECT, TRIANGLE[:, ::-1]]
+    for _ in range(12):
+        buildings = [shapes[rng.integers(len(shapes))] + rng.integers(0, 40, 2)
+                     for _ in range(rng.integers(3, 9))]
+        sites = [tuple(s) for s in rng.integers(-4, 48, (3, 2))]
+        sites.append(tuple(buildings[0][0]))               # a site on a vertex
+        pts = [p for p in rng.integers(-8, 52, (40, 2)) / rng.choice([1, 2], (40, 1))
+               if tuple(p) not in sites]
+        pts += degenerate_points(sites, buildings[:2])
+        topo = lattice_topology(sites, buildings, offset)
+        assert_matches_scalar(np.array(pts, dtype=float) + offset, topo)
+
+
 # --- placement / polyline ---------------------------------------------------
 
 def test_polyline_point_at_interpolates():

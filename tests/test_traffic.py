@@ -184,3 +184,41 @@ def test_step_mobility_returns_exactly_the_street_ues():
     assert np.flatnonzero((pop.pos != before).any(axis=1)).tolist() == street
     off = TrafficConfig(mobility_enabled=False)
     assert step_mobility(pop, topo, 1.0, off) == []
+
+
+def test_step_mobility_places_ues_where_polyline_point_at_does():
+    # multi-segment streets, two with a zero-length segment; on the last,
+    # the street length (a pairwise sum) exceeds the running sum of its
+    # segments by 7e-15, so an arc at its end falls back to the last segment
+    streets = [np.array([[0.0, 0.0], [3.0, 4.0], [3.0, 4.0], [10.3, 4.1], [10.7, 9.9]]),
+               np.array([[50.0, 0.1], [50.0, 0.1 + 1e-3], [51.7, 2.9]]),
+               np.array([[0.0, 30.0], [100.0, 30.0]]),
+               np.array([[60.0, 60.0], [60.0, 60.0], [70.0, 65.0]]),
+               np.cumsum(np.random.default_rng(20).uniform(0.1, 7.0, (14, 2)), axis=0)]
+    rng = np.random.default_rng(17)
+    tower = Tower("T1", 50.0, 10.0)
+    cell = Cell(id="C1", tower_id="T1", position=(50.0, 10.0), azimuth=0.0,
+                beamwidth=120.0, frequency=1.0e9, bandwidth=10e6, priority=1)
+    topo = Topology((0.0, 0.0, 120.0, 120.0), [tower], [cell], [], streets)
+    k, arc, speed = [], [], []
+    for s, (lens, total) in enumerate(zip(topo.street_segment_lengths,
+                                          topo.street_lengths)):
+        joints = [0.0, *np.cumsum(lens), total]
+        k += [s] * (len(joints) + 40)
+        arc += joints + list(rng.uniform(0.0, total, 40))
+        # standing on joints and ends; moving, with one or more reflections
+        speed += [0.0] * len(joints) + list(rng.uniform(0.0, 3.0 * total, 40))
+    n = len(k)
+    cfg = TrafficConfig(mobility_enabled=True, building_weight=0.0)
+    pop = init_population(n, topo, 3, cfg)
+    pop.street_index[:] = k
+    pop.arc_pos[:] = arc
+    pop.speed_mps[:] = speed
+    pop.direction[:] = rng.choice([-1, 1], n)
+    for dt in (1.0, 0.7):
+        direction = pop.direction.copy()
+        assert step_mobility(pop, topo, dt, cfg) == list(range(n))
+        assert (pop.direction != direction).any()          # reflections
+        expect = [polyline_point_at(topo.streets[s], a)
+                  for s, a in zip(pop.street_index.tolist(), pop.arc_pos.tolist())]
+        assert pop.pos.tobytes() == np.array(expect).tobytes()

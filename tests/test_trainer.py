@@ -268,3 +268,22 @@ def test_write_training_log_append(tmp_path):
     assert len(lines) == 3 and lines[1] == lines[2]
     write_training_log([row], path)          # plain write truncates
     assert len(path.read_text().splitlines()) == 2
+
+
+def test_write_training_log_append_is_atomic(tmp_path, monkeypatch, failing_write):
+    from cellpilot.trainer import TrainLogRow
+    rows = [TrainLogRow(e, 5, 0, 0, 1e-3, 30.0, 0.1 * e, 0.1, 0.1, 0.1, 2.0, 0, 0.1, 0.0)
+            for e in (1, 2, 3)]
+    path, whole = tmp_path / "log.csv", tmp_path / "whole.csv"
+    write_training_log(rows[:1], path)
+    write_training_log(rows[1:2], path, append=True)
+    write_training_log(rows[:2], whole)
+    assert path.read_bytes() == whole.read_bytes()
+    whole.unlink()
+    old = path.read_bytes()
+    failing_write()
+    with pytest.raises(OSError):
+        write_training_log(rows[2:], path, append=True)
+    monkeypatch.undo()
+    assert path.read_bytes() == old
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["log.csv"]
