@@ -23,21 +23,22 @@ class ContainerError(Exception):
     """Corrupt, truncated, or version-incompatible container file."""
 
 
-def write_atomic(path, data: bytes) -> None:
-    """Write `data` to a temporary file beside `path`, then rename it over
-    `path`, so readers and concurrent writers see the old file or the whole
-    new one, never a torn write. If the write raises, the temporary file is
-    removed and `path` is left as it was. This covers a process dying
-    mid-write, not an OS crash: there is no fsync."""
+def write_atomic(path, *chunks) -> None:
+    """Write the `chunks` (bytes-like, in order) to a temporary file beside
+    `path`, then rename it over `path`, so readers and concurrent writers see
+    the old file or the whole new one, never a torn write. If a write raises,
+    the temporary file is removed and `path` is left as it was. This covers a
+    process dying mid-write, not an OS crash: there is no fsync."""
     path = os.fspath(path)
     head, name = os.path.split(path)
     tmp = os.path.join(head, f".{name}.{os.getpid()}.{os.urandom(4).hex()}.tmp")
     fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         try:
-            view = memoryview(data)
-            while view:
-                view = view[os.write(fd, view):]
+            for chunk in chunks:
+                view = memoryview(chunk)
+                while view:
+                    view = view[os.write(fd, view):]
         finally:
             os.close(fd)
         os.replace(tmp, path)
@@ -50,41 +51,44 @@ def save_container(path, meta: dict, arrays: dict) -> None:
     """Write `meta` (JSON-serializable) and named float/int arrays to `path`.
 
     Array insertion order is not significant: entries are stored sorted by
-    name so byte output is independent of caller dict ordering.
+    name so byte output is independent of caller dict ordering. Each array's
+    bytes are hashed and written straight from its own buffer; only a
+    big-endian or non-contiguous array is copied.
     """
     entries = []
-    payload = bytearray()
+    buffers = []
+    offset = 0
     for name in sorted(arrays):
-        # asarray (not ascontiguousarray) so 0-d shapes survive the round trip
+        # shape from asarray: ascontiguousarray would turn a 0-d array into 1-d
         arr = np.asarray(arrays[name])
-        if arr.dtype.byteorder == ">":
-            arr = arr.astype(arr.dtype.newbyteorder("<"))
+        dtype = arr.dtype
+        if dtype.byteorder == ">":
+            dtype = dtype.newbyteorder("<")
         entries.append(
             {
                 "name": name,
-                "dtype": arr.dtype.str,
+                "dtype": dtype.str,
                 "shape": list(arr.shape),
-                "offset": len(payload),
+                "offset": offset,
                 "nbytes": arr.nbytes,
             }
         )
-        payload.extend(arr.tobytes())
+        offset += arr.nbytes
+        buffers.append(np.ascontiguousarray(arr, dtype=dtype).reshape(-1).view(np.uint8))
     header = json.dumps(
         {"meta": meta, "arrays": entries}, sort_keys=True, separators=(",", ":")
     ).encode("utf-8")
-    blob = bytearray()
-    blob.extend(MAGIC)
-    blob.extend(struct.pack("<I", FORMAT_VERSION))
-    blob.extend(struct.pack("<Q", len(header)))
-    blob.extend(header)
-    blob.extend(payload)
-    blob.extend(hashlib.sha256(bytes(blob)).digest())
-    write_atomic(path, blob)
+    chunks = [MAGIC, struct.pack("<IQ", FORMAT_VERSION, len(header)), header, *buffers]
+    digest = hashlib.sha256()
+    for chunk in chunks:
+        digest.update(chunk)
+    write_atomic(path, *chunks, digest.digest())
 
 
 def load_container(path) -> tuple[dict, dict]:
     """Read a container; returns (meta, {name: ndarray}).
 
+    The file is read once; each array is copied out of that one buffer.
     Raises ContainerError on bad magic, version mismatch, or checksum
     failure.
     """
@@ -99,17 +103,17 @@ def load_container(path) -> tuple[dict, dict]:
         raise ContainerError(
             f"{path}: container version {version}, expected {FORMAT_VERSION}"
         )
-    body, digest = blob[:-32], blob[-32:]
-    if hashlib.sha256(body).digest() != digest:
+    body = memoryview(blob)[:-32]
+    if hashlib.sha256(body).digest() != blob[-32:]:
         raise ContainerError(f"{path}: checksum mismatch, file corrupt")
     (header_len,) = struct.unpack_from("<Q", blob, len(MAGIC) + 4)
     header_start = len(MAGIC) + 12
     header = json.loads(blob[header_start : header_start + header_len])
-    payload = body[header_start + header_len :]
+    payload_start = header_start + header_len
     arrays = {}
     for ent in header["arrays"]:
-        raw = payload[ent["offset"] : ent["offset"] + ent["nbytes"]]
-        arrays[ent["name"]] = np.frombuffer(raw, dtype=np.dtype(ent["dtype"])).reshape(
-            ent["shape"]
-        ).copy()
+        dtype = np.dtype(ent["dtype"])
+        arrays[ent["name"]] = np.frombuffer(
+            body, dtype, ent["nbytes"] // dtype.itemsize, payload_start + ent["offset"]
+        ).reshape(ent["shape"]).copy()
     return header["meta"], arrays

@@ -32,6 +32,7 @@ CHECKPOINT_KIND = "cellpilot-checkpoint"
 
 WEIGHT_NAMES = ("w1", "w2", "w3")
 PARAM_NAMES = ("w1", "b1", "w2", "b2", "w3", "b3")
+ADAM_BLOCK = 16384  # elements per Adam block: its operands stay in cache
 
 
 class PolicyError(Exception):
@@ -207,9 +208,11 @@ def apply_update(net: PolicyNet, opt: OptimizerState,
     """One clipped, bias-corrected adaptive step with decoupled weight
     decay on the weight matrices; returns the pre-clip global norm.
 
-    The moments and the parameters are updated in place through two scratch
-    buffers per parameter, with the float operations, operand order
-    included, of m = b1*m + (1-b1)*g, v = b2*v + (1-b2)*g*g,
+    The moments and the parameters (C-contiguous, as :func:`init_policy`,
+    :func:`init_optimizer` and :func:`load_checkpoint` make them) are
+    updated in place, ADAM_BLOCK elements at a time through two scratch
+    blocks, with the float operations, operand order included, of
+    g = grad*scale, m = b1*m + (1-b1)*g, v = b2*v + (1-b2)*g*g,
     p -= lr*(m/bc1) / (sqrt(v/bc2) + eps) and p -= lr*wd*p.
     """
     norm = global_norm(grads)
@@ -217,25 +220,30 @@ def apply_update(net: PolicyNet, opt: OptimizerState,
     opt.step += 1
     bc1 = 1.0 - opt.beta1 ** opt.step
     bc2 = 1.0 - opt.beta2 ** opt.step
+    g_buf, t_buf = np.empty(ADAM_BLOCK), np.empty(ADAM_BLOCK)
     for name, p in net.params().items():
-        m, v = opt.m[name], opt.v[name]
-        g = grads[name] * scale
-        tmp = np.multiply(g, 1.0 - opt.beta1)
-        m *= opt.beta1
-        m += tmp
-        np.multiply(g, 1.0 - opt.beta2, out=tmp)
-        tmp *= g
-        v *= opt.beta2
-        v += tmp
-        step = np.divide(m, bc1, out=g)
-        step *= opt.lr
-        np.divide(v, bc2, out=tmp)
-        np.sqrt(tmp, out=tmp)
-        tmp += opt.eps
-        step /= tmp
-        p -= step
-        if name in WEIGHT_NAMES and opt.weight_decay:
-            p -= np.multiply(p, opt.lr * opt.weight_decay, out=tmp)
+        decay = name in WEIGHT_NAMES and opt.weight_decay
+        p, m, v, grad = (a.reshape(-1) for a in (p, opt.m[name], opt.v[name], grads[name]))
+        for lo in range(0, p.size, ADAM_BLOCK):
+            hi = min(lo + ADAM_BLOCK, p.size)
+            pb, mb, vb = p[lo:hi], m[lo:hi], v[lo:hi]
+            g = np.multiply(grad[lo:hi], scale, out=g_buf[:hi - lo])
+            tmp = np.multiply(g, 1.0 - opt.beta1, out=t_buf[:hi - lo])
+            mb *= opt.beta1
+            mb += tmp
+            np.multiply(g, 1.0 - opt.beta2, out=tmp)
+            tmp *= g
+            vb *= opt.beta2
+            vb += tmp
+            step = np.divide(mb, bc1, out=g)
+            step *= opt.lr
+            np.divide(vb, bc2, out=tmp)
+            np.sqrt(tmp, out=tmp)
+            tmp += opt.eps
+            step /= tmp
+            pb -= step
+            if decay:
+                pb -= np.multiply(pb, opt.lr * opt.weight_decay, out=tmp)
     return norm
 
 

@@ -115,7 +115,13 @@ class Topology:
             pts[k, :len(line)] = line
         return n, seg, start, pts
 
-    # Per-building edge ranges and boxes that prune the wall-crossing test.
+    # Cell sites, per-building edge ranges and boxes for the wall-crossing test.
+    @functools.cached_property
+    def _cell_sites(self) -> tuple[np.ndarray, np.ndarray]:
+        """Distinct cell positions (S, 2) and the site of each cell (C,)."""
+        sites, site_of = np.unique(self.cell_xy, axis=0, return_inverse=True)
+        return sites, site_of.ravel()
+
     @functools.cached_property
     def _wall_ranges(self) -> tuple[np.ndarray, np.ndarray]:
         """First column in `_wall_edges` and edge count of each building."""
@@ -217,6 +223,8 @@ def validate_topology(topo: Topology) -> None:
     for i, line in enumerate(topo.streets):
         if len(line) < 2:
             raise TopologyError(f"streets[{i}]: polyline needs >= 2 vertices")
+        if (line == line[0]).all():   # every vertex the same: length 0
+            raise TopologyError(f"streets[{i}]: polyline has zero length")
         if not _bbox_overlaps(line, topo.area_bounds):
             raise TopologyError(f"streets[{i}]: polyline does not intersect area_bounds")
 
@@ -364,7 +372,7 @@ def wall_crossings_to_cells(ue_xy: np.ndarray, topo: Topology) -> np.ndarray:
     n, c = len(ue_xy), topo.n_cells
     if not topo.buildings or n == 0 or c == 0:
         return np.zeros((n, c), dtype=int)
-    sites, site_of = np.unique(topo.cell_xy, axis=0, return_inverse=True)
+    sites, site_of = topo._cell_sites
     per_site = np.empty((n, len(sites)), dtype=int)
     x1, y1, x2, y2 = topo._wall_edges                     # (E,) each
     ex, ey = x2 - x1, y2 - y1
@@ -406,7 +414,7 @@ def wall_crossings_to_cells(ue_xy: np.ndarray, topo: Topology) -> np.ndarray:
         dot = dx * p1x + dy * p1y
         on_open = (d1 == 0) & (dot > 0) & (dot < dx * dx + dy * dy)
         per_site[:, k] = np.bincount(ue[proper | on_open], minlength=n)
-    return per_site[:, site_of.ravel()]
+    return per_site[:, site_of]
 
 
 def _point_in_polygon(x: float, y: float, poly: np.ndarray) -> bool:

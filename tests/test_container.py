@@ -1,5 +1,8 @@
 """Binary container round-trip and integrity checks."""
 
+import hashlib
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -84,3 +87,61 @@ def test_failed_write_keeps_old_file_and_leaves_no_temp(tmp_path, monkeypatch,
     assert path.read_bytes() == old
     assert sorted(p.name for p in tmp_path.iterdir()) == ["keep.bin"]
     assert load_container(path)[0] == {"v": 1}
+
+
+def golden_arrays():
+    base = np.arange(24, dtype=np.float64).reshape(4, 6) / 7.0
+    return {
+        "f2d": np.arange(12, dtype=np.float64).reshape(3, 4) * np.pi,
+        "i64": np.array([5, -1, 2**40, -3], dtype=np.int64),
+        "empty": np.zeros((0, 3)),
+        "zero_d": np.array(-2.5),
+        "big_endian": np.arange(5, dtype=">f8") / 3.0,
+        "fortran": np.asfortranarray(base),
+        "strided": base[::2, 1::2],
+    }
+
+
+def test_file_bytes_match_the_golden_digest(tmp_path):
+    # digest of the bytes the format has always produced for these arrays
+    path = tmp_path / "g.bin"
+    arrays = golden_arrays()
+    save_container(path, {"kind": "golden", "n": 7, "nested": {"k": [1, 2.5, "x"]}},
+                   arrays)
+    blob = path.read_bytes()
+    assert len(blob) == 1022
+    assert hashlib.sha256(blob).hexdigest() == (
+        "fd018b7641c10310b7727111169010051a1b9f5c45205da01a8141a2d4efae48")
+    _, back = load_container(path)
+    for k, arr in arrays.items():
+        assert back[k].dtype == arr.dtype.newbyteorder("<")
+        assert back[k].shape == arr.shape
+        assert np.array_equal(back[k], arr)
+        assert back[k].flags.c_contiguous and back[k].flags.writeable
+
+
+def traced_peak(fn):
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_save_does_not_copy_the_payload(tmp_path):
+    big = np.random.default_rng(0).normal(size=1 << 20)          # 8 MB
+    peak = traced_peak(lambda: save_container(tmp_path / "big.bin", {"v": 1},
+                                              {"big": big, "small": np.ones(3)}))
+    assert peak < 0.1 * big.nbytes, peak
+
+
+def test_load_reads_the_file_once(tmp_path):
+    path = tmp_path / "big.bin"
+    big = np.random.default_rng(1).normal(size=1 << 20)
+    save_container(path, {"v": 1}, {"big": big, "small": np.arange(7)})
+    out = {}
+    peak = traced_peak(lambda: out.update(load_container(path)[1]))
+    assert peak < 2.2 * path.stat().st_size, peak
+    assert np.array_equal(out["big"], big)

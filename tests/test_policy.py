@@ -228,7 +228,11 @@ def test_checkpoint_rejects_foreign_files(tmp_path):
     assert meta_ok.rng_state is None
 
 
-def test_in_place_adam_matches_the_formula_bit_for_bit():
+# the 12x16 net fits in one 16 K-element Adam block; in the 100x200 net w1
+# (20 000 elements) and w2 (40 000) span several blocks and end in a ragged tail
+@pytest.mark.parametrize("obs_dim, hidden", [(12, 16), (100, 200)],
+                         ids=["one-block", "multi-block"])
+def test_in_place_adam_matches_the_formula_bit_for_bit(obs_dim, hidden):
     def reference_step(params, m, v, grads, opt, t):
         norm = math.sqrt(sum(float(np.sum(g * g)) for g in grads.values()))
         scale = opt.clip / norm if norm > opt.clip else 1.0
@@ -242,7 +246,7 @@ def test_in_place_adam_matches_the_formula_bit_for_bit():
             if name.startswith("w") and opt.weight_decay:
                 p -= opt.lr * opt.weight_decay * p
 
-    net = init_policy(12, 16, seed=8)
+    net = init_policy(obs_dim, hidden, seed=8)
     opt = init_optimizer(net, lr=3e-3, weight_decay=1e-2, clip=1.0)
     params = {n: p.copy() for n, p in net.params().items()}
     m = {n: np.zeros_like(p) for n, p in params.items()}

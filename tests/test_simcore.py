@@ -1,5 +1,6 @@
 import hashlib
 import importlib.resources
+import multiprocessing
 import types
 
 import numpy as np
@@ -12,6 +13,7 @@ from cellpilot.simcore import (
     DT,
     EpisodeConfig,
     SimError,
+    Trajectory,
     cache_dir,
     constant_controller,
     reference_fingerprint,
@@ -209,6 +211,36 @@ def test_reference_cache_roundtrip(tmp_path):
     assert hit.read_bytes() == fresh.read_bytes()
     rows = [line.split(",") for line in hit.read_text().splitlines()[1:]]
     assert all(v.isdigit() for row in rows for v in row[4:7] + row[-len(ids):])
+
+
+def _fill_cfg():
+    return EpisodeConfig(desk_topology(), 5, n_ues=30, length=30.0, pri=1)
+
+
+def _fill_reference(cache, barrier, out):
+    cfg = _fill_cfg()
+    barrier.wait(timeout=60)
+    out.put(arrays_bytes(run_heuristic_reference(cfg, CONFIG_B, cache=cache)))
+
+
+def test_concurrent_reference_fill_leaves_one_whole_file(tmp_path):
+    ctx = multiprocessing.get_context("spawn")
+    barrier, out = ctx.Barrier(2), ctx.Queue()
+    procs = [ctx.Process(target=_fill_reference, args=(str(tmp_path), barrier, out))
+             for _ in range(2)]
+    for p in procs:
+        p.start()
+    try:
+        results = [out.get(timeout=120) for _ in procs]
+    finally:
+        for p in procs:
+            p.join(timeout=60)
+    assert [p.exitcode for p in procs] == [0, 0]
+    assert results[0] == results[1]
+    fp = reference_fingerprint(_fill_cfg(), CONFIG_B)
+    assert [f.name for f in tmp_path.iterdir()] == [f"ref_{fp}.bin"]  # no temp file
+    _, arrays = load_container(tmp_path / f"ref_{fp}.bin")
+    assert {k: v.tobytes() for k, v in vars(Trajectory(**arrays)).items()} == results[0]
 
 
 def test_corrupt_cache_raises(tmp_path):

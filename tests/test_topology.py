@@ -122,6 +122,16 @@ def test_nonsimple_polygon_rejected(tmp_path):
         load_topology(write_doc(tmp_path, doc))
 
 
+def test_zero_length_street_rejected(tmp_path):
+    # a UE on it would reflect at both ends forever in step_mobility
+    doc = minimal_doc()
+    doc["streets"].append([[10.0, 10.0], [10.0, 10.0]])
+    with pytest.raises(TopologyError, match=r"streets\[1\]: polyline has zero length"):
+        load_topology(write_doc(tmp_path, doc))
+    doc["streets"][1] = [[10.0, 10.0], [10.0, 10.0], [20.0, 10.0]]  # one empty segment
+    assert len(load_topology(write_doc(tmp_path, doc)).streets) == 2
+
+
 def test_out_of_bounds_tower_rejected(tmp_path):
     doc = minimal_doc()
     doc["towers"][0]["x"] = 500.0
