@@ -342,7 +342,9 @@ def add_train_args(p, include_variant=False):
     p.add_argument("--increment", type=float, default=10.0)
     p.add_argument("--no-lr-halving", action="store_true")
     p.add_argument("--checkpoint-every", type=int, default=50)
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument("--jobs", type=int, default=1,
+                   help="evaluation runs as this many lockstep shards of "
+                        "contiguous seeds, one worker process each")
     p.add_argument("--cache", default=None,
                    help=f"reference cache dir (or ${simcore.CACHE_ENV_VAR})")
     if include_variant:
@@ -364,7 +366,9 @@ def add_eval_args(p):
     p.add_argument("--pri", type=int, default=1)
     p.add_argument("--length", type=float, default=50.0)
     p.add_argument("--mobility", action="store_true")
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument("--jobs", type=int, default=1,
+                   help="run the seeds as this many lockstep shards of "
+                        "contiguous seeds, one worker process each")
     p.add_argument("--cache", default=None)
     p.add_argument("--out", default=None, help="per-seed CSV path")
 

@@ -18,7 +18,10 @@ applies, then (priority desc,) metric desc, cell id asc.
 
 The state machine is one kernel over a leading UE axis: the simulator
 advances its whole population with one :func:`step_ues` call per step, and
-:func:`run_ue_trace` is the same call for a single UE.
+:func:`run_ue_trace` is the same call for a single UE. Parameters are either
+one scalar `ReselectionParams` for every row, or per-row (N, 1) columns
+(:func:`param_columns`) broadcast against rx (N, C); each element sees the
+same float expressions either way.
 
 `brute_force_oracle` re-implements the whole protocol with plain Python
 loops and dictionaries as an independent cross-check.
@@ -80,6 +83,20 @@ class ReselectionParams:
             v = getattr(self, f)
             if not (lo <= v <= hi):
                 raise ValueError(f"{f}={v} outside [{lo}, {hi}]")
+
+
+def param_columns(params: list[ReselectionParams], rows: int) -> ReselectionParams:
+    """Per-row parameters for `rows` consecutive rows per entry of `params`:
+    a ReselectionParams whose fields are (len(params) * rows, 1) columns."""
+    table = np.repeat([list(vars(p).values()) for p in params], rows, axis=0)
+    return ReselectionParams(*np.hsplit(table, table.shape[1]))
+
+
+def _rows(params: ReselectionParams, rows: np.ndarray) -> ReselectionParams:
+    """The parameters of the given rows (scalar parameters serve them all)."""
+    if not isinstance(params.t_resel, np.ndarray):
+        return params
+    return ReselectionParams(*(col[rows] for col in vars(params).values()))
 
 
 def clamp_params(p: ReselectionParams) -> tuple[ReselectionParams, list[str]]:
@@ -185,15 +202,19 @@ def step_reselection(serving: np.ndarray, timers: np.ndarray, rx: np.ndarray,
     s_lev = rx_s - params.q_rxlevmin
     cond = np.empty(timers.shape, dtype=bool)
     cond[:, HIGH] = (priorities > pr_s) & (rx > params.t_xhigh) & suitable
+    rx_off = rx - params.q_offset
     cond[:, EQUAL] = ((priorities == pr_s) & suitable
-                      & (rx - params.q_offset > rx_s + params.q_hyst))
+                      & (rx_off > rx_s + params.q_hyst))
     cond[rows, EQUAL, serving] = False
     same_freq = frequencies == frequencies[serving][:, None]
     measured = np.where(same_freq, s_lev < params.s_intra, s_lev < params.s_inter)
     cond[:, LOW] = ((priorities < pr_s) & measured & (rx_s < params.t_slow)
                     & (rx > params.t_xlow) & suitable)
-    timers[...] = np.where(cond, np.minimum(timers + dt, params.t_resel), 0.0)
-    fired = cond & (timers >= params.t_resel)
+    t_resel = params.t_resel
+    if isinstance(t_resel, np.ndarray):
+        t_resel = t_resel[:, :, None]   # (N, 1) column against (N, 3, C)
+    timers[...] = np.where(cond, np.minimum(timers + dt, t_resel), 0.0)
+    fired = cond & (timers >= t_resel)
     # criterion order high > equal > low: the first criterion row that fired
     any_fired = fired.any(axis=2)
     crit = np.where(any_fired.any(axis=1), any_fired.argmax(axis=1), -1)
@@ -203,7 +224,7 @@ def step_reselection(serving: np.ndarray, timers: np.ndarray, rx: np.ndarray,
         c = crit[moving][:, None]
         cand = fired[moving, crit[moving]]
         cand = np.where(c == HIGH, _top_priority(cand, priorities), cand)
-        metric = np.where(c == EQUAL, rx[moving] - params.q_offset, rx[moving])
+        metric = np.where(c == EQUAL, rx_off[moving], rx[moving])
         new[moving] = _pick(cand, metric, id_rank)
         timers[moving] = 0.0
     return new, timers, crit
@@ -213,7 +234,8 @@ def step_ues(serving: np.ndarray, timers: np.ndarray, rx: np.ndarray,
              may_reselect: np.ndarray, priorities: np.ndarray,
              frequencies: np.ndarray, params: ReselectionParams, dt: float,
              id_rank: np.ndarray | None = None) -> np.ndarray:
-    """One protocol step for N UEs against the step's rx snapshot (N, C).
+    """One protocol step for N UEs against the step's rx snapshot (N, C),
+    under scalar parameters or (N, 1) columns.
 
     serving (N,), with -1 for out of service, and timers (N, 3, C) are
     updated in place. Out-of-service rows run initial selection; a camped
@@ -225,11 +247,11 @@ def step_ues(serving: np.ndarray, timers: np.ndarray, rx: np.ndarray,
     event = np.full(len(serving), -1)
     camped = np.flatnonzero(serving >= 0)
     out = np.flatnonzero(serving < 0)
-    ok = is_suitable(rx[camped, serving[camped]], params)
+    ok = is_suitable(rx, params)[camped, serving[camped]]
     lost = camped[~ok]
     staying = camped[ok & may_reselect[camped]]
     if out.size:
-        sel = initial_select(rx[out], priorities, params, id_rank)
+        sel = initial_select(rx[out], priorities, _rows(params, out), id_rank)
         got = sel >= 0
         serving[out[got]] = sel[got]
         timers[out] = 0.0
@@ -240,7 +262,7 @@ def step_ues(serving: np.ndarray, timers: np.ndarray, rx: np.ndarray,
     if staying.size:
         new, t, crit = step_reselection(
             serving[staying], timers[staying], rx[staying], priorities,
-            frequencies, params, dt, id_rank)
+            frequencies, _rows(params, staying), dt, id_rank)
         serving[staying] = new
         timers[staying] = t
         event[staying] = crit

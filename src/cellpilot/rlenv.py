@@ -38,24 +38,28 @@ def build_observation(traj, step: int, cell_bw: np.ndarray, n_ues: int,
     """Stack the k trajectory rows before `step`, oldest first, zero-padded
     at episode start. Per frame: per-cell [avail_bw ratio, active ratio]
     pairs, then five global summaries (mean/std of each ratio, idle ratio).
+
+    A trajectory with a leading seed axis, (S, T, ...), gives one
+    observation row per seed, (S, k * (2C + 5)).
     """
     if k < 1:
         raise RlenvError("history length k must be >= 1")
     cell_bw = np.asarray(cell_bw, dtype=float)
     n_cells = len(cell_bw)
     lo = max(step - k, 0)
-    avail = traj.per_cell_avail_bw[lo:step] / cell_bw
-    active = traj.per_cell_active[lo:step] / n_ues
-    out = np.zeros((k, 2 * n_cells + 5))
-    f = out[k - (step - lo):]
-    f[:, 0:2 * n_cells:2] = avail
-    f[:, 1:2 * n_cells:2] = active
-    f[:, 2 * n_cells + 0] = avail.mean(axis=1)
-    f[:, 2 * n_cells + 1] = avail.std(axis=1)
-    f[:, 2 * n_cells + 2] = active.mean(axis=1)
-    f[:, 2 * n_cells + 3] = active.std(axis=1)
-    f[:, 2 * n_cells + 4] = traj.idle_count[lo:step] / n_ues
-    return out.ravel()
+    avail = traj.per_cell_avail_bw[..., lo:step, :] / cell_bw
+    active = traj.per_cell_active[..., lo:step, :] / n_ues
+    lead = avail.shape[:-2]
+    out = np.zeros(lead + (k, 2 * n_cells + 5))
+    f = out[..., k - (step - lo):, :]
+    f[..., 0:2 * n_cells:2] = avail
+    f[..., 1:2 * n_cells:2] = active
+    f[..., 2 * n_cells + 0] = avail.mean(axis=-1)
+    f[..., 2 * n_cells + 1] = avail.std(axis=-1)
+    f[..., 2 * n_cells + 2] = active.mean(axis=-1)
+    f[..., 2 * n_cells + 3] = active.std(axis=-1)
+    f[..., 2 * n_cells + 4] = traj.idle_count[..., lo:step] / n_ues
+    return out.reshape(lead + (-1,))
 
 
 # ---------------------------------------------------------------------------
@@ -99,18 +103,16 @@ class IntervalAggregate:
 
 def interval_aggregates(traj, pri: int) -> list[IntervalAggregate]:
     """Group a trajectory into PRI-sized intervals (last may be short)."""
-    sigma = traj.per_cell_tput.std(axis=1)
-    out = []
-    for t in range(0, (len(traj) + pri - 1) // pri):
-        chunk = slice(t * pri, (t + 1) * pri)
-        out.append(IntervalAggregate(
-            interval=t,
-            tput=float(traj.total_tput[chunk].mean()),
-            sigma=float(sigma[chunk].mean()),
-            ue=float(traj.per_ue_mean_tput[chunk].mean()),
-            avg_active=float(traj.active_count[chunk].mean()),
-        ))
-    return out
+    n = len(traj)
+    full = n - n % pri
+
+    def means(x):
+        m = x[:full].reshape(-1, pri).mean(axis=1).tolist()
+        return m + [float(x[full:].mean())] if full < n else m
+
+    return [IntervalAggregate(t, *v) for t, v in enumerate(zip(
+        means(traj.total_tput), means(traj.per_cell_tput.std(axis=1)),
+        means(traj.per_ue_mean_tput), means(traj.active_count)))]
 
 
 @dataclass

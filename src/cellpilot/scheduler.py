@@ -5,71 +5,129 @@ share. With caps the allocator runs resource-fair water-filling: UEs
 whose cap needs less than the current fair share are pinned to exactly
 their cap's bandwidth and the surplus is re-split equally among the
 rest, iterated to a fixpoint.
+
+One :func:`allocate` call serves one cell or many: the UEs of each cell
+form a contiguous segment, and per-cell sums are taken segment by segment
+with the same pairwise summation a cell's own ``.sum()`` uses, so every
+figure is bit-identical to allocating the cells one at a time.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 
 @dataclass
 class Allocation:
-    ue_ids: list[int]
+    ue_ids: list[int] | np.ndarray
     bandwidth: np.ndarray        # Hz per UE, aligned with ue_ids
     throughput: np.ndarray       # bit/s per UE
-    cell_throughput: float       # bit/s
-    available_bw: float          # Hz left unallocated
-
-    @classmethod
-    def empty(cls, cell_bw: float) -> "Allocation":
-        return cls([], np.zeros(0), np.zeros(0), 0.0, float(cell_bw))
+    cell_throughput: float | np.ndarray   # bit/s, per cell
+    available_bw: float | np.ndarray      # Hz left unallocated, per cell
 
 
-def allocate(cell_bw: float, ue_ids: list[int], se: np.ndarray,
-             rate_caps: np.ndarray | None = None) -> Allocation:
-    """Allocate `cell_bw` Hz among the ACTIVE UEs with the given spectral
-    efficiencies; throughput_ue = bandwidth_ue * se_ue always."""
-    n = len(ue_ids)
-    if n == 0:
-        return Allocation.empty(cell_bw)
+def segment_sums(values: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """Sums over the consecutive segments of the last axis of `values`
+    whose lengths are `counts` (K,); shape (..., K), 0 for an empty segment.
+
+    Each sum equals the segment's own ``.sum()`` bit for bit: numpy sums a
+    run of contiguous elements pairwise, the same way wherever it starts.
+    With many segments per distinct length, the segments of one length are
+    gathered into a C-contiguous (rows, m) block and summed along its rows
+    in one call; with few, one slice sum per segment is cheaper.
+    ``np.add.reduceat``, ``np.bincount`` and a sum along an axis whose
+    elements are not adjacent in memory add in another order.
+    """
+    counts = np.asarray(counts)
+    ends = np.cumsum(counts)
+    starts = ends - counts
+    out = np.zeros(values.shape[:-1] + counts.shape)
+    # the distinct lengths (np.unique would import numpy.ma, about 1 MB)
+    lengths = np.flatnonzero(np.bincount(counts))
+    lengths = lengths[lengths > 0]
+    # a slice sum costs about a sixth of a length's gather, sum and scatter
+    if np.count_nonzero(counts) <= 6 * len(lengths):
+        for k, (a, b) in enumerate(zip(starts.tolist(), ends.tolist())):
+            if b > a:
+                out[..., k] = values[..., a:b].sum(axis=-1)
+        return out
+    for m in lengths.tolist():
+        seg = np.flatnonzero(counts == m)
+        block = np.ascontiguousarray(values[..., starts[seg, None] + np.arange(m)])
+        out[..., seg] = block.reshape(-1, m).sum(axis=1).reshape(block.shape[:-1])
+    return out
+
+
+def _water_fill(cell_bw: float, se: np.ndarray, caps: np.ndarray) -> np.ndarray:
+    """Bandwidth per UE of one cell under rate caps."""
+    n = len(se)
+    # bandwidth each UE needs to reach its cap; se=0 can never cap
+    with np.errstate(divide="ignore"):
+        need = np.where(se > 0.0, caps / np.where(se > 0.0, se, 1.0), np.inf)
+    bw = np.zeros(n)
+    free = np.ones(n, dtype=bool)
+    budget = float(cell_bw)
+    while True:
+        share = budget / free.sum()
+        newly = free & (need < share)
+        if not newly.any():
+            bw[free] = share
+            break
+        bw[newly] = need[newly]
+        budget -= float(need[newly].sum())
+        free &= ~newly
+        if not free.any():
+            break
+    return bw
+
+
+def allocate(cell_bw, ue_ids, se: np.ndarray,
+             rate_caps: np.ndarray | None = None,
+             counts: np.ndarray | None = None) -> Allocation:
+    """Allocate each cell's bandwidth among its ACTIVE UEs with the given
+    spectral efficiencies; throughput_ue = bandwidth_ue * se_ue always.
+
+    One cell: `cell_bw` is its bandwidth in Hz and the Allocation holds
+    scalar per-cell figures. Many cells: `counts` (K,) gives each cell's
+    UE count, `ue_ids` and `se` list the UEs cell by cell, `cell_bw` is
+    (K,), and the per-cell figures are (K,) arrays. Water-filling under
+    `rate_caps` runs one cell at a time.
+    """
+    one_cell = counts is None
     se = np.asarray(se, dtype=float)
+    if one_cell:
+        counts = np.array([len(se)])
+    cell_bw = np.asarray(cell_bw, dtype=float).reshape(-1)
     if rate_caps is None:
-        bw = np.full(n, cell_bw / n)
+        bw = np.repeat(cell_bw / np.maximum(counts, 1), counts)
     else:
         caps = np.asarray(rate_caps, dtype=float)
-        # bandwidth each UE needs to reach its cap; se=0 can never cap
-        with np.errstate(divide="ignore"):
-            need = np.where(se > 0.0, caps / np.where(se > 0.0, se, 1.0), np.inf)
-        bw = np.zeros(n)
-        free = np.ones(n, dtype=bool)
-        budget = float(cell_bw)
-        while True:
-            share = budget / free.sum()
-            newly = free & (need < share)
-            if not newly.any():
-                bw[free] = share
-                break
-            bw[newly] = need[newly]
-            budget -= float(need[newly].sum())
-            free &= ~newly
-            if not free.any():
-                break
+        ends = np.cumsum(counts)
+        bw = np.concatenate([np.zeros(0)] + [
+            _water_fill(b, se[e - n:e], caps[e - n:e])
+            for b, n, e in zip(cell_bw.tolist(), counts.tolist(), ends.tolist())
+            if n])
     tput = bw * se
-    return Allocation(list(ue_ids), bw, tput, float(tput.sum()),
-                      float(cell_bw - bw.sum()))
+    cell_tput, used = segment_sums(np.stack([tput, bw]), counts)
+    avail = cell_bw - used
+    if one_cell:
+        return Allocation(ue_ids, bw, tput, float(cell_tput[0]), float(avail[0]))
+    return Allocation(ue_ids, bw, tput, cell_tput, avail)
 
 
-def network_throughput(allocs: list[Allocation]) -> tuple[float, np.ndarray, float, float]:
-    """(total, per_cell, per_ue_mean, per_cell_std) across the cell set.
+def network_throughput(per_cell: np.ndarray, n_active
+                       ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(total, per_ue_mean, per_cell_std) from per-cell throughputs
+    (..., C) and the scheduled ACTIVE UE counts (...).
 
     per_ue_mean averages over ACTIVE UEs only and is 0 when none are
     active; the std is the population standard deviation over all cells,
     idle cells contributing zeros.
     """
-    per_cell = np.array([a.cell_throughput for a in allocs], dtype=float)
-    total = float(per_cell.sum())
-    n_active = sum(len(a.ue_ids) for a in allocs)
-    per_ue_mean = total / n_active if n_active else 0.0
-    return total, per_cell, per_ue_mean, float(per_cell.std())
+    per_cell = np.asarray(per_cell, dtype=float)
+    total = per_cell.sum(axis=-1)
+    n_active = np.asarray(n_active)
+    per_ue_mean = np.where(n_active > 0, total / np.maximum(n_active, 1), 0.0)
+    return total, per_ue_mean, per_cell.std(axis=-1)

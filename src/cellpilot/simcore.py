@@ -6,6 +6,11 @@ Per step, in fixed order: mobility (from step 1 on) -> frozen rx snapshot
 arrays, and (re)selection is one `reselect.step_ues` call per step over
 all UEs, reading only the step's frozen snapshot.
 
+`run_episodes` advances several seeds of one configuration in lockstep:
+their populations are stacked on the UE axis and every layer runs once per
+step for all of them, while each seed's controller sees only its own
+observation. `run_episode` is the same loop for one seed.
+
 Episodes are pure functions of (config, controller outputs). Constant-
 parameter reference episodes are cached on disk, keyed by a fingerprint
 of everything that shapes the trajectory.
@@ -83,9 +88,17 @@ class Trajectory:
     reselection_events: np.ndarray
 
     @classmethod
-    def zeros(cls, n_steps: int, n_cells: int) -> "Trajectory":
-        return cls(**{f.name: np.zeros((n_steps, n_cells) if f.name.startswith("per_cell")
-                                       else n_steps) for f in fields(cls)})
+    def zeros(cls, n_steps: int, n_cells: int, n_seeds: int | None = None) -> "Trajectory":
+        """All-zero rows; with `n_seeds`, every array gains a leading seed axis."""
+        lead = () if n_seeds is None else (n_seeds,)
+        return cls(**{f.name: np.zeros(lead + ((n_steps, n_cells)
+                                               if f.name.startswith("per_cell")
+                                               else (n_steps,)))
+                      for f in fields(cls)})
+
+    def seed(self, i: int) -> "Trajectory":
+        """Seed i's rows of a trajectory with a leading seed axis (views)."""
+        return Trajectory(**{k: v[i] for k, v in vars(self).items()})
 
     def __len__(self) -> int:
         return len(self.time)
@@ -113,16 +126,64 @@ def run_episode(cfg: EpisodeConfig, controller) -> EpisodeResult:
     """Run one seeded episode; `controller(obs, interval) -> ReselectionParams`
     is invoked at every PRI boundary and its output applied network-wide
     (clamped into range if needed, with the clamp recorded)."""
-    cfg.validate()
+    return run_episodes([cfg], [controller])[0]
+
+
+def _check_lockstep(cfgs: list[EpisodeConfig], controllers: list) -> None:
+    if not cfgs:
+        raise ValueError("run_episodes needs at least one episode config")
+    if len(cfgs) != len(controllers):
+        raise ValueError(f"{len(cfgs)} episode configs but "
+                         f"{len(controllers)} controllers")
+    first = cfgs[0]
+    for cfg in cfgs[1:]:
+        for f in fields(EpisodeConfig):
+            if f.name == "episode_seed":
+                continue
+            a, b = getattr(first, f.name), getattr(cfg, f.name)
+            if a is b:
+                continue
+            if f.name == "topology":
+                same = topology_fingerprint(a) == topology_fingerprint(b)
+            elif f.name == "se_table":
+                same = (a is not None and b is not None
+                        and all(np.array_equal(x, y) for x, y in zip(a, b)))
+            else:
+                same = a == b
+            if not same:
+                raise ValueError(
+                    f"lockstep episodes must share every config field but "
+                    f"episode_seed; '{f.name}' differs (seed {first.episode_seed}: "
+                    f"{a!r}, seed {cfg.episode_seed}: {b!r})")
+    first.validate()
+
+
+def run_episodes(cfgs: list[EpisodeConfig], controllers: list) -> list[EpisodeResult]:
+    """Run S episodes in lockstep, one per (config, controller) pair.
+
+    The configs differ only in `episode_seed`. Their populations are stacked
+    on the UE axis, so each step makes one call per layer for all seeds;
+    each controller is called with its own seed's observation, and the
+    result for each seed is exactly what a run on its own gives.
+    """
+    _check_lockstep(cfgs, controllers)
+    cfg = cfgs[0]
+    n_seeds, n_ues = len(cfgs), cfg.n_ues
     topo = cfg.topology
     n_cells = topo.n_cells
     se_table = cfg.se_table if cfg.se_table is not None else radio.default_se_table()
     noise_floor = radio.noise_floor_dbm(topo.cell_bandwidth)
+    cell_bw = np.tile(topo.cell_bandwidth, n_seeds)
     id_rank = reselect.cell_id_rank([c.id for c in topo.cells])
-    pop = traffic.init_population(cfg.n_ues, topo, cfg.episode_seed, cfg.traffic)
+    pop = traffic.Population.stack([
+        traffic.init_population(n_ues, topo, c.episode_seed, cfg.traffic)
+        for c in cfgs])
+    # a UE's (seed, cell) slot is slot_base + its cell; seed i owns UE rows
+    # i * n_ues onwards and cell slots i * n_cells onwards
+    slot_base = np.repeat(np.arange(n_seeds) * n_cells, n_ues)
     n_steps = int(round(cfg.length / DT))
-    traj = Trajectory.zeros(n_steps, n_cells)
-    updates: list[UpdateRecord] = []
+    traj = Trajectory.zeros(n_steps, n_cells, n_seeds)
+    updates: list[list[UpdateRecord]] = [[] for _ in cfgs]
     params: ReselectionParams | None = None
 
     for s in range(n_steps):
@@ -138,11 +199,18 @@ def run_episode(cfg: EpisodeConfig, controller) -> EpisodeResult:
                     pop.pos[moved], topo,
                     obstruction_enabled=cfg.obstruction_enabled)
         if s % cfg.pri == 0:
-            obs = build_observation(traj, s, topo.cell_bandwidth,
-                                    cfg.n_ues, cfg.history_k)
-            proposed = controller(obs, s // cfg.pri)
-            params, clamped = reselect.clamp_params(proposed)
-            updates.append(UpdateRecord(s // cfg.pri, s, params, clamped))
+            obs = build_observation(traj, s, topo.cell_bandwidth, n_ues,
+                                    cfg.history_k)
+            applied = []
+            for i, controller in enumerate(controllers):
+                # a row of its own, as in a run alone: a controller may keep
+                # its observation, and a view would pin the whole block
+                p, clamped = reselect.clamp_params(
+                    controller(obs[i].copy(), s // cfg.pri))
+                updates[i].append(UpdateRecord(s // cfg.pri, s, p, clamped))
+                applied.append(p)
+            params = (applied[0] if n_seeds == 1
+                      else reselect.param_columns(applied, n_ues))
         traffic.step_modes(pop, t, DT, cfg.traffic)
 
         idle = pop.mode == traffic.IDLE
@@ -150,35 +218,34 @@ def run_episode(cfg: EpisodeConfig, controller) -> EpisodeResult:
                                   topo.cell_priority, topo.cell_frequency,
                                   params, DT, id_rank)
         # recoveries and reselections count; camp-on at t=0 and outages do not
-        resel_events = (np.count_nonzero((event >= 0) & (event != reselect.OUTAGE))
-                        if s > 0 else 0)
+        resel = (event >= 0) & (event != reselect.OUTAGE)
 
-        # ACTIVE UEs per serving cell, in UE-id order within each cell
+        # ACTIVE UEs per (seed, serving cell), in UE-id order within each cell
         scheduled = np.flatnonzero(~idle & (pop.serving >= 0))
-        cells = pop.serving[scheduled]
-        per_cell_active = np.bincount(cells, minlength=n_cells)
-        groups = np.split(scheduled[np.argsort(cells, kind="stable")],
-                          np.cumsum(per_cell_active)[:-1])
-        allocs = []
-        for c, ids in enumerate(groups):
-            if ids.size:
-                se = radio.spectral_efficiency(rx[ids, c] - noise_floor[c], se_table)
-                allocs.append(scheduler.allocate(topo.cell_bandwidth[c], ids, se))
-            else:
-                allocs.append(scheduler.Allocation.empty(topo.cell_bandwidth[c]))
-        total, per_cell, ue_mean, _ = scheduler.network_throughput(allocs)
-        idle_count = np.count_nonzero(idle)
-        traj.time[s] = t
-        traj.total_tput[s] = total
-        traj.per_cell_tput[s] = per_cell
-        traj.per_cell_avail_bw[s] = [a.available_bw for a in allocs]
-        traj.per_cell_active[s] = per_cell_active
-        traj.active_count[s] = cfg.n_ues - idle_count
-        traj.idle_count[s] = idle_count
-        traj.per_ue_mean_tput[s] = ue_mean
-        traj.reselection_events[s] = resel_events
+        slots = slot_base[scheduled] + pop.serving[scheduled]
+        order = np.argsort(slots, kind="stable")
+        ids, cells = scheduled[order], pop.serving[scheduled[order]]
+        per_cell_active = np.bincount(slots, minlength=n_seeds * n_cells)
+        se = radio.spectral_efficiency(rx[ids, cells] - noise_floor[cells], se_table)
+        alloc = scheduler.allocate(cell_bw, ids, se, counts=per_cell_active)
+        per_cell = alloc.cell_throughput.reshape(n_seeds, n_cells)
+        per_cell_active = per_cell_active.reshape(n_seeds, n_cells)
+        total, ue_mean, _ = scheduler.network_throughput(
+            per_cell, per_cell_active.sum(axis=1))
+        idle_count = idle.reshape(n_seeds, n_ues).sum(axis=1)
+        traj.time[:, s] = t
+        traj.total_tput[:, s] = total
+        traj.per_cell_tput[:, s] = per_cell
+        traj.per_cell_avail_bw[:, s] = alloc.available_bw.reshape(n_seeds, n_cells)
+        traj.per_cell_active[:, s] = per_cell_active
+        traj.active_count[:, s] = n_ues - idle_count
+        traj.idle_count[:, s] = idle_count
+        traj.per_ue_mean_tput[:, s] = ue_mean
+        traj.reselection_events[:, s] = (resel.reshape(n_seeds, n_ues).sum(axis=1)
+                                         if s > 0 else 0)
 
-    return EpisodeResult(traj, updates, n_cells, cfg.n_ues, cfg.pri, cfg.udr)
+    return [EpisodeResult(traj.seed(i), updates[i], n_cells, n_ues, cfg.pri, cfg.udr)
+            for i in range(n_seeds)]
 
 
 def constant_controller(params: ReselectionParams):

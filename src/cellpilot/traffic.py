@@ -4,12 +4,16 @@ street-constrained mobility.
 Every UE owns an independent RNG stream derived from
 SeedSequence([episode_seed, ue_index]), so populations are reproducible
 and invariant to iteration order. The per-UE draw order at init is fixed:
-placement, speed, travel direction, initial mode, first dwell.
+placement, speed, travel direction, initial mode, first dwell. After init
+a UE's stream serves only its later dwells, which it hands out from a small
+buffer of pre-drawn standard exponentials: a block draw continues the
+stream exactly as single draws would, and ``scale * standard_exponential``
+is what ``exponential(scale)`` computes, so the dwells are unchanged.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -17,6 +21,7 @@ from .topology import Topology, sample_placement, street_points_at
 
 IDLE, ACTIVE = 0, 1
 MODE_NAMES = ("IDLE", "ACTIVE")
+DWELL_BUFFER = 16   # dwell draws a UE takes from its stream at a time
 
 
 @dataclass
@@ -54,9 +59,21 @@ class Population:
     serving: np.ndarray           # (N,) int camped cell index, -1 = out of service
     timers: np.ndarray            # (N, 3, C) reselection dwell timers
     rngs: list[np.random.Generator]   # UE i's stream, SeedSequence([episode_seed, i])
+    dwell_draws: np.ndarray       # (N, DWELL_BUFFER) standard exponentials drawn ahead
+    dwell_next: np.ndarray        # (N,) int, next unused column; DWELL_BUFFER = empty
 
     def __len__(self) -> int:
         return len(self.mode)
+
+    @classmethod
+    def stack(cls, pops: list["Population"]) -> "Population":
+        """One population whose rows are those of `pops`, in order."""
+        if len(pops) == 1:
+            return pops[0]
+        return cls(**{f.name: ([rng for p in pops for rng in p.rngs]
+                               if f.name == "rngs" else
+                               np.concatenate([getattr(p, f.name) for p in pops]))
+                      for f in fields(cls)})
 
 
 def _dwell_rate(mode: int, cfg: TrafficConfig) -> float:
@@ -94,29 +111,43 @@ def init_population(n: int, topo: Topology, episode_seed: int,
         rngs.append(rng)
     return Population(pos, indoor, street_index, arc_pos, direction, speed_mps,
                       mode, next_switch_time, np.full(n, -1),
-                      np.zeros((n, 3, topo.n_cells)), rngs)
+                      np.zeros((n, 3, topo.n_cells)), rngs,
+                      np.empty((n, DWELL_BUFFER)), np.full(n, DWELL_BUFFER))
+
+
+def _next_dwell_draws(pop: Population, ues: np.ndarray) -> np.ndarray:
+    """The next standard exponential of each UE in `ues` (distinct indices),
+    refilling a UE's buffer from its own stream when it has run out."""
+    col = pop.dwell_next[ues]
+    empty = col == DWELL_BUFFER
+    for i in ues[empty].tolist():
+        pop.dwell_draws[i] = pop.rngs[i].standard_exponential(DWELL_BUFFER)
+    col[empty] = 0
+    pop.dwell_next[ues] = col + 1
+    return pop.dwell_draws[ues, col]
 
 
 def step_modes(pop: Population, t: float, dt: float, cfg: TrafficConfig) -> int:
     """Process every mode-switch event in (t, t+dt]; returns the flip count.
 
     A UE may flip more than once inside one window (each flip draws the
-    next dwell from the UE's own stream). Any flip invalidates the UE's
-    reselection dwell timers.
+    next dwell from the UE's own stream); each round flips every UE still
+    due. Any flip invalidates the UE's reselection dwell timers.
     """
     if dt <= 0:
         raise ValueError("dt must be > 0")
-    flips = 0
     horizon = t + dt
+    scale = 1.0 / np.array([cfg.lambda_idle, cfg.lambda_active])   # by mode
     due = np.flatnonzero(pop.next_switch_time <= horizon)
-    for i in due.tolist():
-        mode, nxt, rng = int(pop.mode[i]), float(pop.next_switch_time[i]), pop.rngs[i]
-        while nxt <= horizon:
-            mode = ACTIVE if mode == IDLE else IDLE
-            nxt += rng.exponential(1.0 / _dwell_rate(mode, cfg))
-            flips += 1
-        pop.mode[i] = mode
-        pop.next_switch_time[i] = nxt
+    flips = 0
+    ues = due
+    while ues.size:
+        mode = 1 - pop.mode[ues]   # IDLE <-> ACTIVE
+        pop.mode[ues] = mode
+        nxt = pop.next_switch_time[ues] + scale[mode] * _next_dwell_draws(pop, ues)
+        pop.next_switch_time[ues] = nxt
+        flips += ues.size
+        ues = ues[nxt <= horizon]
     pop.timers[due] = 0.0
     return flips
 

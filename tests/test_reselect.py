@@ -1,4 +1,5 @@
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -16,9 +17,11 @@ from cellpilot.reselect import (
     initial_select,
     is_suitable,
     load_presets,
+    param_columns,
     run_traces,
     run_ue_trace,
     step_reselection,
+    step_ues,
 )
 
 
@@ -342,3 +345,52 @@ def test_stacked_traces_match_oracle_with_cell_ids():
     assert traces >= 256
     assert kinds == {"select", "outage", "high", "equal", "low"}
     assert {"select", "high", "equal", "low"} <= decided_by_id
+
+
+def test_param_columns_layout():
+    cols = param_columns([CONFIG_A, CONFIG_B], 3)
+    assert cols.q_offset.shape == (6, 1)
+    assert cols.q_offset[:, 0].tolist() == [20.0] * 3 + [14.0] * 3
+    assert cols.t_resel[:, 0].tolist() == [1.0] * 6
+
+
+def test_per_row_parameters_match_scalar_calls_and_oracle():
+    """Each trace under its own random parameters, all in one kernel call
+    per step through (N, 1) columns: serving cells, timers and events equal
+    one scalar-parameter call per row, and the events equal the oracle's."""
+    rng = np.random.default_rng(97531)
+    traces = 0
+    kinds = set()
+    for trial in range(8):
+        trace, prio, freq, _, ids = tied_instance(rng, n_ues=40)
+        t_steps, n, n_cells = trace.shape
+        # timing and search constants differ per row too
+        params = [replace(random_instance(rng)[3],
+                          t_resel=float(rng.choice([0.5, 1.0, 2.0])),
+                          s_intra=float(rng.uniform(0, 8)),
+                          s_inter=float(rng.uniform(0, 8)))
+                  for _ in range(n)]
+        cols = param_columns(params, 1)
+        rank = cell_id_rank(ids)
+        dt = 1.0 if trial % 3 else 0.5
+        serving, timers = np.full(n, -1), np.zeros((n, 3, n_cells))
+        row_serving, row_timers = serving.copy(), timers.copy()
+        for t in range(t_steps):
+            may = rng.random(n) < 0.8
+            event = step_ues(serving, timers, trace[t], may, prio, freq, cols,
+                             dt, rank)
+            for i in range(n):
+                ev = step_ues(row_serving[i:i + 1], row_timers[i:i + 1],
+                              trace[t, i:i + 1], may[i:i + 1], prio, freq,
+                              params[i], dt, rank)
+                assert ev[0] == event[i], (trial, t, i)
+            assert serving.tolist() == row_serving.tolist()
+            assert timers.tobytes() == row_timers.tobytes()
+        got = run_traces(trace, prio, freq, cols, dt, rank)
+        for i, events in enumerate(got):
+            assert events == brute_force_oracle(trace[:, i], prio, freq, params[i],
+                                                dt, cell_ids=ids), (trial, i)
+            kinds.update(ev[1] for ev in events)
+            traces += 1
+    assert traces >= 256
+    assert kinds == {"select", "outage", "high", "equal", "low"}

@@ -93,6 +93,55 @@ def test_interval_aggregates_grouping():
     assert aggs[1].avg_active == pytest.approx(4.0)
 
 
+def looped_interval_aggregates(traj, pri):
+    """The per-interval loop interval_aggregates replaced."""
+    sigma = traj.per_cell_tput.std(axis=1)
+    out = []
+    for t in range(0, (len(traj) + pri - 1) // pri):
+        chunk = slice(t * pri, (t + 1) * pri)
+        out.append(IntervalAggregate(
+            interval=t,
+            tput=float(traj.total_tput[chunk].mean()),
+            sigma=float(sigma[chunk].mean()),
+            ue=float(traj.per_ue_mean_tput[chunk].mean()),
+            avg_active=float(traj.active_count[chunk].mean()),
+        ))
+    return out
+
+
+@pytest.mark.parametrize("pri", [1, 2, 3, 7])
+def test_interval_aggregates_match_the_interval_loop(pri):
+    rng = np.random.default_rng(pri)
+    for n_steps in (1, pri, 4 * pri + 1, 50, 61):
+        traj = Trajectory.zeros(n_steps, 9)
+        traj.total_tput[:] = rng.uniform(0, 1e8, n_steps)
+        traj.per_cell_tput[:] = rng.uniform(0, 3e7, (n_steps, 9))
+        traj.per_ue_mean_tput[:] = rng.uniform(0, 1e6, n_steps)
+        traj.active_count[:] = rng.integers(0, 50, n_steps)
+        got = interval_aggregates(traj, pri)
+        want = looped_interval_aggregates(traj, pri)
+        assert len(got) == len(want) == -(-n_steps // pri)
+        for a, b in zip(got, want):
+            assert a == b   # floats compared exactly
+            assert all(type(v) is float for v in (a.tput, a.sigma, a.ue, a.avg_active))
+
+
+def test_observation_with_a_seed_axis_matches_each_seed():
+    # 48 cells: row reductions long enough for numpy's blocked pairwise sum
+    rng = np.random.default_rng(5)
+    cell_bw = rng.uniform(5e6, 20e6, 48)
+    traj = Trajectory.zeros(20, 48, n_seeds=3)
+    traj.per_cell_avail_bw[:] = rng.uniform(0, 20e6, traj.per_cell_avail_bw.shape)
+    traj.per_cell_active[:] = rng.integers(0, 9, traj.per_cell_active.shape)
+    traj.idle_count[:] = rng.integers(0, 300, traj.idle_count.shape)
+    for step in (0, 3, 10, 19):
+        obs = build_observation(traj, step, cell_bw, 300, 10)
+        assert obs.shape == (3, observation_dim(48, 10))
+        for i in range(3):
+            alone = build_observation(traj.seed(i), step, cell_bw, 300, 10)
+            assert obs[i].tobytes() == alone.tobytes()
+
+
 def agg(interval=0, tput=1e6, sigma=1e5, ue=1e4, active=25):
     return IntervalAggregate(interval, tput, sigma, ue, active)
 

@@ -3,7 +3,7 @@ from itertools import combinations
 import numpy as np
 import pytest
 
-from cellpilot.scheduler import Allocation, allocate, network_throughput
+from cellpilot.scheduler import allocate, network_throughput, segment_sums
 
 
 def test_equal_share_without_caps():
@@ -19,7 +19,10 @@ def test_empty_cell():
     a = allocate(20e6, [], np.zeros(0))
     assert a.ue_ids == [] and a.cell_throughput == 0.0
     assert a.available_bw == 20e6
-    assert Allocation.empty(5e6).available_bw == 5e6
+    many = allocate(np.array([5e6, 7e6]), np.zeros(0, dtype=int), np.zeros(0),
+                    counts=np.array([0, 0]))
+    assert many.available_bw.tolist() == [5e6, 7e6]
+    assert many.cell_throughput.tolist() == [0.0, 0.0]
 
 
 def test_cap_pins_ue_and_redistributes():
@@ -95,10 +98,63 @@ def test_network_throughput_aggregation():
     a = allocate(10e6, [0, 1], np.array([1.0, 2.0]))
     b = allocate(20e6, [2], np.array([4.0]))
     idle = allocate(10e6, [], np.zeros(0))
-    total, per_cell, per_ue, std = network_throughput([a, b, idle])
+    cells = np.array([a.cell_throughput, b.cell_throughput, idle.cell_throughput])
+    total, per_ue, std = network_throughput(cells, 3)
     assert total == pytest.approx(a.cell_throughput + b.cell_throughput, rel=1e-12)
-    assert per_cell == pytest.approx([a.cell_throughput, b.cell_throughput, 0.0])
     assert per_ue == pytest.approx(total / 3)
-    assert std == pytest.approx(np.std(per_cell))
-    total, per_cell, per_ue, std = network_throughput([idle])
+    assert std == pytest.approx(np.std(cells))
+    total, per_ue, std = network_throughput(np.array([idle.cell_throughput]), 0)
     assert total == 0.0 and per_ue == 0.0 and std == 0.0
+    # a leading seed axis gives one figure per row, each as the row alone would
+    rows = np.array([[1.0, 2.0, 3.0], [4.0, 0.0, 0.0]])
+    total, per_ue, std = network_throughput(rows, np.array([3, 0]))
+    assert total.tolist() == [rows[0].sum(), rows[1].sum()]
+    assert per_ue.tolist() == [rows[0].sum() / 3, 0.0]
+    assert std.tolist() == [rows[0].std(), rows[1].std()]
+
+
+@pytest.mark.parametrize("n_segments, max_len", [
+    (5, 12), (30, 300), (400, 4), (300, 12)])   # few or many segments per length
+def test_segment_sums_match_per_slice_sums(n_segments, max_len):
+    # every segment sum, taken from one row or from stacked rows, equals the
+    # slice's own .sum() in a fresh array
+    rng = np.random.default_rng(n_segments)
+    for _ in range(20):
+        counts = rng.integers(0, max_len + 1, size=n_segments)
+        # plus lengths that occur once, each a one-segment block
+        counts[rng.choice(n_segments, 2, replace=False)] = rng.choice(
+            np.arange(max_len + 1, max_len + 60), 2, replace=False)
+        values = rng.standard_normal((2, counts.sum())) * 10.0 ** rng.uniform(-3, 9)
+        stacked = segment_sums(values, counts)
+        alone = segment_sums(values[1].copy(), counts)
+        ends = np.cumsum(counts)
+        for k, (n, e) in enumerate(zip(counts, ends)):
+            assert alone[k] == values[1, e - n:e].copy().sum()
+            for row in range(2):
+                assert stacked[row, k] == values[row, e - n:e].copy().sum()
+
+
+def _allocate_cells_one_by_one(cell_bw, se, counts, caps=None):
+    """Reference: one single-cell allocate call per segment."""
+    ends = np.cumsum(counts)
+    out = [allocate(cell_bw[k], list(range(e - n, e)), se[e - n:e],
+                    None if caps is None else caps[e - n:e])
+           for k, (n, e) in enumerate(zip(counts, ends))]
+    return out
+
+
+@pytest.mark.parametrize("capped", [False, True])
+def test_multi_cell_allocate_matches_one_cell_calls(capped):
+    rng = np.random.default_rng(31 + capped)
+    for _ in range(100):
+        counts = rng.integers(0, 15, size=int(rng.integers(1, 30)))
+        n = int(counts.sum())
+        cell_bw = rng.uniform(1e6, 60e6, len(counts))
+        se = rng.uniform(0.0, 7.8, n)
+        caps = rng.uniform(0.2e6, 30e6, n) if capped else None
+        many = allocate(cell_bw, np.arange(n), se, caps, counts=counts)
+        ones = _allocate_cells_one_by_one(cell_bw, se, counts, caps)
+        assert many.cell_throughput.tolist() == [a.cell_throughput for a in ones]
+        assert many.available_bw.tolist() == [a.available_bw for a in ones]
+        assert many.bandwidth.tolist() == [x for a in ones for x in a.bandwidth.tolist()]
+        assert many.throughput.tolist() == [x for a in ones for x in a.throughput.tolist()]

@@ -2,13 +2,17 @@ import hashlib
 import importlib.resources
 import multiprocessing
 import types
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from cellpilot import simcore
 from cellpilot.container import load_container
-from cellpilot.reselect import CONFIG_B, ReselectionParams
+from cellpilot.policy import init_policy
+from cellpilot.radio import default_se_table
+from cellpilot.reselect import CONFIG_A, CONFIG_B, ReselectionParams
+from cellpilot.rlenv import observation_dim
 from cellpilot.simcore import (
     DT,
     EpisodeConfig,
@@ -19,12 +23,14 @@ from cellpilot.simcore import (
     reference_fingerprint,
     reference_for_length,
     run_episode,
+    run_episodes,
     run_heuristic_reference,
     write_trajectory_csv,
     write_updates_csv,
 )
 from cellpilot.topology import Cell, Topology, Tower, load_topology
 from cellpilot.traffic import TrafficConfig
+from cellpilot.trainer import _mean_action_controller
 
 
 def desk_topology():
@@ -189,6 +195,76 @@ def test_mobility_with_obstruction_trajectory_digest():
     assert res.steps.reselection_events.sum() > 0
     assert h.hexdigest() == (
         "9115109450dfa391b248dbe8655b9e8a764e331704f51bf27507a905d6f16e6c")
+
+
+def baseline_topology():
+    with importlib.resources.as_file(
+            importlib.resources.files("cellpilot.data") / "baseline.topo") as p:
+        return load_topology(p)
+
+
+def test_lockstep_matches_serial_runs():
+    # four seeds in one lockstep run, under constant and mean-action controllers
+    # (per-seed parameters through the kernel's columns), with mobility,
+    # obstruction and pri=2: each seed's trajectory and updates are those of
+    # its own run, bit for bit
+    topo = baseline_topology()
+    policy_controller = _mean_action_controller(
+        init_policy(observation_dim(topo.n_cells, 10), 16, seed=3))
+    cfgs = [EpisodeConfig(topo, seed, n_ues=30, length=12.0, pri=2,
+                          traffic=TrafficConfig(mobility_enabled=True),
+                          obstruction_enabled=True)
+            for seed in (5, 6, 7, 8)]
+    controllers = [constant_controller(CONFIG_B), policy_controller,
+                   constant_controller(CONFIG_A), policy_controller]
+    together = run_episodes(cfgs, controllers)
+    assert len(together) == 4
+    for cfg, ctl, got in zip(cfgs, controllers, together):
+        want = run_episode(cfg, ctl)
+        assert arrays_bytes(got) == arrays_bytes(want)
+        assert got.updates == want.updates
+        assert (got.n_cells, got.n_ues, got.pri, got.udr) == \
+            (want.n_cells, want.n_ues, want.pri, want.udr)
+    params = {u.params for r in together for u in r.updates}
+    assert len(params) > 2   # the seeds really ran under different parameters
+    assert sum(r.steps.reselection_events.sum() for r in together) > 0
+
+
+def test_run_episodes_rejects_empty_and_mismatched_lists():
+    cfg = EpisodeConfig(two_layer_topo(), 1, n_ues=4, length=2.0)
+    with pytest.raises(ValueError, match="at least one"):
+        run_episodes([], [])
+    with pytest.raises(ValueError, match="2 episode configs but 1 controllers"):
+        run_episodes([cfg, replace(cfg, episode_seed=2)],
+                     [constant_controller(CONFIG_B)])
+
+
+@pytest.mark.parametrize("field_name, value", [
+    ("topology", desk_topology()),
+    ("n_ues", 5),
+    ("length", 3.0),
+    ("pri", 2),
+    ("traffic", TrafficConfig(mobility_enabled=True)),
+    ("obstruction_enabled", True),
+    ("se_table", (np.array([0.0, 10.0]), np.array([1.0, 2.0]))),
+    ("history_k", 3),
+])
+def test_run_episodes_rejects_configs_that_differ(field_name, value):
+    cfg = EpisodeConfig(two_layer_topo(), 1, n_ues=4, length=2.0)
+    other = replace(cfg, episode_seed=2, **{field_name: value})
+    ctl = constant_controller(CONFIG_B)
+    with pytest.raises(ValueError, match=f"'{field_name}' differs"):
+        run_episodes([cfg, other], [ctl, ctl])
+
+
+def test_run_episodes_accepts_equal_copies_of_shared_fields():
+    # an equal topology or SE table loaded twice is the same configuration
+    se = default_se_table()
+    a = EpisodeConfig(desk_topology(), 1, n_ues=4, length=2.0, se_table=se)
+    b = EpisodeConfig(desk_topology(), 2, n_ues=4, length=2.0,
+                      se_table=(se[0].copy(), se[1].copy()))
+    ctl = constant_controller(CONFIG_B)
+    assert len(run_episodes([a, b], [ctl, ctl])) == 2
 
 
 def test_reference_cache_roundtrip(tmp_path):

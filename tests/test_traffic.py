@@ -4,6 +4,7 @@ import pytest
 from cellpilot.topology import Cell, Topology, Tower, polyline_point_at
 from cellpilot.traffic import (
     ACTIVE,
+    DWELL_BUFFER,
     IDLE,
     TrafficConfig,
     init_population,
@@ -130,6 +131,48 @@ def test_step_modes_resets_timers_only_on_flip():
     assert (pop.timers[1] == 0.7).all()
     with pytest.raises(ValueError):
         step_modes(pop, 0.0, 0.0, cfg)
+
+
+def scalar_step_modes(pop, t, dt, cfg):
+    """The per-UE loop step_modes replaced, one exponential draw per flip."""
+    flips = 0
+    horizon = t + dt
+    due = np.flatnonzero(pop.next_switch_time <= horizon)
+    for i in due.tolist():
+        mode, nxt, rng = int(pop.mode[i]), float(pop.next_switch_time[i]), pop.rngs[i]
+        while nxt <= horizon:
+            mode = ACTIVE if mode == IDLE else IDLE
+            rate = cfg.lambda_idle if mode == IDLE else cfg.lambda_active
+            nxt += rng.exponential(1.0 / rate)
+            flips += 1
+        pop.mode[i] = mode
+        pop.next_switch_time[i] = nxt
+    pop.timers[due] = 0.0
+    return flips
+
+
+@pytest.mark.parametrize("rates", [(0.2, 0.2), (3.0, 0.7), (40.0, 25.0)])
+def test_step_modes_matches_the_scalar_loop(rates):
+    # buffered dwell draws give the per-draw loop's modes and switch times
+    # bit for bit, through buffer refills and windows with several flips
+    topo = street_topo()
+    cfg = TrafficConfig(lambda_idle=rates[0], lambda_active=rates[1])
+    pop = init_population(40, topo, 21, cfg)
+    ref = init_population(40, topo, 21, cfg)
+    pop.timers[:] = ref.timers[:] = 1.0
+    most_flips, total = 0, 0
+    for step in range(30):
+        flips = step_modes(pop, float(step), 1.0, cfg)
+        assert flips == scalar_step_modes(ref, float(step), 1.0, cfg)
+        assert pop.mode.tolist() == ref.mode.tolist()
+        assert pop.next_switch_time.tobytes() == ref.next_switch_time.tobytes()
+        assert pop.timers.tobytes() == ref.timers.tobytes()
+        most_flips = max(most_flips, flips)
+        total += flips
+        pop.timers[:] = ref.timers[:] = 1.0
+    if rates[0] > 1.0:
+        assert total > 2 * DWELL_BUFFER * len(pop)   # every UE refilled
+        assert most_flips > len(pop)   # some UE flipped twice in one window
 
 
 def test_mobility_disabled_and_indoor_stay_put():

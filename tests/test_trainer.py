@@ -165,6 +165,21 @@ def test_evaluating_the_baseline_gives_zero_gains(tmp_path):
         assert row.ue_gain == 0.0
 
 
+def test_evaluate_shards_give_the_same_rows(tmp_path):
+    # jobs=k runs k lockstep shards of contiguous seeds in worker processes;
+    # the rows and their order do not depend on k
+    topo = tiny_topo()
+    cfg = tiny_cfg(topo)
+    net = init_policy(18, 8, seed=4)
+    seeds = [200, 201, 202, 203, 204]
+    one = evaluate(net, cfg, seeds, [1], length=4.0, cache=tmp_path / "a", jobs=1)
+    two = evaluate(net, cfg, seeds, [1], length=4.0, cache=tmp_path / "b", jobs=2)
+    many = evaluate(net, cfg, seeds, [1], length=4.0, cache=tmp_path / "b", jobs=9)
+    assert [r.seed for r in one.rows] == seeds
+    assert two.rows == one.rows and many.rows == one.rows
+    assert any(r.tput_gain != 0.0 for r in one.rows)
+
+
 def test_ablation_config_single_deviation():
     topo = tiny_topo()
     cfg = tiny_cfg(topo)
