@@ -7,9 +7,9 @@ their cap's bandwidth and the surplus is re-split equally among the
 rest, iterated to a fixpoint.
 
 One :func:`allocate` call serves one cell or many: the UEs of each cell
-form a contiguous segment, and per-cell sums are taken segment by segment
-with the same pairwise summation a cell's own ``.sum()`` uses, so every
-figure is bit-identical to allocating the cells one at a time.
+form a contiguous segment, and per-cell sums are slice sums with the same
+pairwise summation a cell's own ``.sum()`` uses, so every figure is
+bit-identical to allocating the cells one at a time.
 """
 
 from __future__ import annotations
@@ -32,31 +32,18 @@ def segment_sums(values: np.ndarray, counts: np.ndarray) -> np.ndarray:
     """Sums over the consecutive segments of the last axis of `values`
     whose lengths are `counts` (K,); shape (..., K), 0 for an empty segment.
 
-    Each sum equals the segment's own ``.sum()`` bit for bit: numpy sums a
-    run of contiguous elements pairwise, the same way wherever it starts.
-    With many segments per distinct length, the segments of one length are
-    gathered into a C-contiguous (rows, m) block and summed along its rows
-    in one call; with few, one slice sum per segment is cheaper.
-    ``np.add.reduceat``, ``np.bincount`` and a sum along an axis whose
-    elements are not adjacent in memory add in another order.
+    Each sum is a slice's ``.sum()``, equal bit for bit to the segment's own
+    ``.sum()``: numpy sums a run of contiguous elements pairwise, the same
+    way wherever it starts. ``np.add.reduceat``, ``np.bincount`` and a sum
+    along an axis whose elements are not adjacent in memory add in another
+    order.
     """
     counts = np.asarray(counts)
     ends = np.cumsum(counts)
-    starts = ends - counts
     out = np.zeros(values.shape[:-1] + counts.shape)
-    # the distinct lengths (np.unique would import numpy.ma, about 1 MB)
-    lengths = np.flatnonzero(np.bincount(counts))
-    lengths = lengths[lengths > 0]
-    # a slice sum costs about a sixth of a length's gather, sum and scatter
-    if np.count_nonzero(counts) <= 6 * len(lengths):
-        for k, (a, b) in enumerate(zip(starts.tolist(), ends.tolist())):
-            if b > a:
-                out[..., k] = values[..., a:b].sum(axis=-1)
-        return out
-    for m in lengths.tolist():
-        seg = np.flatnonzero(counts == m)
-        block = np.ascontiguousarray(values[..., starts[seg, None] + np.arange(m)])
-        out[..., seg] = block.reshape(-1, m).sum(axis=1).reshape(block.shape[:-1])
+    for k, (a, b) in enumerate(zip((ends - counts).tolist(), ends.tolist())):
+        if b > a:
+            out[..., k] = values[..., a:b].sum(axis=-1)
     return out
 
 
@@ -118,16 +105,14 @@ def allocate(cell_bw, ue_ids, se: np.ndarray,
 
 
 def network_throughput(per_cell: np.ndarray, n_active
-                       ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(total, per_ue_mean, per_cell_std) from per-cell throughputs
-    (..., C) and the scheduled ACTIVE UE counts (...).
+                       ) -> tuple[np.ndarray, np.ndarray]:
+    """(total, per_ue_mean) from per-cell throughputs (..., C) and the
+    scheduled ACTIVE UE counts (...).
 
-    per_ue_mean averages over ACTIVE UEs only and is 0 when none are
-    active; the std is the population standard deviation over all cells,
-    idle cells contributing zeros.
+    per_ue_mean averages over ACTIVE UEs only and is 0 when none are active.
     """
     per_cell = np.asarray(per_cell, dtype=float)
     total = per_cell.sum(axis=-1)
     n_active = np.asarray(n_active)
     per_ue_mean = np.where(n_active > 0, total / np.maximum(n_active, 1), 0.0)
-    return total, per_ue_mean, per_cell.std(axis=-1)
+    return total, per_ue_mean

@@ -230,7 +230,7 @@ def run_episodes(cfgs: list[EpisodeConfig], controllers: list) -> list[EpisodeRe
         alloc = scheduler.allocate(cell_bw, ids, se, counts=per_cell_active)
         per_cell = alloc.cell_throughput.reshape(n_seeds, n_cells)
         per_cell_active = per_cell_active.reshape(n_seeds, n_cells)
-        total, ue_mean, _ = scheduler.network_throughput(
+        total, ue_mean = scheduler.network_throughput(
             per_cell, per_cell_active.sum(axis=1))
         idle_count = idle.reshape(n_seeds, n_ues).sum(axis=1)
         traj.time[:, s] = t

@@ -35,6 +35,9 @@ ABLATION_VARIANTS = ("no_curriculum", "seeds_500", "mobility_eval",
                      "stress_test", "slow_updates", "synchronous_updates")
 
 EVAL_EPS = 1.0  # bit/s guard in gain ratios
+# UEs one lockstep batch of eval episodes may stack: per-UE state grows with
+# the batch, so larger populations run in batches of fewer seeds
+LOCKSTEP_UES = 1000
 
 
 class TrainerError(Exception):
@@ -471,27 +474,32 @@ def _gain_ratio(agent: float, ref: float) -> float:
 
 
 def _eval_rows(args) -> list[EvalRow]:
-    """Gain rows for a run of eval seeds: each seed's reference is looked up
-    (or filled) on its own, then the agent episodes of all seeds advance in
-    lockstep. Rows are in the order of the episode configs."""
+    """Gain rows for a run of eval seeds, in the order of the episode
+    configs. The seeds go in batches of at most LOCKSTEP_UES UEs: each
+    seed's reference is looked up (or filled) on its own, then the agent
+    episodes of the batch advance in lockstep."""
     (net_or_params, eps, baseline_params, max_length, cache) = args
-    refs = [_reference(ep, baseline_params, ep.length, max_length, cache).steps
-            for ep in eps]
     if isinstance(net_or_params, ReselectionParams):
         controller = simcore.constant_controller(net_or_params)
     else:
         controller = _mean_action_controller(net_or_params)
-    results = simcore.run_episodes(eps, [controller] * len(eps))
+    per_batch = max(1, LOCKSTEP_UES // eps[0].n_ues)
     rows = []
-    for ep, r, res in zip(eps, refs, results):
-        a = res.steps
-        tput_gain = _gain_ratio(float(a.total_tput.mean()), float(r.total_tput.mean()))
-        sig_a = float(a.per_cell_tput.std(axis=1).mean())
-        sig_r = float(r.per_cell_tput.std(axis=1).mean())
-        bal_gain = _gain_ratio(sig_r, sig_a)  # lower spread is better
-        ue_gain = _gain_ratio(float(a.per_ue_mean_tput.mean()),
-                              float(r.per_ue_mean_tput.mean()))
-        rows.append(EvalRow(ep.episode_seed, tput_gain, bal_gain, ue_gain))
+    for b in range(0, len(eps), per_batch):
+        batch = eps[b:b + per_batch]
+        refs = [_reference(ep, baseline_params, ep.length, max_length, cache).steps
+                for ep in batch]
+        results = simcore.run_episodes(batch, [controller] * len(batch))
+        for ep, r, res in zip(batch, refs, results):
+            a = res.steps
+            tput_gain = _gain_ratio(float(a.total_tput.mean()),
+                                    float(r.total_tput.mean()))
+            sig_a = float(a.per_cell_tput.std(axis=1).mean())
+            sig_r = float(r.per_cell_tput.std(axis=1).mean())
+            bal_gain = _gain_ratio(sig_r, sig_a)  # lower spread is better
+            ue_gain = _gain_ratio(float(a.per_ue_mean_tput.mean()),
+                                  float(r.per_ue_mean_tput.mean()))
+            rows.append(EvalRow(ep.episode_seed, tput_gain, bal_gain, ue_gain))
     return rows
 
 
@@ -503,8 +511,9 @@ def evaluate(net_or_params, cfg: TrainRunConfig, eval_seeds: list[int],
     """Deterministic mean-action rollouts on unseen seeds; per-seed relative
     gains against the heuristic reference. Refuses seeds seen in training.
 
-    The seeds run as `jobs` lockstep shards of contiguous seeds, one worker
-    process per shard when `jobs` > 1; the rows do not depend on `jobs`.
+    The seeds run as `jobs` shards of contiguous seeds, one worker process
+    per shard when `jobs` > 1, and each shard advances its seeds in lockstep
+    batches of at most LOCKSTEP_UES UEs; the rows do not depend on `jobs`.
     """
     overlap = sorted(set(eval_seeds) & set(train_seeds))
     if overlap:

@@ -99,31 +99,27 @@ def test_network_throughput_aggregation():
     b = allocate(20e6, [2], np.array([4.0]))
     idle = allocate(10e6, [], np.zeros(0))
     cells = np.array([a.cell_throughput, b.cell_throughput, idle.cell_throughput])
-    total, per_ue, std = network_throughput(cells, 3)
+    total, per_ue = network_throughput(cells, 3)
     assert total == pytest.approx(a.cell_throughput + b.cell_throughput, rel=1e-12)
     assert per_ue == pytest.approx(total / 3)
-    assert std == pytest.approx(np.std(cells))
-    total, per_ue, std = network_throughput(np.array([idle.cell_throughput]), 0)
-    assert total == 0.0 and per_ue == 0.0 and std == 0.0
+    total, per_ue = network_throughput(np.array([idle.cell_throughput]), 0)
+    assert total == 0.0 and per_ue == 0.0
     # a leading seed axis gives one figure per row, each as the row alone would
     rows = np.array([[1.0, 2.0, 3.0], [4.0, 0.0, 0.0]])
-    total, per_ue, std = network_throughput(rows, np.array([3, 0]))
+    total, per_ue = network_throughput(rows, np.array([3, 0]))
     assert total.tolist() == [rows[0].sum(), rows[1].sum()]
     assert per_ue.tolist() == [rows[0].sum() / 3, 0.0]
-    assert std.tolist() == [rows[0].std(), rows[1].std()]
 
 
+# segments past 8 and 128 elements reach numpy's unrolled and blocked sums
 @pytest.mark.parametrize("n_segments, max_len", [
-    (5, 12), (30, 300), (400, 4), (300, 12)])   # few or many segments per length
+    (5, 12), (30, 300), (400, 4), (300, 12)])
 def test_segment_sums_match_per_slice_sums(n_segments, max_len):
     # every segment sum, taken from one row or from stacked rows, equals the
     # slice's own .sum() in a fresh array
     rng = np.random.default_rng(n_segments)
     for _ in range(20):
         counts = rng.integers(0, max_len + 1, size=n_segments)
-        # plus lengths that occur once, each a one-segment block
-        counts[rng.choice(n_segments, 2, replace=False)] = rng.choice(
-            np.arange(max_len + 1, max_len + 60), 2, replace=False)
         values = rng.standard_normal((2, counts.sum())) * 10.0 ** rng.uniform(-3, 9)
         stacked = segment_sums(values, counts)
         alone = segment_sums(values[1].copy(), counts)

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from cellpilot import trainer
 from cellpilot.policy import init_policy, load_checkpoint, warm_start
 from cellpilot.reselect import CONFIG_B
 from cellpilot.rlenv import normalize_params
@@ -178,6 +179,29 @@ def test_evaluate_shards_give_the_same_rows(tmp_path):
     assert [r.seed for r in one.rows] == seeds
     assert two.rows == one.rows and many.rows == one.rows
     assert any(r.tput_gain != 0.0 for r in one.rows)
+
+
+def test_evaluate_caps_the_ues_of_a_lockstep_batch(tmp_path, monkeypatch):
+    # a shard runs its seeds in lockstep batches of at most LOCKSTEP_UES UEs;
+    # the rows do not depend on the batch size
+    topo = tiny_topo()
+    cfg = tiny_cfg(topo)   # 4 UEs per seed
+    net = init_policy(18, 8, seed=4)
+    seeds = [200, 201, 202, 203, 204]
+    whole = evaluate(net, cfg, seeds, [1], length=4.0, cache=tmp_path / "a")
+    widths = []
+    run_episodes = trainer.simcore.run_episodes
+
+    def counted(cfgs, controllers):
+        widths.append(len(cfgs))
+        return run_episodes(cfgs, controllers)
+
+    monkeypatch.setattr(trainer.simcore, "run_episodes", counted)
+    monkeypatch.setattr(trainer, "LOCKSTEP_UES", 9)
+    # the references are cached now, so only agent episodes run
+    batched = evaluate(net, cfg, seeds, [1], length=4.0, cache=tmp_path / "a")
+    assert widths == [2, 2, 1]
+    assert batched.rows == whole.rows
 
 
 def test_ablation_config_single_deviation():
