@@ -47,24 +47,26 @@ def noise_floor_dbm(bandwidth_hz):
 
 
 def received_power_matrix(ue_xy: np.ndarray, topo: Topology, *,
-                          indoor: np.ndarray | None = None,
                           obstruction_enabled: bool = True) -> np.ndarray:
     """RSRP-like received power in dBm for every (UE, cell) pair; shape (N, C).
 
     rx = tx + antenna_gain - fspl - walls * 6 dB. Wall counts come from the
-    segment UE->cell against building polygons; `indoor` is accepted for
-    interface symmetry but does not add loss beyond the walls the segment
-    actually crosses. With `obstruction_enabled`=False the wall term is 0.
+    segment UE->cell against building polygons. With `obstruction_enabled`
+    False the wall term is 0. Distances and bearings are taken once per
+    (UE, cell site) and path losses once per (UE, site, frequency), then
+    gathered to the cells.
     """
     ue_xy = np.asarray(ue_xy, dtype=float).reshape(-1, 2)
     n = len(ue_xy)
-    dx = ue_xy[:, 0:1] - topo.cell_xy[None, :, 0]   # (N, C)
-    dy = ue_xy[:, 1:2] - topo.cell_xy[None, :, 1]
+    sites, site_of = topo._cell_sites
+    band_site, band_freq, band_of = topo._site_bands
+    dx = ue_xy[:, 0:1] - sites[None, :, 0]   # (N, S)
+    dy = ue_xy[:, 1:2] - sites[None, :, 1]
     dist = np.hypot(dx, dy)
     # bearing from cell to UE, degrees clockwise from +y (compass convention)
     bearing = np.degrees(np.arctan2(dx, dy)) % 360.0
-    loss = fspl_db(dist, topo.cell_frequency[None, :])
-    gain = antenna_gain_db(bearing, topo.cell_azimuth[None, :],
+    loss = fspl_db(dist[:, band_site], band_freq[None, :])[:, band_of]
+    gain = antenna_gain_db(bearing[:, site_of], topo.cell_azimuth[None, :],
                            topo.cell_beamwidth[None, :])
     rx = topo.cell_tx_power[None, :] + gain - loss
     if obstruction_enabled and len(topo.buildings) > 0 and n > 0:

@@ -12,7 +12,9 @@ from __future__ import annotations
 import functools
 import json
 import math
+from bisect import bisect_right
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -23,6 +25,9 @@ TOPOLOGY_VERSION = 1
 
 DEFAULT_TX_POWER_DBM = 43.0
 DEFAULT_BEAMWIDTH_DEG = 120.0
+# Angle (rad) by which a building's extent seen from a cell site is widened
+# before UEs are matched against it: far above the rounding of the angles.
+SECTOR_PAD_RAD = 1e-6
 
 
 class TopologyError(Exception):
@@ -47,6 +52,21 @@ class Cell:
     bandwidth: float        # Hz
     priority: int           # 0..7, higher = preferred layer
     tx_power: float = DEFAULT_TX_POWER_DBM  # dBm
+
+
+class _Zones(NamedTuple):
+    """Python-float copies of the placement tables :func:`sample_placement`
+    reads: streets and buildings with their running sums and totals as the
+    numpy code computes them (``cumsum``, pairwise ``sum``)."""
+    street_cum: list[float]            # running sum of the street lengths
+    street_len: list[float]            # each street's segment-length sum
+    street_total: float
+    street_seg: list[list[float]]      # segment lengths per street
+    street_pts: list[list[tuple[float, float]]]
+    area_cum: list[float]              # running sum of the building areas
+    area_total: float
+    polys: list[list[tuple[float, float]]]
+    boxes: list[tuple[float, float, float, float]]   # xmin, ymin, xmax, ymax
 
 
 @dataclass
@@ -129,18 +149,82 @@ class Topology:
         return np.cumsum(counts) - counts, counts
 
     @functools.cached_property
+    def _site_bands(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Distinct (site, frequency) pairs of the cells: the site (P,) and
+        frequency (P,) of each pair and the pair of each cell (C,)."""
+        _, site_of = self._cell_sites
+        pairs, pair_of = np.unique(np.column_stack([site_of, self.cell_frequency]),
+                                   axis=0, return_inverse=True)
+        return pairs[:, 0].astype(int), pairs[:, 1].copy(), pair_of.ravel()
+
+    @functools.cached_property
+    def _wall_pad(self) -> float:
+        """1e-9 of the largest building or cell coordinate."""
+        return 1e-9 * max(np.abs(self._wall_edges).max(initial=0.0),
+                          np.abs(self.cell_xy).max(initial=0.0))
+
+    @functools.cached_property
     def _wall_boxes(self) -> np.ndarray:
         """(4, B) rows xmin, ymin, xmax, ymax of the building boxes, padded
-        outward by 1e-9 of the largest building or cell coordinate, over
-        10^5 times the rounding of the crossing tests: a segment that misses
-        a padded box can neither cross nor touch that building's walls."""
+        outward by `_wall_pad`, over 10^5 times the rounding of the crossing
+        tests: a segment that misses a padded box can neither cross nor
+        touch that building's walls."""
         if not self.buildings:
             return np.zeros((4, 0))
         lo = np.array([b.min(axis=0) for b in self.buildings])
         hi = np.array([b.max(axis=0) for b in self.buildings])
-        pad = 1e-9 * max(np.abs(self._wall_edges).max(),
-                         np.abs(self.cell_xy).max(initial=0.0))
-        return np.vstack([(lo - pad).T, (hi + pad).T])
+        return np.vstack([(lo - self._wall_pad).T, (hi + self._wall_pad).T])
+
+    @functools.cached_property
+    def _site_sectors(self) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+        """Per cell site, angle intervals (lo, hi, building), closed, in the
+        range of ``arctan2``: the directions from the site under which each
+        padded building box is seen, widened by SECTOR_PAD_RAD. An interval
+        that crosses +-pi is split in two. A building whose padded box lies
+        within 1000 pads of the site, or whose extent nears pi, gets
+        (-inf, inf): every UE is its candidate. Farther out, a segment that
+        the rounding of the box and line tests (about 1e-15 of the largest
+        coordinate) lets pass misses the box by an angle of at most about
+        1e-9 rad, well inside the widening."""
+        sites, _ = self._cell_sites
+        bx0, by0, bx1, by1 = self._wall_boxes
+        margin = 1e3 * self._wall_pad
+        corner_x, corner_y = np.stack([bx0, bx1, bx1, bx0]), np.stack([by0, by0, by1, by1])
+        out = []
+        for cx, cy in sites:
+            # corner angles relative to the direction of the box centre
+            ref = np.arctan2((by0 + by1) / 2 - cy, (bx0 + bx1) / 2 - cx)
+            qx, qy = corner_x - cx, corner_y - cy
+            rx, ry = np.cos(ref), np.sin(ref)
+            rel = np.arctan2(rx * qy - ry * qx, rx * qx + ry * qy)        # (4, B)
+            lo = ref + rel.min(axis=0) - SECTOR_PAD_RAD
+            hi = ref + rel.max(axis=0) + SECTOR_PAD_RAD
+            everyone = (((bx0 - margin <= cx) & (cx <= bx1 + margin)
+                         & (by0 - margin <= cy) & (cy <= by1 + margin))
+                        | (hi - lo > 3.0))
+            lo[everyone], hi[everyone] = -np.inf, np.inf
+            # an interval across +-pi becomes [lo, pi] and [-pi, hi], each
+            # end taken into the range of arctan2
+            under, over = ~everyone & (lo < -np.pi), ~everyone & (hi > np.pi)
+            wrap = np.flatnonzero(under | over)
+            tail_hi = np.where(over, hi - 2 * np.pi, hi)[wrap]
+            lo = np.where(under, lo + 2 * np.pi, lo)
+            hi = np.where(under | over, np.pi, hi)
+            out.append((np.concatenate([lo, np.full(len(wrap), -np.pi)]),
+                        np.concatenate([hi, tail_hi]),
+                        np.concatenate([np.arange(len(lo)), wrap])))
+        return out
+
+    @functools.cached_property
+    def _zones(self) -> _Zones:
+        lengths, areas = self.street_lengths, self.building_areas
+        return _Zones(np.cumsum(lengths).tolist(), lengths.tolist(), float(lengths.sum()),
+                      [seg.tolist() for seg in self.street_segment_lengths],
+                      [list(map(tuple, s.tolist())) for s in self.streets],
+                      np.cumsum(areas).tolist(), float(areas.sum()),
+                      [list(map(tuple, b.tolist())) for b in self.buildings],
+                      [(*b.min(axis=0).tolist(), *b.max(axis=0).tolist())
+                       for b in self.buildings])
 
 
 # ---------------------------------------------------------------------------
@@ -367,7 +451,11 @@ def wall_crossings_to_cells(ue_xy: np.ndarray, topo: Topology) -> np.ndarray:
     once per distinct cell position and shared by its co-located cells.
     Per site, only the edges of buildings whose padded box the segment
     touches (its box overlaps the padded box and its line passes through
-    it) are tested; every other building is too far from it to count.
+    it) are tested; every other building is too far from it to count. Those
+    two tests run only on the UEs whose direction from the site lies in one
+    of the building's angle intervals (``Topology._site_sectors``), found by
+    a binary search in the sorted UE directions: a segment that touches the
+    box points into its angular extent, so no UE that counts is left out.
     """
     n, c = len(ue_xy), topo.n_cells
     if not topo.buildings or n == 0 or c == 0:
@@ -383,12 +471,22 @@ def wall_crossings_to_cells(ue_xy: np.ndarray, topo: Topology) -> np.ndarray:
     ux, uy = ue_xy[:, 0], ue_xy[:, 1]
     for k, (cx, cy) in enumerate(sites):
         sdx, sdy = ux - cx, uy - cy                       # (N,) site -> UE
-        # (B, N): the segment's box overlaps the padded building box
-        hit = ((np.minimum(ux, cx) <= bx1[:, None])
-               & (np.maximum(ux, cx) >= bx0[:, None])
-               & (np.minimum(uy, cy) <= by1[:, None])
-               & (np.maximum(uy, cy) >= by0[:, None]))
-        bld, ue = np.nonzero(hit)
+        # (UE, building) candidates: the UE's direction from the site lies
+        # in one of the building's angle intervals
+        lo, hi, sector_bld = topo._site_sectors[k]
+        angle = np.arctan2(sdy, sdx)
+        order = np.argsort(angle)
+        angle = angle[order]
+        start = np.searchsorted(angle, lo)
+        count = np.searchsorted(angle, hi, side="right") - start
+        bld = np.repeat(sector_bld, count)
+        ue = order[np.repeat(start - (np.cumsum(count) - count), count)
+                   + np.arange(len(bld))]
+        # the segment's box overlaps the padded building box ...
+        x, y = ux[ue], uy[ue]
+        hit = ((np.minimum(x, cx) <= bx1[bld]) & (np.maximum(x, cx) >= bx0[bld])
+               & (np.minimum(y, cy) <= by1[bld]) & (np.maximum(y, cy) >= by0[bld]))
+        ue, bld = ue[hit], bld[hit]
         # ... and the segment's line passes through it: the box centre lies
         # no farther from the line than the box's half-width along its normal
         dx, dy = sdx[ue], sdy[ue]
@@ -417,16 +515,14 @@ def wall_crossings_to_cells(ue_xy: np.ndarray, topo: Topology) -> np.ndarray:
     return per_site[:, site_of]
 
 
-def _point_in_polygon(x: float, y: float, poly: np.ndarray) -> bool:
+def _point_in_polygon(x: float, y: float, poly) -> bool:
+    """Even-odd test of (x, y) against `poly`, a sequence of (x, y) pairs."""
     inside = False
-    n = len(poly)
-    j = n - 1
-    for i in range(n):
-        xi, yi = poly[i]
-        xj, yj = poly[j]
+    xj, yj = poly[-1]
+    for xi, yi in poly:
         if (yi > y) != (yj > y) and x < (xj - xi) * (y - yi) / (yj - yi) + xi:
             inside = not inside
-        j = i
+        xj, yj = xi, yi
     return inside
 
 
@@ -443,17 +539,23 @@ def polyline_point_at(line: np.ndarray, arc: float,
     """
     if seg is None:
         seg = _polyline_lengths(line)
-    total = seg.sum()
+    return _walk_arc(line.tolist(), seg.tolist(), float(seg.sum()), float(arc))
+
+
+def _walk_arc(pts: list, seg: list[float], total: float,
+              arc: float) -> tuple[float, float]:
+    """:func:`polyline_point_at` on Python floats: vertices `pts`, segment
+    lengths `seg` and their pairwise sum `total`."""
     arc = min(max(arc, 0.0), total)
     acc = 0.0
     for i, s in enumerate(seg):
         if arc <= acc + s or i == len(seg) - 1:
             t = 0.0 if s == 0 else (arc - acc) / s
-            p0, p1 = line[i], line[i + 1]
-            return (float(p0[0] + t * (p1[0] - p0[0])), float(p0[1] + t * (p1[1] - p0[1])))
+            (x0, y0), (x1, y1) = pts[i], pts[i + 1]
+            return (x0 + t * (x1 - x0), y0 + t * (y1 - y0))
         acc += s
-    p = line[-1]
-    return (float(p[0]), float(p[1]))
+    x, y = pts[-1]
+    return (x, y)
 
 
 def street_points_at(topo: Topology, street: np.ndarray,
@@ -494,8 +596,9 @@ def sample_placement(topo: Topology, rng: np.random.Generator,
     Draw order per call is fixed (zone, then location) so placements are a
     pure function of the rng state.
     """
-    has_streets = len(topo.streets) > 0
-    has_buildings = len(topo.buildings) > 0
+    z = topo._zones
+    has_streets = len(z.street_len) > 0
+    has_buildings = len(z.polys) > 0
     if not has_streets and not has_buildings:
         raise TopologyError("topology has no placement zones (no streets or buildings)")
     if has_streets and has_buildings:
@@ -503,27 +606,20 @@ def sample_placement(topo: Topology, rng: np.random.Generator,
     else:
         indoor = has_buildings
     if not indoor:
-        lengths = topo.street_lengths
-        cum = np.cumsum(lengths)
-        target = rng.random() * lengths.sum()
-        idx = int(np.searchsorted(cum, target, side="right"))
-        idx = min(idx, len(topo.streets) - 1)
-        arc = target - (cum[idx] - lengths[idx])
-        point = polyline_point_at(topo.streets[idx], arc,
-                                  topo.street_segment_lengths[idx])
-        return Placement(point, indoor=False, street_index=idx, arc_pos=float(arc))
-    areas = topo.building_areas
-    target = rng.random() * areas.sum()
-    idx = int(np.searchsorted(np.cumsum(areas), target, side="right"))
-    idx = min(idx, len(topo.buildings) - 1)
-    poly = topo.buildings[idx]
-    xmin, ymin = poly.min(axis=0)
-    xmax, ymax = poly.max(axis=0)
+        target = rng.random() * z.street_total
+        idx = min(bisect_right(z.street_cum, target), len(z.street_len) - 1)
+        arc = target - (z.street_cum[idx] - z.street_len[idx])
+        point = _walk_arc(z.street_pts[idx], z.street_seg[idx], z.street_len[idx], arc)
+        return Placement(point, indoor=False, street_index=idx, arc_pos=arc)
+    target = rng.random() * z.area_total
+    idx = min(bisect_right(z.area_cum, target), len(z.polys) - 1)
+    poly = z.polys[idx]
+    xmin, ymin, xmax, ymax = z.boxes[idx]
     while True:
         x = xmin + rng.random() * (xmax - xmin)
         y = ymin + rng.random() * (ymax - ymin)
         if _point_in_polygon(x, y, poly):
-            return Placement((float(x), float(y)), indoor=True)
+            return Placement((x, y), indoor=True)
 
 
 # ---------------------------------------------------------------------------

@@ -87,30 +87,27 @@ def init_population(n: int, topo: Topology, episode_seed: int,
     if n <= 0:
         raise ValueError("population size must be > 0")
     cfg.validate()
-    pos = np.empty((n, 2))
-    indoor = np.empty(n, dtype=bool)
-    street_index = np.empty(n, dtype=int)
-    arc_pos = np.empty(n)
-    direction = np.empty(n, dtype=int)
-    speed_mps = np.empty(n)
-    mode = np.empty(n, dtype=int)
-    next_switch_time = np.empty(n)
-    rngs = []
+    pos, indoor, street_index, arc_pos = [], [], [], []
+    direction, speed_mps, mode, next_switch_time, rngs = [], [], [], [], []
     for i in range(n):
         rng = np.random.default_rng(np.random.SeedSequence([episode_seed, i]))
         placement = sample_placement(topo, rng, cfg.building_weight)
         speed = cfg.speed_kmh * (1.0 + cfg.speed_spread * (2.0 * rng.random() - 1.0))
-        direction[i] = 1 if rng.random() < 0.5 else -1
-        mode[i] = m = ACTIVE if rng.random() < 0.5 else IDLE
-        next_switch_time[i] = rng.exponential(1.0 / _dwell_rate(m, cfg))
-        pos[i] = placement.point
-        indoor[i] = placement.indoor
-        street_index[i] = placement.street_index
-        arc_pos[i] = placement.arc_pos
-        speed_mps[i] = speed / 3.6
+        direction.append(1 if rng.random() < 0.5 else -1)
+        m = ACTIVE if rng.random() < 0.5 else IDLE
+        mode.append(m)
+        next_switch_time.append(rng.exponential(1.0 / _dwell_rate(m, cfg)))
+        pos.append(placement.point)
+        indoor.append(placement.indoor)
+        street_index.append(placement.street_index)
+        arc_pos.append(placement.arc_pos)
+        speed_mps.append(speed / 3.6)
         rngs.append(rng)
-    return Population(pos, indoor, street_index, arc_pos, direction, speed_mps,
-                      mode, next_switch_time, np.full(n, -1),
+    return Population(np.array(pos, dtype=float).reshape(n, 2),
+                      np.array(indoor, dtype=bool), np.array(street_index, dtype=int),
+                      np.array(arc_pos, dtype=float), np.array(direction, dtype=int),
+                      np.array(speed_mps, dtype=float), np.array(mode, dtype=int),
+                      np.array(next_switch_time, dtype=float), np.full(n, -1),
                       np.zeros((n, 3, topo.n_cells)), rngs,
                       np.empty((n, DWELL_BUFFER)), np.full(n, DWELL_BUFFER))
 

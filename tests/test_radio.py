@@ -4,8 +4,12 @@ Reference values were computed independently at 30-digit precision from the
 closed-form definitions and are asserted here as frozen constants.
 """
 
+from pathlib import Path
+
 import numpy as np
 import pytest
+
+import cellpilot
 
 from cellpilot.radio import (
     MAIN_LOBE_GAIN_DB,
@@ -21,7 +25,10 @@ from cellpilot.radio import (
     snr_db,
     spectral_efficiency,
 )
-from cellpilot.topology import Cell, Topology, Tower
+from cellpilot.topology import (Cell, Topology, Tower, generate_topology,
+                                load_topology, sample_placement, wall_crossings)
+
+DATA = Path(cellpilot.__file__).parent / "data"
 
 
 # --- free-space path loss ---------------------------------------------------
@@ -120,20 +127,59 @@ def test_rx_obstruction_toggle():
     assert loss_off - loss_on == pytest.approx(2 * WALL_LOSS_DB)
 
 
-def test_rx_indoor_flag_changes_nothing():
-    topo = one_cell_topo()
-    ue = np.array([[50.0, 80.0]])
-    a = received_power_matrix(ue, topo, indoor=np.array([True]))
-    b = received_power_matrix(ue, topo, indoor=np.array([False]))
-    assert a[0, 0] == b[0, 0]
-
-
 def test_rx_deterministic_bytes():
     topo = one_cell_topo()
     pts = np.random.default_rng(3).uniform(0, 1000, size=(64, 2))
     a = received_power_matrix(pts, topo)
     b = received_power_matrix(pts, topo)
     assert a.tobytes() == b.tobytes()
+
+
+def per_cell_rx(ue_xy, topo, obstruction_enabled):
+    """received_power_matrix as it was, with every term taken per (UE, cell)
+    and the walls counted by the scalar `wall_crossings` (none for a UE at
+    the cell)."""
+    dx = ue_xy[:, 0:1] - topo.cell_xy[None, :, 0]
+    dy = ue_xy[:, 1:2] - topo.cell_xy[None, :, 1]
+    bearing = np.degrees(np.arctan2(dx, dy)) % 360.0
+    loss = fspl_db(np.hypot(dx, dy), topo.cell_frequency[None, :])
+    gain = antenna_gain_db(bearing, topo.cell_azimuth[None, :],
+                           topo.cell_beamwidth[None, :])
+    rx = topo.cell_tx_power[None, :] + gain - loss
+    if obstruction_enabled:
+        walls = np.array([[0 if (p == xy).all() else wall_crossings(p, xy, topo)
+                           for xy in topo.cell_xy] for p in ue_xy])
+        rx = rx - WALL_LOSS_DB * walls
+    return rx
+
+
+def one_cell_per_site_topo():
+    base = generate_topology("baseline", seed=6)
+    rng = np.random.default_rng(2)
+    xy = rng.uniform(100.0, 1200.0, (7, 2)).round(1)
+    towers = [Tower(f"T{i}", x, y) for i, (x, y) in enumerate(xy.tolist())]
+    cells = [Cell(id=f"C{i}", tower_id=t.id, position=(t.x, t.y),
+                  azimuth=float(rng.uniform(0, 360)), beamwidth=120.0,
+                  frequency=[7e8, 1.8e9, 2.6e9][i % 3], bandwidth=10e6,
+                  priority=1 + i % 3, tx_power=20.0 + i) for i, t in enumerate(towers)]
+    return Topology(base.area_bounds, towers, cells, base.buildings, base.streets)
+
+
+@pytest.mark.parametrize("obstruction", [True, False])
+@pytest.mark.parametrize("name", ["large", "one-cell-per-site"])
+def test_rx_per_site_matches_per_cell_terms(name, obstruction):
+    # `large` has 48 cells on 6 sites in 4 bands; the other topology has one
+    # cell per site, each in a band of its own at that site
+    topo = (load_topology(DATA / "large.topo") if name == "large"
+            else one_cell_per_site_topo())
+    rng = np.random.default_rng(12)
+    xmin, ymin, xmax, ymax = topo.area_bounds
+    pts = np.vstack([rng.uniform((xmin, ymin), (xmax, ymax), (40, 2)),
+                     [sample_placement(topo, rng).point for _ in range(40)],
+                     topo.cell_xy[:3], topo.cell_xy[:3] + (0.25, 0.0)])
+    rx = received_power_matrix(pts, topo, obstruction_enabled=obstruction)
+    assert rx.shape == (len(pts), topo.n_cells)
+    assert rx.tobytes() == per_cell_rx(pts, topo, obstruction).tobytes()
 
 
 # --- SE table -------------------------------------------------------------------

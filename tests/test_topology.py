@@ -302,11 +302,146 @@ def test_pruned_matches_scalar_lattice_fuzz(offset):
                      for _ in range(rng.integers(3, 9))]
         sites = [tuple(s) for s in rng.integers(-4, 48, (3, 2))]
         sites.append(tuple(buildings[0][0]))               # a site on a vertex
+        x0, y0 = buildings[1].min(axis=0)
+        x1, y1 = buildings[1].max(axis=0)
+        # east of a building at its mid-height (so the building's span seen
+        # from it crosses +-pi), inside one, and on an edge's midpoint
+        sites.append((x1 + rng.integers(1, 20), (y0 + y1) / 2))
+        sites.append(tuple(buildings[2].mean(axis=0).round()))
+        sites.append(tuple((buildings[0][0] + buildings[0][1]) / 2))
+        sites = list(dict.fromkeys(sites))
         pts = [p for p in rng.integers(-8, 52, (40, 2)) / rng.choice([1, 2], (40, 1))
                if tuple(p) not in sites]
         pts += degenerate_points(sites, buildings[:2])
         topo = lattice_topology(sites, buildings, offset)
-        assert_matches_scalar(np.array(pts, dtype=float) + offset, topo)
+        pts = np.array(pts, dtype=float) + offset
+        assert_matches_scalar(pts, topo)
+        # UEs at the sites: no walls to their own site
+        at = wall_crossings_to_cells(topo.cell_xy, topo)
+        assert at[np.arange(len(sites)), np.arange(len(sites))].tolist() == [0] * len(sites)
+        assert at.tolist() == dense_counts(topo.cell_xy, topo).tolist()
+
+
+def dense_counts(pts, topo):
+    """The pair math of wall_crossings_to_cells on every (UE, site, edge)
+    triple, without pruning: where the two disagree, pruning dropped a
+    triple that counts, whatever the rounding of the geometry."""
+    pts = np.asarray(pts, dtype=float)
+    sites, site_of = np.unique(topo.cell_xy, axis=0, return_inverse=True)
+    x1, y1, x2, y2 = (v[None, :] for v in topo._wall_edges)
+    per_site = []
+    for cx, cy in sites:
+        dx, dy = pts[:, 0:1] - cx, pts[:, 1:2] - cy
+        p1x, p1y, p2x, p2y = x1 - cx, y1 - cy, x2 - cx, y2 - cy
+        ex, ey = x2 - x1, y2 - y1
+        d1 = dx * p1y - dy * p1x
+        d2 = dx * p2y - dy * p2x
+        d3 = ey * p1x - ex * p1y
+        d4 = dy * ex - dx * ey + d3
+        dot = dx * p1x + dy * p1y
+        hits = (((d1 * d2 < 0) & (d3 * d4 < 0))
+                | ((d1 == 0) & (dot > 0) & (dot < dx * dx + dy * dy)))
+        per_site.append(hits.sum(axis=1))
+    return np.array(per_site).T[:, site_of.ravel()]
+
+
+def test_site_sectors_split_at_pi_and_cover_near_buildings():
+    west = box(10, 40, 20, 60)        # straddles the -x direction from (50, 50)
+    inside = box(45, 45, 55, 55)      # holds the site
+    east = box(80, 45, 90, 70)
+    topo = lattice_topology([(50, 50)], [west, inside, east], 0.0)
+    lo, hi, bld = topo._site_sectors[0]
+    assert sorted(bld.tolist()) == [0, 0, 1, 2]
+    assert -np.pi in lo[bld == 0].tolist() and np.pi in hi[bld == 0].tolist()
+    assert (lo[bld == 1], hi[bld == 1]) == (-np.inf, np.inf)
+    # every padded corner seen from the site lies inside its building's span
+    bx0, by0, bx1, by1 = topo._wall_boxes
+    for b in (0, 2):
+        for x, y in [(bx0[b], by0[b]), (bx1[b], by0[b]), (bx0[b], by1[b]), (bx1[b], by1[b])]:
+            a = np.arctan2(y - 50, x - 50)
+            assert ((lo[bld == b] < a) & (a < hi[bld == b])).any()
+
+
+def straddle_and_grazing_points(sites, buildings, rng):
+    """UEs at every site, on the axis-parallel lines through the sites, and
+    random ones around the buildings."""
+    pts = [np.asarray(s, dtype=float) for s in sites]
+    for sx, sy in sites:
+        for t in (-30, -9, -3.5, 3.5, 9, 30):
+            pts += [np.array([sx + t, sy]), np.array([sx, sy + t])]
+    lo = np.min([b.min(axis=0) for b in buildings], axis=0) - 10
+    hi = np.max([b.max(axis=0) for b in buildings], axis=0) + 10
+    pts += list(rng.integers(lo, hi, (60, 2)) / rng.choice([1, 2], (60, 1)))
+    return pts
+
+
+@pytest.mark.parametrize("offset", [0.0, 1_000_000.25])
+def test_pruned_matches_scalar_across_the_pi_cut_and_inside_buildings(offset):
+    # sites beside buildings at their mid-height, so segments and building
+    # spans cross the +-pi cut; a site inside a building; sites on an edge;
+    # UEs at the sites and on their axis-parallel lines
+    buildings = [RECT + (10, 10), RECT + (30, 10), PENTAGON + (10, 30), TRIANGLE + (34, 30)]
+    sites = [(40, 12),        # east of RECT + (30, 10), level with its centre
+             (4, 12),         # west of both rectangles
+             (24, 33),        # level with the pentagon's rightmost vertex
+             (33, 12),        # inside RECT + (30, 10)
+             (13, 10),        # midpoint of a rectangle's bottom edge
+             (34, 33)]        # on the triangle's left edge
+    topo = lattice_topology(sites, buildings, offset)
+    pts = straddle_and_grazing_points(sites, buildings, np.random.default_rng(3))
+    pts += degenerate_points(sites, buildings)
+    pts = np.array(pts, dtype=float) + offset
+    counts = wall_crossings_to_cells(pts, topo)
+    assert counts.tolist() == dense_counts(pts, topo).tolist()
+    at_site = [[tuple(p) == tuple(xy) for xy in topo.cell_xy] for p in pts]
+    expect = [[0 if same else wall_crossings(p, tuple(xy), topo)
+               for xy, same in zip(topo.cell_xy, row)] for p, row in zip(pts, at_site)]
+    assert counts.tolist() == expect
+    assert counts[np.array(at_site)].tolist() == [0] * len(sites)
+    assert counts.any()
+
+
+def test_pruned_matches_dense_for_sites_on_and_near_padded_boxes():
+    # off-lattice sites: on padded-box corners and edges, and just inside and
+    # outside the distance at which a building takes every UE as candidate
+    base = generate_topology("baseline", seed=3)
+    bx0, by0, bx1, by1 = base._wall_boxes
+    margin = 1e3 * base._wall_pad
+    sites = []
+    for b in range(0, len(bx0), 7):
+        sites += [(bx0[b], by0[b]), (bx1[b], by1[b]), ((bx0[b] + bx1[b]) / 2, by1[b]),
+                  (bx0[b], (by0[b] + by1[b]) / 2)]
+        for f in (0.5, 1.5, 3.0, 1e3):
+            sites += [(bx1[b] + f * margin, by1[b] + f * margin),
+                      (bx0[b] - f * margin, (by0[b] + by1[b]) / 2)]
+    towers = [Tower(f"T{i}", float(x), float(y)) for i, (x, y) in enumerate(sites)]
+    cells = [Cell(id=f"C{i}", tower_id=t.id, position=(t.x, t.y), azimuth=0.0,
+                  beamwidth=120.0, frequency=1.0e9, bandwidth=10e6, priority=1)
+             for i, t in enumerate(towers)]
+    topo = Topology(base.area_bounds, towers, cells, base.buildings, [])
+    rng = np.random.default_rng(8)
+    pts = [sample_placement(base, rng).point for _ in range(150)]
+    # on the corners of every seventh building, and beyond each corner as
+    # seen from the first building's padded corners and edges
+    for b in range(0, len(bx0), 7):
+        poly = base.buildings[b]
+        pts += [tuple(v) for v in poly]
+        pts += [tuple(2 * v - np.asarray(s)) for v in poly for s in sites[:4]]
+    pts += [tuple(s) for s in sites]
+    counts = wall_crossings_to_cells(np.array(pts), topo)
+    assert counts.tolist() == dense_counts(pts, topo).tolist()
+    assert counts.any()
+
+
+@pytest.mark.parametrize("name", ["baseline", "large"])
+def test_pruned_matches_dense_on_bundled_topologies(name):
+    topo = load_topology(DATA / f"{name}.topo")
+    rng = np.random.default_rng(17)
+    xmin, ymin, xmax, ymax = topo.area_bounds
+    pts = rng.uniform((xmin - 50, ymin - 50), (xmax + 50, ymax + 50), (400, 2))
+    pts = np.vstack([pts, [sample_placement(topo, rng).point for _ in range(200)],
+                     topo.cell_xy, topo.cell_xy + (0.0, 250.0), topo.cell_xy - (250.0, 0.0)])
+    assert wall_crossings_to_cells(pts, topo).tolist() == dense_counts(pts, topo).tolist()
 
 
 # --- placement / polyline ---------------------------------------------------
@@ -342,9 +477,102 @@ def test_sample_placement_lands_in_zones():
 
 def test_sample_placement_deterministic():
     topo = generate_topology("desk", seed=2)
-    a = [sample_placement(topo, np.random.default_rng(9)).point for _ in (0,)]
-    b = [sample_placement(topo, np.random.default_rng(9)).point for _ in (0,)]
-    assert a == b
+    runs = []
+    for _ in range(2):
+        rng = np.random.default_rng(9)
+        runs.append(([sample_placement(topo, rng) for _ in range(50)],
+                     rng.bit_generator.state))
+    (a, state_a), (b, state_b) = runs
+    assert a == b and state_a == state_b
+    assert {p.indoor for p in a} == {True, False}
+
+
+def old_sample_placement(topo, rng, building_weight=0.5):
+    """sample_placement as it was on numpy scalars, kept to check the
+    table-driven one bit for bit."""
+    def point_in_polygon(x, y, poly):
+        inside, j = False, len(poly) - 1
+        for i in range(len(poly)):
+            xi, yi = poly[i]
+            xj, yj = poly[j]
+            if (yi > y) != (yj > y) and x < (xj - xi) * (y - yi) / (yj - yi) + xi:
+                inside = not inside
+            j = i
+        return inside
+
+    def point_at(line, arc, seg):
+        total = seg.sum()
+        arc = min(max(arc, 0.0), total)
+        acc = 0.0
+        for i, s in enumerate(seg):
+            if arc <= acc + s or i == len(seg) - 1:
+                t = 0.0 if s == 0 else (arc - acc) / s
+                p0, p1 = line[i], line[i + 1]
+                return (float(p0[0] + t * (p1[0] - p0[0])),
+                        float(p0[1] + t * (p1[1] - p0[1])))
+            acc += s
+
+    has_streets, has_buildings = len(topo.streets) > 0, len(topo.buildings) > 0
+    if has_streets and has_buildings:
+        indoor = rng.random() < building_weight
+    else:
+        indoor = has_buildings
+    if not indoor:
+        lengths = topo.street_lengths
+        cum = np.cumsum(lengths)
+        target = rng.random() * lengths.sum()
+        idx = min(int(np.searchsorted(cum, target, side="right")), len(topo.streets) - 1)
+        arc = target - (cum[idx] - lengths[idx])
+        point = point_at(topo.streets[idx], arc, topo.street_segment_lengths[idx])
+        return Placement(point, indoor=False, street_index=idx, arc_pos=float(arc))
+    areas = topo.building_areas
+    target = rng.random() * areas.sum()
+    idx = min(int(np.searchsorted(np.cumsum(areas), target, side="right")),
+              len(topo.buildings) - 1)
+    poly = topo.buildings[idx]
+    xmin, ymin = poly.min(axis=0)
+    xmax, ymax = poly.max(axis=0)
+    while True:
+        x = xmin + rng.random() * (xmax - xmin)
+        y = ymin + rng.random() * (ymax - ymin)
+        if point_in_polygon(x, y, poly):
+            return Placement((float(x), float(y)), indoor=True)
+
+
+def placement_fields(p):
+    return (p.point, type(p.point[0]), type(p.point[1]), p.indoor,
+            p.street_index, p.arc_pos, type(p.arc_pos))
+
+
+@pytest.mark.parametrize("name", ["desk", "baseline", "alt", "large", "generated-desk"])
+def test_sample_placement_matches_the_numpy_scalar_code(name):
+    topo = (generate_topology("desk", seed=13) if name == "generated-desk"
+            else load_topology(DATA / f"{name}.topo"))
+    for weight in (0.0, 0.35, 1.0):
+        new, old = np.random.default_rng(41), np.random.default_rng(41)
+        for _ in range(300):
+            assert placement_fields(sample_placement(topo, new, weight)) == \
+                placement_fields(old_sample_placement(topo, old, weight))
+        assert new.random() == old.random()
+
+
+def test_sample_placement_on_streets_only_and_buildings_only():
+    # eleven multi-segment streets of irregular lengths: their total (a
+    # pairwise sum) is not their running sum
+    rng = np.random.default_rng(2)
+    streets = [np.cumsum(rng.uniform(0.1, 7.0, (rng.integers(2, 12), 2)), axis=0)
+               for _ in range(11)]
+    streets_only = Topology((0.0, 0.0, 80.0, 80.0), [], [], [], streets)
+    assert streets_only.street_lengths.sum() != sum(streets_only.street_lengths.tolist())
+    buildings_only = make_topo_with_buildings([TRIANGLE + 10, PENTAGON + 30])
+    for topo in (streets_only, buildings_only):
+        new, old = np.random.default_rng(3), np.random.default_rng(3)
+        for _ in range(500):
+            assert placement_fields(sample_placement(topo, new)) == \
+                placement_fields(old_sample_placement(topo, old))
+        assert new.random() == old.random()
+    with pytest.raises(TopologyError, match="no placement zones"):
+        sample_placement(make_topo_with_buildings([]), np.random.default_rng(0))
 
 
 # --- generator --------------------------------------------------------------

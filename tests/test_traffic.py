@@ -1,11 +1,16 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
-from cellpilot.topology import Cell, Topology, Tower, polyline_point_at
+import cellpilot
+from cellpilot.topology import (Cell, Topology, Tower, load_topology,
+                                polyline_point_at, sample_placement)
 from cellpilot.traffic import (
     ACTIVE,
     DWELL_BUFFER,
     IDLE,
+    Population,
     TrafficConfig,
     init_population,
     step_mobility,
@@ -69,6 +74,54 @@ def test_init_population_deterministic_and_order_invariant():
     assert snap(big, 8) == snap(a)
     other = init_population(8, topo, 4, cfg)
     assert snap(other) != snap(a)
+
+
+def element_init_population(n, topo, episode_seed, cfg):
+    """init_population as it was, writing each UE's fields into preallocated
+    arrays one element at a time."""
+    pos, indoor = np.empty((n, 2)), np.empty(n, dtype=bool)
+    street_index, arc_pos = np.empty(n, dtype=int), np.empty(n)
+    direction, speed_mps = np.empty(n, dtype=int), np.empty(n)
+    mode, next_switch_time = np.empty(n, dtype=int), np.empty(n)
+    rngs = []
+    for i in range(n):
+        rng = np.random.default_rng(np.random.SeedSequence([episode_seed, i]))
+        placement = sample_placement(topo, rng, cfg.building_weight)
+        speed = cfg.speed_kmh * (1.0 + cfg.speed_spread * (2.0 * rng.random() - 1.0))
+        direction[i] = 1 if rng.random() < 0.5 else -1
+        mode[i] = m = ACTIVE if rng.random() < 0.5 else IDLE
+        rate = cfg.lambda_idle if m == IDLE else cfg.lambda_active
+        next_switch_time[i] = rng.exponential(1.0 / rate)
+        pos[i] = placement.point
+        indoor[i] = placement.indoor
+        street_index[i] = placement.street_index
+        arc_pos[i] = placement.arc_pos
+        speed_mps[i] = speed / 3.6
+        rngs.append(rng)
+    return Population(pos, indoor, street_index, arc_pos, direction, speed_mps,
+                      mode, next_switch_time, np.full(n, -1),
+                      np.zeros((n, 3, topo.n_cells)), rngs,
+                      np.empty((n, DWELL_BUFFER)), np.full(n, DWELL_BUFFER))
+
+
+@pytest.mark.parametrize("topo_name", ["street", "large"])
+def test_init_population_matches_the_element_loop(topo_name):
+    topo = (street_topo() if topo_name == "street" else
+            load_topology(Path(cellpilot.__file__).parent / "data" / "large.topo"))
+    for seed, cfg in [(5, TrafficConfig()),
+                      (6, TrafficConfig(lambda_idle=3.0, lambda_active=0.5,
+                                        speed_kmh=12.0, building_weight=0.8))]:
+        pop = init_population(60, topo, seed, cfg)
+        ref = element_init_population(60, topo, seed, cfg)
+        for name in ("pos", "indoor", "street_index", "arc_pos", "direction",
+                     "speed_mps", "mode", "next_switch_time", "serving", "timers",
+                     "dwell_next"):
+            got, want = getattr(pop, name), getattr(ref, name)
+            assert (got.dtype, got.shape, got.tobytes()) == \
+                (want.dtype, want.shape, want.tobytes()), name
+        assert pop.dwell_draws.shape == ref.dwell_draws.shape
+        assert [r.bit_generator.state for r in pop.rngs] == \
+            [r.bit_generator.state for r in ref.rngs]
 
 
 def test_building_weight_extremes():
