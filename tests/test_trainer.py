@@ -287,6 +287,75 @@ def test_resume_reproduces_uninterrupted_run(tmp_path):
     assert whole == split
 
 
+# 3 seeds x 2 passes x 2 rounds = 12 episodes, a checkpoint every 2: the
+# periodic checkpoints fall mid-pass (4, 8, 10) and at pass ends (6, 12)
+PASSES_SCHED = CurriculumSchedule(initial_length=3.0, increment=1.0,
+                                  passes_per_round=2, rounds=2)
+
+
+@pytest.fixture(scope="module")
+def three_seed_run(tmp_path_factory):
+    root = tmp_path_factory.mktemp("three_seed")
+    full = train(tiny_cfg(tiny_topo(), seed_count=3), PASSES_SCHED,
+                 root / "full", cache=root / "cache")
+    return root, full
+
+
+def loop_position(path):
+    loop = load_checkpoint(path).meta["loop"]
+    order = loop["seed_order"]
+    return (loop["episode"], loop["round"], loop["pass"], loop["pos"],
+            None if order is None else len(order))
+
+
+def assert_resumed_run_matches(full, before, resumed):
+    assert resumed.final_checkpoint.read_bytes() == \
+        full.final_checkpoint.read_bytes()
+    whole = [(r.episode, r.seed, r.round, r.pass_index, r.lr, r.r_total,
+              r.grad_norm) for r in full.log_rows]
+    split = [(r.episode, r.seed, r.round, r.pass_index, r.lr, r.r_total,
+              r.grad_norm) for r in before + resumed.log_rows]
+    assert whole == split
+
+
+def test_loop_position_of_periodic_and_final_checkpoints(three_seed_run):
+    root, full = three_seed_run
+    run = root / "full"
+    # (episode, round, pass, episodes done in the pass, seed_order length)
+    assert loop_position(run / "ckpt_ep000002.bin") == (2, 0, 0, 2, 3)
+    assert loop_position(run / "ckpt_ep000004.bin") == (4, 0, 1, 1, 3)
+    assert loop_position(run / "ckpt_ep000006.bin") == (6, 0, 1, 3, 3)
+    assert loop_position(run / "ckpt_ep000008.bin") == (8, 1, 0, 2, 3)
+    assert loop_position(run / "ckpt_ep000012.bin") == (12, 1, 1, 3, 3)
+    # the final checkpoint of a finished run points past the last pass
+    assert loop_position(full.final_checkpoint) == (12, 2, 0, 3, None)
+
+
+def test_resume_from_a_mid_pass_periodic_checkpoint(three_seed_run):
+    root, full = three_seed_run
+    resumed = train(tiny_cfg(tiny_topo(), seed_count=3), PASSES_SCHED,
+                    root / "resumed_ep4", cache=root / "cache",
+                    resume_from=root / "full" / "ckpt_ep000004.bin")
+    assert [r.episode for r in resumed.log_rows] == list(range(5, 13))
+    assert_resumed_run_matches(full, full.log_rows[:4], resumed)
+
+
+@pytest.mark.parametrize("cap, position", [
+    (7, (7, 1, 0, 1, 3)),       # stopped mid-pass: the pass's order is kept
+    (6, (6, 1, 0, 3, None)),    # stopped at a pass end: the next pass draws
+], ids=["mid-pass", "pass-end"])
+def test_resume_from_a_capped_final_checkpoint(three_seed_run, cap, position):
+    root, full = three_seed_run
+    topo = tiny_topo()
+    part = train(tiny_cfg(topo, seed_count=3, episode_cap=cap), PASSES_SCHED,
+                 root / f"part{cap}", cache=root / "cache")
+    assert loop_position(part.final_checkpoint) == position
+    resumed = train(tiny_cfg(topo, seed_count=3), PASSES_SCHED,
+                    root / f"resumed{cap}", cache=root / "cache",
+                    resume_from=part.final_checkpoint)
+    assert_resumed_run_matches(full, part.log_rows, resumed)
+
+
 def test_resume_rejects_mismatched_network(tmp_path):
     topo = tiny_topo()
     cache = tmp_path / "cache"
