@@ -15,7 +15,7 @@ import csv
 import json
 import os
 import sys
-from dataclasses import replace
+from dataclasses import asdict
 from importlib import resources
 from pathlib import Path
 
@@ -146,11 +146,7 @@ def cmd_train(args) -> int:
         "n_ues": cfg.n_ues,
         "pri": cfg.pri,
         "weights": list(cfg.weights),
-        "schedule": {"initial_length": schedule.initial_length,
-                     "increment": schedule.increment,
-                     "passes_per_round": schedule.passes_per_round,
-                     "rounds": schedule.rounds,
-                     "lr_halving": schedule.lr_halving},
+        "schedule": asdict(schedule),
         "episodes": len(result.log_rows),
         "final_checkpoint": result.final_checkpoint.name,
         "best_checkpoint": result.best_checkpoint.name

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .container import load_container, save_container
-from .rlenv import BaselineTable, normalize_params
+from .rlenv import BASELINE_ARRAYS, BaselineTable, normalize_params
 from .reselect import ReselectionParams
 
 N_OUT = 12          # 6 means + 6 raw sigmas
@@ -291,7 +291,7 @@ def save_checkpoint(path, net: PolicyNet, opt: OptimizerState,
     for n in PARAM_NAMES:
         arrays[f"opt_m_{n}"] = opt.m[n]
         arrays[f"opt_v_{n}"] = opt.v[n]
-    arrays.update(baselines.to_arrays())
+    arrays.update((n, getattr(baselines, n)) for n in BASELINE_ARRAYS)
     meta = {
         "kind": CHECKPOINT_KIND,
         "version": CHECKPOINT_VERSION,
@@ -323,6 +323,6 @@ def load_checkpoint(path) -> Checkpoint:
     for n in PARAM_NAMES:
         opt.m[n] = arrays[f"opt_m_{n}"]
         opt.v[n] = arrays[f"opt_v_{n}"]
-    baselines = BaselineTable.from_arrays(meta["baseline_window"], arrays) \
-        if "bl_seeds" in arrays else BaselineTable(meta["baseline_window"])
+    baselines = BaselineTable(meta["baseline_window"],
+                              *(arrays[n] for n in BASELINE_ARRAYS))
     return Checkpoint(net, opt, baselines, meta.get("rng_state"), meta["extra"])

@@ -10,7 +10,7 @@ once baselines are regenerated under the same scaling.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -18,7 +18,7 @@ from .reselect import PARAM_ORDER, PARAM_RANGES, ReselectionParams
 
 EPS_SIGMA = 1.0      # bit/s guard for the balance ratio
 REWARD_CLIP = 1.0    # per-component clip; see compute_reward
-BASELINE_METRICS = ("tput", "sigma", "ue")
+BASELINE_ARRAYS = ("bl_seeds", "bl_fill", "bl_vals")  # BaselineTable state
 
 
 class RlenvError(Exception):
@@ -115,84 +115,85 @@ def interval_aggregates(traj, pri: int) -> list[IntervalAggregate]:
         means(traj.per_ue_mean_tput), means(traj.active_count)))]
 
 
-@dataclass
+@dataclass(eq=False)
 class BaselineTable:
     """Per (seed, interval) ring buffers of the last `window` episode values
-    for each reward metric; the baseline is the buffer's arithmetic mean."""
+    for each reward metric; the baseline is the buffer's arithmetic mean.
+
+    The state is the checkpoint's own arrays: `bl_seeds` (S,) sorted,
+    `bl_fill` (S, T, 3) the values held per metric (tput, sigma, ue) and
+    `bl_vals` (S, T, 3, window) those values, oldest first, zeros past the
+    fill. A seed gets its row when first touched, and T grows to the
+    longest interval seen.
+    """
 
     window: int = 2
-    data: dict = field(default_factory=dict)  # seed -> interval -> metric -> list
+    bl_seeds: np.ndarray | None = None
+    bl_fill: np.ndarray | None = None
+    bl_vals: np.ndarray | None = None
+
+    def __post_init__(self):
+        if self.bl_seeds is None:
+            self.bl_seeds = np.zeros(0, dtype=np.int64)
+            self.bl_fill = np.zeros((0, 0, 3), dtype=np.int64)
+            self.bl_vals = np.zeros((0, 0, 3, self.window))
+
+    def _find(self, seed: int, interval: int) -> int | None:
+        """Row of `seed` if its (seed, interval) buffers hold values."""
+        i = int(np.searchsorted(self.bl_seeds, seed))
+        if (i < len(self.bl_seeds) and self.bl_seeds[i] == seed
+                and interval < self.bl_fill.shape[1] and self.bl_fill[i, interval, 0]):
+            return i
+        return None
 
     def has(self, seed: int, interval: int) -> bool:
-        return interval in self.data.get(seed, {})
+        return self._find(seed, interval) is not None
 
-    def _slot(self, seed: int, interval: int) -> dict:
-        return self.data.setdefault(seed, {}).setdefault(
-            interval, {m: [] for m in BASELINE_METRICS})
+    def _row(self, seed: int, aggs: list[IntervalAggregate]) -> int:
+        """Row of `seed`, added if new, with T grown to cover `aggs`."""
+        i = int(np.searchsorted(self.bl_seeds, seed))
+        if i == len(self.bl_seeds) or self.bl_seeds[i] != seed:
+            self.bl_seeds = np.insert(self.bl_seeds, i, seed)
+            self.bl_fill = np.insert(self.bl_fill, i, 0, axis=0)
+            self.bl_vals = np.insert(self.bl_vals, i, 0.0, axis=0)
+        grow = max(a.interval for a in aggs) + 1 - self.bl_fill.shape[1]
+        if grow > 0:
+            self.bl_fill = np.pad(self.bl_fill, ((0, 0), (0, grow), (0, 0)))
+            self.bl_vals = np.pad(self.bl_vals, ((0, 0), (0, grow), (0, 0), (0, 0)))
+        return i
+
+    def _append(self, i: int, a: IntervalAggregate) -> None:
+        ring = self.bl_vals[i, a.interval]                # (3, window) view
+        n = int(self.bl_fill[i, a.interval, 0])
+        if n == self.window:
+            ring[:, :-1] = ring[:, 1:]
+            n -= 1
+        ring[:, n] = (a.tput, a.sigma, a.ue)
+        self.bl_fill[i, a.interval] = n + 1
 
     def seed_reference(self, seed: int, aggs: list[IntervalAggregate]) -> None:
         """First-touch initialization from a heuristic reference trajectory;
         existing entries are left alone."""
-        for a in aggs:
-            if not self.has(seed, a.interval):
-                slot = self._slot(seed, a.interval)
-                slot["tput"].append(a.tput)
-                slot["sigma"].append(a.sigma)
-                slot["ue"].append(a.ue)
+        if aggs:
+            i = self._row(seed, aggs)
+            for a in aggs:
+                if not self.bl_fill[i, a.interval, 0]:
+                    self._append(i, a)
 
     def push(self, seed: int, aggs: list[IntervalAggregate]) -> None:
-        for a in aggs:
-            slot = self._slot(seed, a.interval)
-            for name, v in (("tput", a.tput), ("sigma", a.sigma), ("ue", a.ue)):
-                ring = slot[name]
-                ring.append(v)
-                del ring[:-self.window]
+        if aggs:
+            i = self._row(seed, aggs)
+            for a in aggs:
+                self._append(i, a)
 
     def means(self, seed: int, interval: int) -> tuple[float, float, float]:
-        try:
-            slot = self.data[seed][interval]
-        except KeyError:
+        i = self._find(seed, interval)
+        if i is None:
             raise RlenvError(
                 f"baseline missing for seed {seed}, interval {interval}; "
-                "initialize it from the heuristic reference first") from None
-        return tuple(float(np.mean(slot[m])) for m in BASELINE_METRICS)
-
-    # --- checkpoint serialization -------------------------------------
-    def to_arrays(self) -> dict[str, np.ndarray]:
-        seeds = sorted(self.data)
-        t_max = 0
-        for s in seeds:
-            if self.data[s]:
-                t_max = max(t_max, max(self.data[s]) + 1)
-        fill = np.zeros((len(seeds), t_max, 3), dtype=np.int64)
-        vals = np.zeros((len(seeds), t_max, 3, self.window), dtype=float)
-        for si, s in enumerate(seeds):
-            for t, slot in self.data[s].items():
-                for mi, m in enumerate(BASELINE_METRICS):
-                    ring = slot[m]
-                    fill[si, t, mi] = len(ring)
-                    vals[si, t, mi, :len(ring)] = ring
-        return {
-            "bl_seeds": np.array(seeds, dtype=np.int64),
-            "bl_fill": fill,
-            "bl_vals": vals,
-        }
-
-    @classmethod
-    def from_arrays(cls, window: int, arrays: dict) -> "BaselineTable":
-        table = cls(window=window)
-        seeds = arrays["bl_seeds"]
-        fill = arrays["bl_fill"]
-        vals = arrays["bl_vals"]
-        for si, s in enumerate(seeds):
-            for t in range(fill.shape[1]):
-                if fill[si, t].max() == 0:
-                    continue
-                slot = table._slot(int(s), int(t))
-                for mi, m in enumerate(BASELINE_METRICS):
-                    n = int(fill[si, t, mi])
-                    slot[m] = [float(v) for v in vals[si, t, mi, :n]]
-        return table
+                "initialize it from the heuristic reference first")
+        vals, fill = self.bl_vals[i, interval], self.bl_fill[i, interval]
+        return tuple(float(np.mean(vals[m, :fill[m]])) for m in range(3))
 
 
 # ---------------------------------------------------------------------------

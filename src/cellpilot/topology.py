@@ -183,9 +183,9 @@ class Topology:
         that crosses +-pi is split in two. A building whose padded box lies
         within 1000 pads of the site, or whose extent nears pi, gets
         (-inf, inf): every UE is its candidate. Farther out, a segment that
-        the rounding of the box and line tests (about 1e-15 of the largest
-        coordinate) lets pass misses the box by an angle of at most about
-        1e-9 rad, well inside the widening."""
+        the rounding of the box test (about 1e-15 of the largest coordinate)
+        lets pass misses the box by an angle of at most about 1e-9 rad, well
+        inside the widening."""
         sites, _ = self._cell_sites
         bx0, by0, bx1, by1 = self._wall_boxes
         margin = 1e3 * self._wall_pad
@@ -449,13 +449,14 @@ def wall_crossings_to_cells(ue_xy: np.ndarray, topo: Topology) -> np.ndarray:
     Same counting rule as :func:`wall_crossings`, vectorized over UEs. The
     segment UE->cell depends only on the cell's site, so counts are taken
     once per distinct cell position and shared by its co-located cells.
-    Per site, only the edges of buildings whose padded box the segment
-    touches (its box overlaps the padded box and its line passes through
-    it) are tested; every other building is too far from it to count. Those
-    two tests run only on the UEs whose direction from the site lies in one
-    of the building's angle intervals (``Topology._site_sectors``), found by
-    a binary search in the sorted UE directions: a segment that touches the
-    box points into its angular extent, so no UE that counts is left out.
+    Per site, only the edges of buildings whose padded box overlaps the
+    segment's box are tested; every other building is too far from it to
+    count. That box test runs only on the UEs whose direction from the site
+    lies in one of the building's angle intervals (``Topology._site_sectors``),
+    found by a binary search in the sorted UE directions: a segment that
+    touches the box points into its angular extent, so no UE that counts is
+    left out. The pair math is exact, so a pair these tests keep that cannot
+    cross only costs its arithmetic.
     """
     n, c = len(ue_xy), topo.n_cells
     if not topo.buildings or n == 0 or c == 0:
@@ -466,8 +467,6 @@ def wall_crossings_to_cells(ue_xy: np.ndarray, topo: Topology) -> np.ndarray:
     ex, ey = x2 - x1, y2 - y1
     first, n_edges = topo._wall_ranges                    # (B,), (B,)
     bx0, by0, bx1, by1 = topo._wall_boxes                 # (B,) each
-    mx, my = (bx0 + bx1) / 2, (by0 + by1) / 2
-    hx, hy = (bx1 - bx0) / 2, (by1 - by0) / 2
     ux, uy = ue_xy[:, 0], ue_xy[:, 1]
     for k, (cx, cy) in enumerate(sites):
         sdx, sdy = ux - cx, uy - cy                       # (N,) site -> UE
@@ -482,17 +481,11 @@ def wall_crossings_to_cells(ue_xy: np.ndarray, topo: Topology) -> np.ndarray:
         bld = np.repeat(sector_bld, count)
         ue = order[np.repeat(start - (np.cumsum(count) - count), count)
                    + np.arange(len(bld))]
-        # the segment's box overlaps the padded building box ...
+        # the segment's box overlaps the padded building box
         x, y = ux[ue], uy[ue]
         hit = ((np.minimum(x, cx) <= bx1[bld]) & (np.maximum(x, cx) >= bx0[bld])
                & (np.minimum(y, cy) <= by1[bld]) & (np.maximum(y, cy) >= by0[bld]))
         ue, bld = ue[hit], bld[hit]
-        # ... and the segment's line passes through it: the box centre lies
-        # no farther from the line than the box's half-width along its normal
-        dx, dy = sdx[ue], sdy[ue]
-        centre = dx * (my[bld] - cy) - dy * (mx[bld] - cx)
-        keep = np.abs(centre) <= np.abs(dy) * hx[bld] + np.abs(dx) * hy[bld]
-        ue, bld = ue[keep], bld[keep]
         # expand each (UE, building) pair to the building's edges
         reps = n_edges[bld]
         ue = np.repeat(ue, reps)

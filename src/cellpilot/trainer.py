@@ -12,7 +12,7 @@ trajectory bit-exactly.
 from __future__ import annotations
 
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -121,8 +121,12 @@ class TrainRunConfig:
             raise ValueError(f"unknown preset '{self.preset}'")
         if self.return_mode not in ("immediate", "return_to_go"):
             raise ValueError(f"unknown return_mode '{self.return_mode}'")
-        if self.pri < 1:
-            raise ValueError("pri must be >= 1")
+        for name in ("pri", "seed_count", "validation_seed_count",
+                     "checkpoint_every", "baseline_window"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
+        if self.episode_cap is not None and self.episode_cap < 1:
+            raise ValueError(f"episode_cap must be >= 1 when set, got {self.episode_cap}")
 
     def episode_cfg(self, seed: int, length: float, *, train: bool,
                     pri: int | None = None, n_ues: int | None = None,
@@ -281,11 +285,7 @@ def _save_state(path, net, opt, baselines, rng, cfg: TrainRunConfig,
                 schedule: CurriculumSchedule, loop: dict) -> None:
     extra = {
         "loop": loop,
-        "schedule": {"initial_length": schedule.initial_length,
-                     "increment": schedule.increment,
-                     "passes_per_round": schedule.passes_per_round,
-                     "rounds": schedule.rounds,
-                     "lr_halving": schedule.lr_halving},
+        "schedule": asdict(schedule),
         "config": {"run_seed": cfg.run_seed, "seed_count": cfg.seed_count,
                    "n_ues": cfg.n_ues, "pri": cfg.pri,
                    "weights": list(cfg.weights),
@@ -299,6 +299,14 @@ def _save_state(path, net, opt, baselines, rng, cfg: TrainRunConfig,
 
 def train(cfg: TrainRunConfig, schedule: CurriculumSchedule,
           out_dir, cache=None, resume_from=None) -> TrainResult:
+    """Run the curriculum from its start or from `resume_from`.
+
+    `episode`, the count of episodes done, is the only loop counter: episode
+    e trains on seed ``e % n`` of the pass ``e // n`` (n training seeds),
+    that pass is ``divmod(e // n, passes_per_round)`` as (round, pass), and
+    each pass draws its seed order from the trainer's generator when it
+    starts. A checkpoint stores that position with the pass's order.
+    """
     cfg.validate()
     schedule.validate()
     out_dir = Path(out_dir)
@@ -315,6 +323,8 @@ def train(cfg: TrainRunConfig, schedule: CurriculumSchedule,
     monitor = ConvergenceMonitor(window=cfg.convergence_window,
                                  eps=cfg.convergence_eps,
                                  std_threshold=cfg.convergence_std)
+    n, passes = len(train_seeds), schedule.passes_per_round
+    seed_order = None
 
     if resume_from is not None:
         ck = pol.load_checkpoint(resume_from)
@@ -323,25 +333,23 @@ def train(cfg: TrainRunConfig, schedule: CurriculumSchedule,
             raise TrainerError(
                 f"checkpoint network ({net.obs_dim}x{net.hidden}) does not match "
                 f"config ({obs_dim}x{cfg.hidden})")
+        # the position is read from `episode`, so the layout must be the same
+        for name, stored, want in (
+                ("run_seed", ck.meta["config"]["run_seed"], cfg.run_seed),
+                ("seed_count", ck.meta["config"]["seed_count"], cfg.seed_count),
+                ("schedule", ck.meta["schedule"], asdict(schedule))):
+            if stored != want:
+                raise TrainerError(f"checkpoint {name} {stored} differs from "
+                                   f"this run's {want}")
         rng = np.random.default_rng()
         rng.bit_generator.state = ck.rng_state
         loop = ck.meta["loop"]
         monitor.restore(loop["monitor"])
-        round_idx = loop["round"]
-        pass_idx = loop["pass"]
-        pos = loop["pos"]
-        seed_order = list(loop["seed_order"]) if loop["seed_order"] is not None else None
         episode = loop["episode"]
         best_score = loop["best_score"]
         converged_at = loop["converged_at"]
-        # normalize a boundary checkpoint to the next pass/round
-        if seed_order is not None and pos >= len(seed_order):
-            seed_order = None
-            pos = 0
-            pass_idx += 1
-            if pass_idx >= schedule.passes_per_round:
-                pass_idx = 0
-                round_idx += 1
+        if episode % n:
+            seed_order = loop["seed_order"]
     else:
         net = pol.init_policy(obs_dim, cfg.hidden, seed=cfg.run_seed)
         pol.warm_start(net, preset_params)
@@ -349,8 +357,6 @@ def train(cfg: TrainRunConfig, schedule: CurriculumSchedule,
         baselines = BaselineTable(cfg.baseline_window)
         rng = np.random.default_rng(
             np.random.SeedSequence([cfg.run_seed, SEED_STREAM_TRAINER]))
-        round_idx = pass_idx = pos = 0
-        seed_order = None
         episode = 0
         best_score = None
         converged_at = None
@@ -359,75 +365,69 @@ def train(cfg: TrainRunConfig, schedule: CurriculumSchedule,
     best_path = out_dir / "ckpt_best.bin"
     have_best = best_path.exists() and best_score is not None
     last_good = str(resume_from) if resume_from else None
-    stop = False
 
-    def loop_state() -> dict:
-        return {"round": round_idx, "pass": pass_idx, "pos": pos + 1,
-                "seed_order": seed_order, "episode": episode,
-                "monitor": monitor.state(), "best_score": best_score,
-                "converged_at": converged_at,
-                "train_seeds": train_seeds, "val_seeds": val_seeds}
+    def checkpoint(path, final: bool = False) -> None:
+        """Save the state after `episode` episodes. Its loop position is the
+        pass of the last episode and the episodes done in it; a final
+        checkpoint at a pass end points at the next pass instead."""
+        k, pos = divmod(episode - 1, n)
+        order = seed_order
+        if final and episode % n == 0:
+            k, order = k + 1, None
+        round_idx, pass_idx = divmod(k, passes)
+        _save_state(path, net, opt, baselines, rng, cfg, schedule, {
+            "round": round_idx, "pass": pass_idx, "pos": pos + 1,
+            "seed_order": order, "episode": episode,
+            "monitor": monitor.state(), "best_score": best_score,
+            "converged_at": converged_at,
+            "train_seeds": train_seeds, "val_seeds": val_seeds})
 
-    while round_idx < schedule.rounds and not stop:
+    while episode < n * passes * schedule.rounds:
+        round_idx, pass_idx = divmod(episode // n, passes)
+        if episode % n == 0:
+            seed_order = [int(s) for s in rng.permutation(train_seeds)]
+        seed = seed_order[episode % n]
         length = lengths[round_idx]
         opt.lr = cfg.lr / (2 ** round_idx) if schedule.lr_halving else cfg.lr
-        while pass_idx < schedule.passes_per_round and not stop:
-            if seed_order is None:
-                seed_order = [int(s) for s in rng.permutation(train_seeds)]
-                pos = 0
-            while pos < len(seed_order) and not stop:
-                seed = seed_order[pos]
-                try:
-                    stats = _train_episode(net, opt, baselines, cfg, seed,
-                                           length, max_length, rng, cache,
-                                           preset_params)
-                except pol.PolicyError as exc:
-                    raise TrainerError(
-                        f"aborting at episode {episode + 1}: {exc}; "
-                        f"last good checkpoint: {last_good}") from exc
-                episode += 1
-                ewma, rstd = monitor.update(stats["r_total"])
-                if converged_at is None and monitor.converged():
-                    converged_at = episode
-                rows.append(TrainLogRow(
-                    episode=episode, seed=seed, round=round_idx,
-                    pass_index=pass_idx, lr=opt.lr, length=length,
-                    r_total=stats["r_total"], r_tput=stats["r_tput"],
-                    r_bal=stats["r_bal"], r_ue_eff=stats["r_ue_eff"],
-                    grad_norm=stats["grad_norm"], clamped=stats["clamped"],
-                    ewma=ewma, rolling_std=rstd))
-                if episode % cfg.checkpoint_every == 0:
-                    ck_path = out_dir / f"ckpt_ep{episode:06d}.bin"
-                    _save_state(ck_path, net, opt, baselines, rng, cfg,
-                                schedule, loop_state())
-                    last_good = str(ck_path)
-                    score = validation_score(net, cfg, val_seeds, eval_length,
-                                             max_length, cache, preset_params)
-                    if best_score is None or score > best_score:
-                        best_score = score
-                        _save_state(best_path, net, opt, baselines, rng, cfg,
-                                    schedule, loop_state())
-                        have_best = True
-                if cfg.episode_cap is not None and episode >= cfg.episode_cap:
-                    stop = True
-                if cfg.stop_on_convergence and converged_at is not None:
-                    stop = True
-                pos += 1
-            if pos >= len(seed_order):
-                seed_order = None
-                pass_idx += 1
-        if pass_idx >= schedule.passes_per_round:
-            pass_idx = 0
-            round_idx += 1
+        try:
+            stats = _train_episode(net, opt, baselines, cfg, seed, length,
+                                   max_length, rng, cache, preset_params)
+        except pol.PolicyError as exc:
+            raise TrainerError(
+                f"aborting at episode {episode + 1}: {exc}; "
+                f"last good checkpoint: {last_good}") from exc
+        episode += 1
+        ewma, rstd = monitor.update(stats["r_total"])
+        if converged_at is None and monitor.converged():
+            converged_at = episode
+        rows.append(TrainLogRow(
+            episode=episode, seed=seed, round=round_idx, pass_index=pass_idx,
+            lr=opt.lr, length=length, r_total=stats["r_total"],
+            r_tput=stats["r_tput"], r_bal=stats["r_bal"],
+            r_ue_eff=stats["r_ue_eff"], grad_norm=stats["grad_norm"],
+            clamped=stats["clamped"], ewma=ewma, rolling_std=rstd))
+        if episode % cfg.checkpoint_every == 0:
+            ck_path = out_dir / f"ckpt_ep{episode:06d}.bin"
+            checkpoint(ck_path)
+            last_good = str(ck_path)
+            score = validation_score(net, cfg, val_seeds, eval_length,
+                                     max_length, cache, preset_params)
+            if best_score is None or score > best_score:
+                best_score = score
+                checkpoint(best_path)
+                have_best = True
+        if cfg.episode_cap is not None and episode >= cfg.episode_cap:
+            break
+        if cfg.stop_on_convergence and converged_at is not None:
+            break
 
-    pos = max(pos - 1, 0)  # loop_state stores the next position
     final_path = out_dir / "ckpt_final.bin"
-    _save_state(final_path, net, opt, baselines, rng, cfg, schedule, loop_state())
+    checkpoint(final_path, final=True)
     score = validation_score(net, cfg, val_seeds, eval_length, max_length,
                              cache, preset_params)
     if best_score is None or score > best_score:
         best_score = score
-        _save_state(best_path, net, opt, baselines, rng, cfg, schedule, loop_state())
+        checkpoint(best_path, final=True)
         have_best = True
     write_training_log(rows, out_dir / "training_log.csv",
                        append=resume_from is not None)
@@ -515,6 +515,8 @@ def evaluate(net_or_params, cfg: TrainRunConfig, eval_seeds: list[int],
     per shard when `jobs` > 1, and each shard advances its seeds in lockstep
     batches of at most LOCKSTEP_UES UEs; the rows do not depend on `jobs`.
     """
+    if len(eval_seeds) == 0:
+        raise ValueError("eval_seeds is empty: evaluate needs at least one seed")
     overlap = sorted(set(eval_seeds) & set(train_seeds))
     if overlap:
         raise TrainerError(

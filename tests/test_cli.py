@@ -101,6 +101,22 @@ def test_train_cli_and_manifest_determinism(tmp_path, capsys):
         assert p.tobytes() == b.net.params()[n].tobytes(), n
 
 
+@pytest.mark.parametrize("argv, field", [
+    (["train", "--checkpoint-every", "0"], "checkpoint_every"),
+    (["train", "--seeds", "0"], "seed_count"),
+    (["eval", "--params", "config_b", "--seeds", "0"], "eval_seeds"),
+], ids=["checkpoint-every", "train-seeds", "eval-seeds"])
+def test_counts_below_one_fail_early(tmp_path, capsys, argv, field):
+    command, *rest = argv
+    out = ["--out", str(tmp_path / "run")] if command == "train" else []
+    rc = main([command, "--topology", "desk", *out,
+               "--cache", str(tmp_path / "cache"),
+               *(TRAIN_ARGS if command == "train" else []), *rest])
+    assert rc == 2
+    assert field in capsys.readouterr().err
+    assert not (tmp_path / "run").exists() and not (tmp_path / "cache").exists()
+
+
 def test_compare_exit_codes(tmp_path, capsys):
     base = ["compare", "--topology", "desk", "--params", "config_b",
             "--seeds", "2", "--ues", "4", "--length", "5",

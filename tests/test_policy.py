@@ -26,7 +26,8 @@ from cellpilot.policy import (
     warm_start,
 )
 from cellpilot.reselect import CONFIG_B
-from cellpilot.rlenv import BaselineTable, IntervalAggregate, normalize_params
+from cellpilot.rlenv import (BASELINE_ARRAYS, BaselineTable, IntervalAggregate,
+                             normalize_params)
 
 
 def test_init_shapes_and_determinism():
@@ -205,7 +206,8 @@ def test_checkpoint_round_trip(tmp_path):
         assert np.array_equal(ck.opt.m[n], opt.m[n])
         assert np.array_equal(ck.opt.v[n], opt.v[n])
     assert (ck.opt.lr, ck.opt.step, ck.opt.clip) == (3e-4, 1, 10.0)
-    assert ck.baselines.data == table.data
+    for name in BASELINE_ARRAYS:
+        assert np.array_equal(getattr(ck.baselines, name), getattr(table, name))
     assert ck.meta == {"episode": 42}
     # the restored stream continues exactly where the saved one left off
     r2 = np.random.default_rng(0)

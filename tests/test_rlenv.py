@@ -3,8 +3,11 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+from cellpilot.policy import (init_optimizer, init_policy, load_checkpoint,
+                              save_checkpoint)
 from cellpilot.reselect import CONFIG_B, PARAM_ORDER, PARAM_RANGES, ReselectionParams
 from cellpilot.rlenv import (
+    BASELINE_ARRAYS,
     BaselineTable,
     IntervalAggregate,
     RlenvError,
@@ -164,17 +167,33 @@ def test_baseline_ring_buffer_and_first_touch():
     assert t.means(3, 0)[0] == pytest.approx(150.0)
     t.push(3, [agg(0, tput=400.0)])
     assert t.means(3, 0)[0] == pytest.approx(300.0)  # 100 fell out of the window
+    assert t.bl_vals[0, 0, 0].tolist() == [200.0, 400.0]
     with pytest.raises(RlenvError, match="baseline missing"):
         t.means(3, 1)
 
 
-def test_baseline_serialization_round_trip():
+def test_baseline_serialization_round_trip(tmp_path):
     t = BaselineTable(window=3)
+    t.push(7, [agg(0, tput=5.0, sigma=2.0, ue=1.0)])
     t.seed_reference(1, [agg(0, tput=10.0), agg(1, tput=20.0)])
     t.push(1, [agg(0, tput=30.0)])
-    t.push(7, [agg(0, tput=5.0, sigma=2.0, ue=1.0)])
-    back = BaselineTable.from_arrays(3, t.to_arrays())
-    assert back.window == 3 and back.data == t.data
+    # rows sorted by seed, T = longest interval, values oldest first
+    assert t.bl_seeds.dtype == np.int64 and t.bl_seeds.tolist() == [1, 7]
+    assert t.bl_fill.dtype == np.int64 and t.bl_fill.shape == (2, 2, 3)
+    assert t.bl_fill[:, :, 0].tolist() == [[2, 1], [1, 0]]
+    assert t.bl_vals.shape == (2, 2, 3, 3)
+    assert t.bl_vals[0, 0, 0].tolist() == [10.0, 30.0, 0.0]
+    assert t.bl_vals[0, 1, 0].tolist() == [20.0, 0.0, 0.0]
+    assert t.bl_vals[1, 0, :, 0].tolist() == [5.0, 2.0, 1.0]
+    assert not t.bl_vals[1, 1].any()
+    net = init_policy(4, 2)
+    save_checkpoint(tmp_path / "ck.bin", net, init_optimizer(net), t, None, {})
+    back = load_checkpoint(tmp_path / "ck.bin").baselines
+    assert back.window == 3
+    for name in BASELINE_ARRAYS:
+        a, b = getattr(t, name), getattr(back, name)
+        assert a.dtype == b.dtype and np.array_equal(a, b), name
+    assert back.means(1, 0) == t.means(1, 0) == (20.0, 1e5, 1e4)
 
 
 def test_reward_zero_fixpoint():

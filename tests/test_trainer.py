@@ -4,7 +4,7 @@ import pytest
 from cellpilot import trainer
 from cellpilot.policy import init_policy, load_checkpoint, warm_start
 from cellpilot.reselect import CONFIG_B
-from cellpilot.rlenv import normalize_params
+from cellpilot.rlenv import BASELINE_ARRAYS, normalize_params
 from cellpilot.topology import Cell, Topology, Tower
 from cellpilot.trainer import (
     SEED_STREAM_EVAL,
@@ -279,7 +279,8 @@ def test_resume_reproduces_uninterrupted_run(tmp_path):
         assert a.opt.v[n].tobytes() == b.opt.v[n].tobytes()
     assert a.opt.step == b.opt.step == 4
     assert a.rng_state == b.rng_state
-    assert a.baselines.data == b.baselines.data
+    for name in BASELINE_ARRAYS:
+        assert np.array_equal(getattr(a.baselines, name), getattr(b.baselines, name))
     # the two halves of the log line up with the uninterrupted run
     whole = [(r.episode, r.seed, r.r_total, r.grad_norm) for r in full.log_rows]
     split = [(r.episode, r.seed, r.r_total, r.grad_norm)
@@ -354,6 +355,39 @@ def test_resume_from_a_capped_final_checkpoint(three_seed_run, cap, position):
                     root / f"resumed{cap}", cache=root / "cache",
                     resume_from=part.final_checkpoint)
     assert_resumed_run_matches(full, part.log_rows, resumed)
+
+
+@pytest.mark.parametrize("field, cfg_over, sched", [
+    ("run_seed", {"run_seed": 2}, PASSES_SCHED),
+    ("seed_count", {"seed_count": 2}, PASSES_SCHED),
+    ("schedule", {}, CurriculumSchedule(initial_length=3.0, increment=1.0,
+                                        passes_per_round=1, rounds=2)),
+], ids=["run_seed", "seed_count", "schedule"])
+def test_resume_rejects_another_run_layout(three_seed_run, tmp_path, field,
+                                           cfg_over, sched):
+    # the position comes from the episode count, which means nothing under
+    # another seed set or schedule
+    root, _ = three_seed_run
+    cfg = tiny_cfg(tiny_topo(), **{"seed_count": 3, **cfg_over})
+    with pytest.raises(TrainerError, match=f"checkpoint {field} "):
+        train(cfg, sched, tmp_path / "other", cache=root / "cache",
+              resume_from=root / "full" / "ckpt_ep000004.bin")
+    assert not list((tmp_path / "other").glob("*.bin"))
+
+
+def test_config_rejects_counts_below_one():
+    topo = tiny_topo()
+    for name in ("seed_count", "validation_seed_count", "checkpoint_every",
+                 "baseline_window", "pri", "episode_cap"):
+        with pytest.raises(ValueError, match=f"{name} must be >= 1"):
+            tiny_cfg(topo, **{name: 0}).validate()
+    tiny_cfg(topo, episode_cap=None).validate()
+
+
+def test_evaluate_rejects_an_empty_seed_list(tmp_path):
+    with pytest.raises(ValueError, match="eval_seeds is empty"):
+        evaluate(CONFIG_B, tiny_cfg(tiny_topo()), [], [1], length=3.0,
+                 cache=tmp_path)
 
 
 def test_resume_rejects_mismatched_network(tmp_path):
