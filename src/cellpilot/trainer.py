@@ -301,11 +301,12 @@ def train(cfg: TrainRunConfig, schedule: CurriculumSchedule,
           out_dir, cache=None, resume_from=None) -> TrainResult:
     """Run the curriculum from its start or from `resume_from`.
 
-    `episode`, the count of episodes done, is the only loop counter: episode
-    e trains on seed ``e % n`` of the pass ``e // n`` (n training seeds),
-    that pass is ``divmod(e // n, passes_per_round)`` as (round, pass), and
-    each pass draws its seed order from the trainer's generator when it
-    starts. A checkpoint stores that position with the pass's order.
+    `episode`, the count of episodes done, is the only loop counter: after
+    e episodes the next one trains on seed ``e % n`` of pass ``e // n`` (n
+    training seeds), that pass is ``divmod(e // n, passes_per_round)`` as
+    (round, pass), and each pass draws its seed order from the trainer's
+    generator when it starts. A checkpoint stores that position with the
+    pass's order.
     """
     cfg.validate()
     schedule.validate()
