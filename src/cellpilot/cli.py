@@ -286,11 +286,9 @@ def _report_training(header, rows) -> int:
     rstd = [float(r[col["rolling_std"]]) for r in rows]
     grad = [float(r[col["grad_norm"]]) for r in rows]
     clamped = sum(int(r[col["clamped"]]) for r in rows)
-    conv = None
-    for i, (e, s) in enumerate(zip(ewma, rstd)):
-        if i + 1 >= 100 and abs(e) < 5e-3 and s < 7e-3:
-            conv = i + 1
-            break
+    rule = trainer.ConvergenceMonitor().rule_met
+    conv = next((i + 1 for i, (e, s) in enumerate(zip(ewma, rstd))
+                 if rule(e, s, i + 1)), None)
     print(f"episodes: {len(rows)}")
     print(f"rounds: {sorted(set(int(r[col['round']]) for r in rows))}")
     print(f"final ewma: {ewma[-1]:+.5f} (rolling std {rstd[-1]:.5f})")

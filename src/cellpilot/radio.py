@@ -75,35 +75,16 @@ def received_power_matrix(ue_xy: np.ndarray, topo: Topology, *,
     return rx
 
 
-def snr_db(rx_dbm, bandwidth_hz):
-    """SNR = received power minus the thermal noise floor of the channel."""
-    return np.asarray(rx_dbm, dtype=float) - noise_floor_dbm(bandwidth_hz)
-
-
 # ---------------------------------------------------------------------------
 # Spectral-efficiency lookup
 # ---------------------------------------------------------------------------
 
 def default_se_table() -> tuple[np.ndarray, np.ndarray]:
-    """Bundled table: SNR -10..19 dB in 1 dB steps, Shannon capped at 7.8."""
+    """The table every episode uses: SNR -10..19 dB in 1 dB steps, Shannon
+    capped at 7.8."""
     snr = np.arange(-10.0, 20.0, 1.0)
     se = np.minimum(np.log2(1.0 + 10.0 ** (snr / 10.0)), SE_MAX)
     return snr, se
-
-
-def load_se_table(path) -> tuple[np.ndarray, np.ndarray]:
-    """Two-column TSV (snr_db, se_bit_per_hz), sorted ascending by SNR."""
-    rows = np.loadtxt(path, dtype=float, ndmin=2)
-    if rows.shape[1] != 2:
-        raise ValueError(f"{path}: expected two columns (snr_db, se)")
-    snr, se = rows[:, 0], rows[:, 1]
-    if np.any(np.diff(snr) <= 0):
-        raise ValueError(f"{path}: snr column must be strictly increasing")
-    return snr, se
-
-
-def save_se_table(snr: np.ndarray, se: np.ndarray, path) -> None:
-    np.savetxt(path, np.column_stack([snr, se]), fmt="%.17g", delimiter="\t")
 
 
 def spectral_efficiency(snr, table: tuple[np.ndarray, np.ndarray]) -> np.ndarray:

@@ -29,7 +29,6 @@ loops and dictionaries as an independent cross-check.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -122,18 +121,6 @@ CONFIG_A = ReselectionParams(
     q_hyst=3.0, q_offset=20.0, q_rxlevmin=-60.0,
 )
 PRESETS = {"config_a": CONFIG_A, "config_b": CONFIG_B}
-
-
-def load_presets(path) -> dict[str, ReselectionParams]:
-    """JSON file {name: {t_xhigh: ..., ...}} -> validated presets."""
-    with open(path) as fh:
-        doc = json.load(fh)
-    out = {}
-    for name, fields in doc.items():
-        p = ReselectionParams(**{k: float(v) for k, v in fields.items()})
-        p.validate()
-        out[name] = p
-    return out
 
 
 # ---------------------------------------------------------------------------

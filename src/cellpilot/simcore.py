@@ -21,7 +21,7 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -55,7 +55,6 @@ class EpisodeConfig:
     pri: int = 1                  # steps between parameter updates
     traffic: TrafficConfig = field(default_factory=TrafficConfig)
     obstruction_enabled: bool = False
-    se_table: tuple[np.ndarray, np.ndarray] | None = None
     history_k: int = 10           # observation frames
 
     def validate(self) -> None:
@@ -145,9 +144,6 @@ def _check_lockstep(cfgs: list[EpisodeConfig], controllers: list) -> None:
                 continue
             if f.name == "topology":
                 same = topology_fingerprint(a) == topology_fingerprint(b)
-            elif f.name == "se_table":
-                same = (a is not None and b is not None
-                        and all(np.array_equal(x, y) for x, y in zip(a, b)))
             else:
                 same = a == b
             if not same:
@@ -171,7 +167,7 @@ def run_episodes(cfgs: list[EpisodeConfig], controllers: list) -> list[EpisodeRe
     n_seeds, n_ues = len(cfgs), cfg.n_ues
     topo = cfg.topology
     n_cells = topo.n_cells
-    se_table = cfg.se_table if cfg.se_table is not None else radio.default_se_table()
+    se_table = radio.default_se_table()
     noise_floor = radio.noise_floor_dbm(topo.cell_bandwidth)
     cell_bw = np.tile(topo.cell_bandwidth, n_seeds)
     id_rank = reselect.cell_id_rank([c.id for c in topo.cells])
@@ -265,7 +261,7 @@ def cache_dir(override: str | os.PathLike | None = None) -> Path:
 def reference_fingerprint(cfg: EpisodeConfig, params: ReselectionParams) -> str:
     """Everything that shapes a constant-parameter trajectory (PRI excluded:
     with a constant controller it cannot change the dynamics)."""
-    se = cfg.se_table if cfg.se_table is not None else radio.default_se_table()
+    se = radio.default_se_table()
     doc = {
         "sim_version": SIM_VERSION,
         "topology": topology_fingerprint(cfg.topology),
@@ -287,9 +283,13 @@ def reference_fingerprint(cfg: EpisodeConfig, params: ReselectionParams) -> str:
 
 
 def run_heuristic_reference(cfg: EpisodeConfig, params: ReselectionParams,
-                            cache: str | os.PathLike | None = None,
-                            preset_name: str = "") -> EpisodeResult:
-    """Constant-parameter episode, cached on disk per content fingerprint."""
+                            cache: str | os.PathLike | None = None) -> EpisodeResult:
+    """Constant-parameter episode, cached on disk per content fingerprint.
+
+    Its prefix does not depend on the configured length (per-UE streams are
+    consumed identically), so callers cache one run at the longest length
+    they need and cut it (`trainer._reference`).
+    """
     fp = reference_fingerprint(cfg, params)
     cdir = cache_dir(cache)
     path = cdir / f"ref_{fp}.bin"
@@ -304,30 +304,13 @@ def run_heuristic_reference(cfg: EpisodeConfig, params: ReselectionParams,
     result = run_episode(cfg, constant_controller(params))
     try:
         cdir.mkdir(parents=True, exist_ok=True)
-        meta = {"fingerprint": fp, "n_ues": cfg.n_ues, "preset": preset_name,
+        # "preset" is always empty; it stays so fills keep their bytes
+        meta = {"fingerprint": fp, "n_ues": cfg.n_ues, "preset": "",
                 "length": cfg.length}
         save_container(path, meta, vars(result.steps))
     except OSError as exc:
         raise SimError(f"cannot write reference cache {path}: {exc}") from exc
     return result
-
-
-def reference_for_length(cfg: EpisodeConfig, params: ReselectionParams,
-                         length: float,
-                         cache: str | os.PathLike | None = None) -> EpisodeResult:
-    """Reference trajectory truncated to `length`.
-
-    A constant-parameter episode's prefix does not depend on the configured
-    length (per-UE streams are consumed identically), so one cached run at
-    the longest length serves every shorter curriculum round.
-    """
-    base = run_heuristic_reference(replace(cfg, length=max(length, cfg.length)),
-                                   params, cache)
-    n = int(round(length / DT))
-    if n >= len(base.steps):
-        return base
-    head = Trajectory(**{k: v[:n] for k, v in vars(base.steps).items()})
-    return replace(base, steps=head, updates=[])
 
 
 # ---------------------------------------------------------------------------

@@ -20,7 +20,6 @@ import numpy as np
 from .topology import Topology, sample_placement, street_points_at
 
 IDLE, ACTIVE = 0, 1
-MODE_NAMES = ("IDLE", "ACTIVE")
 DWELL_BUFFER = 16   # dwell draws a UE takes from its stream at a time
 
 

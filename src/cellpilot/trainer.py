@@ -100,16 +100,12 @@ class TrainRunConfig:
     weight_decay: float = 1e-4
     clip: float = 10.0
     checkpoint_every: int = 50
-    convergence_eps: float = 5e-3
-    convergence_std: float = 7e-3
-    convergence_window: int = 100
     obstruction_train: bool = False   # obstruction loss disabled while training
     obstruction_eval: bool = True
     mobility_train: bool = False
     mobility_eval: bool = False
     preset: str = "config_b"
     return_mode: str = "immediate"    # or "return_to_go"
-    stop_on_convergence: bool = False
     episode_cap: int | None = None
     eval_length: float | None = None  # None -> curriculum final length
     jobs: int = 1
@@ -169,9 +165,14 @@ class ConvergenceMonitor:
         return float(np.std(np.array(self.recent)))
 
     def converged(self) -> bool:
-        return (self.ewma is not None and abs(self.ewma) < self.eps
-                and len(self.recent) >= self.window
-                and self.rolling_std() < self.std_threshold)
+        return self.ewma is not None and self.rule_met(
+            self.ewma, self.rolling_std(), len(self.recent))
+
+    def rule_met(self, ewma: float, rolling_std: float, count: int) -> bool:
+        """The convergence rule for an EWMA and rolling std taken over
+        `count` values (the window's worth at most)."""
+        return (abs(ewma) < self.eps and count >= self.window
+                and rolling_std < self.std_threshold)
 
     def state(self) -> dict:
         return {"ewma": self.ewma, "recent": [float(v) for v in self.recent]}
@@ -235,18 +236,24 @@ def _mean_action_controller(net: pol.PolicyNet):
     return controller
 
 
-def _reference(ep: EpisodeConfig, params: ReselectionParams, length: float,
-               max_length: float, cache) -> simcore.EpisodeResult:
-    return simcore.reference_for_length(
-        replace(ep, length=max(max_length, length)), params, length, cache)
+def _reference(ep: EpisodeConfig, params: ReselectionParams,
+               max_length: float, cache) -> simcore.Trajectory:
+    """The heuristic reference of `ep`: one cached run at `max_length` cut
+    to `ep.length`, so every curriculum round and eval length of a seed
+    shares one cache entry. On a tie the length keeps `ep.length`'s type,
+    which the cache key spells out (50 and 50.0 are two keys)."""
+    full = simcore.run_heuristic_reference(
+        replace(ep, length=max(ep.length, max_length)), params, cache).steps
+    n = int(round(ep.length / simcore.DT))
+    return simcore.Trajectory(**{k: v[:n] for k, v in vars(full).items()})
 
 
 def _train_episode(net, opt, baselines, cfg: TrainRunConfig, seed: int,
                    length: float, max_length: float, rng, cache,
                    preset_params: ReselectionParams):
     ep = cfg.episode_cfg(seed=seed, length=length, train=True)
-    ref = _reference(ep, preset_params, length, max_length, cache)
-    baselines.seed_reference(seed, interval_aggregates(ref.steps, ep.pri))
+    ref = _reference(ep, preset_params, max_length, cache)
+    baselines.seed_reference(seed, interval_aggregates(ref, ep.pri))
 
     records: list[tuple[np.ndarray, np.ndarray, int]] = []
 
@@ -321,9 +328,7 @@ def train(cfg: TrainRunConfig, schedule: CurriculumSchedule,
     lengths = schedule.lengths()
     eval_length = cfg.eval_length if cfg.eval_length is not None else schedule.final_length
     max_length = max(max(lengths), eval_length)
-    monitor = ConvergenceMonitor(window=cfg.convergence_window,
-                                 eps=cfg.convergence_eps,
-                                 std_threshold=cfg.convergence_std)
+    monitor = ConvergenceMonitor()
     n, passes = len(train_seeds), schedule.passes_per_round
     seed_order = None
 
@@ -364,6 +369,11 @@ def train(cfg: TrainRunConfig, schedule: CurriculumSchedule,
 
     rows: list[TrainLogRow] = []
     best_path = out_dir / "ckpt_best.bin"
+    if resume_from is not None and not best_path.exists():
+        # the resumed best_score comes with the checkpoint that scored it
+        old_best = Path(resume_from).parent / "ckpt_best.bin"
+        if old_best.exists():
+            write_atomic(best_path, old_best.read_bytes())
     have_best = best_path.exists() and best_score is not None
     last_good = str(resume_from) if resume_from else None
 
@@ -418,8 +428,6 @@ def train(cfg: TrainRunConfig, schedule: CurriculumSchedule,
                 checkpoint(best_path)
                 have_best = True
         if cfg.episode_cap is not None and episode >= cfg.episode_cap:
-            break
-        if cfg.stop_on_convergence and converged_at is not None:
             break
 
     final_path = out_dir / "ckpt_final.bin"
@@ -488,7 +496,7 @@ def _eval_rows(args) -> list[EvalRow]:
     rows = []
     for b in range(0, len(eps), per_batch):
         batch = eps[b:b + per_batch]
-        refs = [_reference(ep, baseline_params, ep.length, max_length, cache).steps
+        refs = [_reference(ep, baseline_params, max_length, cache)
                 for ep in batch]
         results = simcore.run_episodes(batch, [controller] * len(batch))
         for ep, r, res in zip(batch, refs, results):
@@ -608,12 +616,10 @@ class AblationResult:
     variant: str
     train: TrainResult
     report: EvalReport
-    base_report: EvalReport | None
 
 
 def ablate(cfg: TrainRunConfig, schedule: CurriculumSchedule, variant: str,
-           out_dir, cache=None,
-           base_report: EvalReport | None = None) -> AblationResult:
+           out_dir, cache=None) -> AblationResult:
     cfg2, schedule2, eval_overrides = ablation_config(cfg, schedule, variant)
     result = train(cfg2, schedule2, out_dir, cache=cache)
     ck = pol.load_checkpoint(result.final_checkpoint)
@@ -621,17 +627,12 @@ def ablate(cfg: TrainRunConfig, schedule: CurriculumSchedule, variant: str,
                               cfg2.eval_seed_count, exclude=result.train_seeds)
     report = evaluate(ck.net, cfg2, eval_seeds, result.train_seeds,
                       cache=cache, jobs=cfg2.jobs, **eval_overrides)
-    return AblationResult(variant, result, report, base_report)
+    return AblationResult(variant, result, report)
 
 
 def write_ablation_csv(result: AblationResult, path) -> None:
-    base = {r.seed: r for r in result.base_report.rows} if result.base_report else {}
-    lines = ["seed,variant_tput_gain,variant_bal_gain,variant_ue_gain,"
-             "base_tput_gain,base_bal_gain,base_ue_gain"]
+    lines = ["seed,variant_tput_gain,variant_bal_gain,variant_ue_gain"]
     for r in result.report.rows:
-        b = base.get(r.seed)
-        bvals = (f"{b.tput_gain:.17g},{b.bal_gain:.17g},{b.ue_gain:.17g}"
-                 if b else ",,")
         lines.append(f"{r.seed},{r.tput_gain:.17g},{r.bal_gain:.17g},"
-                     f"{r.ue_gain:.17g},{bvals}")
+                     f"{r.ue_gain:.17g}")
     write_atomic(path, ("\n".join(lines) + "\n").encode())

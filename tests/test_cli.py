@@ -1,11 +1,15 @@
+import csv
 import io
 import json
 
+import numpy as np
 import pytest
 
 from cellpilot.cli import main, write_manifest
 from cellpilot.policy import load_checkpoint
 from cellpilot.topology import load_topology
+from cellpilot.trainer import (SEED_STREAM_EVAL, TrainLogRow, derive_seeds,
+                               write_training_log)
 
 
 def test_version_and_missing_command():
@@ -139,6 +143,59 @@ def test_report_training_log(tmp_path, capsys):
     text = capsys.readouterr().out
     assert "episodes: 4" in text and "rounds: [0, 1]" in text
     assert "mean grad norm" in text
+
+
+def test_ablate_cli_writes_the_variant_gains(tmp_path, capsys):
+    out = tmp_path / "run"
+    rc = main(["ablate", "--topology", "desk", "--out", str(out),
+               "--cache", str(tmp_path / "cache"), "--variant", "stress_test",
+               *TRAIN_ARGS])
+    assert rc == 0
+    assert "variant stress_test: median gains" in capsys.readouterr().out
+    with open(out / "ablation_stress_test.csv", newline="") as fh:
+        header, *rows = list(csv.reader(fh))
+    assert header == ["seed", "variant_tput_gain", "variant_bal_gain",
+                      "variant_ue_gain"]
+    train_seeds = load_checkpoint(out / "ckpt_final.bin").meta["loop"]["train_seeds"]
+    # one row per eval seed (20 by default), in derivation order
+    assert [int(r[0]) for r in rows] == derive_seeds(0, SEED_STREAM_EVAL, 20,
+                                                     exclude=train_seeds)
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["command"] == "ablate" and manifest["variant"] == "stress_test"
+    gains = np.median([[float(v) for v in r[1:]] for r in rows], axis=0)
+    assert manifest["medians"] == dict(zip(("tput_gain", "bal_gain", "ue_gain"),
+                                           gains))
+
+
+def synthetic_log(path, values):
+    """A training log whose rows carry the given (ewma, rolling_std)."""
+    write_training_log([TrainLogRow(e, 7, 0, 0, 1e-4, 30.0, 0.0, 0.0, 0.0, 0.0,
+                                    1.0, 0, ewma, std)
+                        for e, (ewma, std) in enumerate(values, 1)], path)
+
+
+# rows 1-99 meet the rule's value bounds but not its 100-row window, and
+# rows 100-119 sit on one bound each: row 120 decides
+ON_BOUNDS = [(0.0, 0.0)] * 99 + [(5e-3, 0.0)] * 10 + [(-1e-3, 7e-3)] * 10
+
+
+@pytest.mark.parametrize("values, verdict", [
+    (ON_BOUNDS + [(-4.999e-3, 6.999e-3)], "episode 120"),
+    (ON_BOUNDS + [(5e-3, 6.999e-3)], "no"),
+    (ON_BOUNDS + [(-5e-3, 0.0)], "no"),
+    (ON_BOUNDS + [(0.0, 7e-3)], "no"),
+    ([(0.0, 0.0)] * 100, "episode 100"),
+    ([(0.0, 0.0)] * 99, "no"),
+], ids=["inside", "ewma-at-bound", "negative-ewma-at-bound", "std-at-bound",
+        "window-full", "window-short"])
+def test_report_applies_the_monitor_convergence_rule(tmp_path, capsys, values,
+                                                     verdict):
+    path = tmp_path / "training_log.csv"
+    synthetic_log(path, values)
+    assert main(["report", str(path)]) == 0
+    text = capsys.readouterr().out
+    assert f"episodes: {len(values)}\n" in text
+    assert f"converged: {verdict}\n" in text
 
 
 def test_report_eval_csv(tmp_path, capsys):

@@ -18,11 +18,8 @@ from cellpilot.radio import (
     antenna_gain_db,
     default_se_table,
     fspl_db,
-    load_se_table,
     noise_floor_dbm,
     received_power_matrix,
-    save_se_table,
-    snr_db,
     spectral_efficiency,
 )
 from cellpilot.topology import (Cell, Topology, Tower, generate_topology,
@@ -78,10 +75,6 @@ def test_antenna_gain_wraps_around_circle():
 def test_noise_floor_frozen_values():
     assert noise_floor_dbm(10e6) == pytest.approx(-104.0, abs=1e-12)
     assert noise_floor_dbm(80e6) == pytest.approx(-94.9691001300805641, rel=1e-14)
-
-
-def test_snr_is_rx_minus_noise():
-    assert snr_db(-60.0, 10e6) == pytest.approx(44.0)
 
 
 # --- received power matrix ------------------------------------------------------
@@ -210,31 +203,3 @@ def test_lookup_vectorized():
     table = default_se_table()
     out = spectral_efficiency(np.array([-50.0, 0.0, 50.0]), table)
     assert out.tolist() == [table[1][0], 1.0, table[1][-1]]
-
-
-def test_se_table_roundtrip_exact(tmp_path):
-    snr, se = default_se_table()
-    p = tmp_path / "se.tsv"
-    save_se_table(snr, se, p)
-    snr2, se2 = load_se_table(p)
-    assert snr2.tobytes() == snr.tobytes()   # %.17g preserves float64 exactly
-    assert se2.tobytes() == se.tobytes()
-
-
-def test_se_table_rejects_bad_files(tmp_path):
-    p = tmp_path / "bad.tsv"
-    p.write_text("1.0\t2.0\t3.0\n")
-    with pytest.raises(ValueError, match="two columns"):
-        load_se_table(p)
-    p.write_text("1.0\t2.0\n1.0\t2.5\n")
-    with pytest.raises(ValueError, match="increasing"):
-        load_se_table(p)
-
-
-def test_bundled_table_matches_default():
-    from importlib import resources
-    with resources.as_file(resources.files("cellpilot.data") / "se_default.tsv") as p:
-        snr, se = load_se_table(p)
-    dsnr, dse = default_se_table()
-    assert snr.tobytes() == dsnr.tobytes()
-    assert se.tobytes() == dse.tobytes()

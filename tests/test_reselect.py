@@ -1,4 +1,3 @@
-import json
 from dataclasses import replace
 
 import numpy as np
@@ -16,7 +15,6 @@ from cellpilot.reselect import (
     clamp_params,
     initial_select,
     is_suitable,
-    load_presets,
     param_columns,
     run_traces,
     run_ue_trace,
@@ -64,18 +62,6 @@ def test_preset_values():
     assert CONFIG_A.to_vector().tolist() == [-58.0, -60.0, -58.0, 3.0, 20.0, -60.0]
     assert CONFIG_B.t_resel == 1.0
     assert CONFIG_B.s_intra == 4.0 and CONFIG_B.s_inter == 6.0
-
-
-def test_load_presets(tmp_path):
-    doc = {"mine": {f: v for f, v in zip(PARAM_ORDER, [-50, -55, -52, 2, 10, -65])}}
-    path = tmp_path / "presets.json"
-    path.write_text(json.dumps(doc))
-    loaded = load_presets(path)
-    assert loaded["mine"] == ReselectionParams(-50, -55, -52, 2, 10, -65)
-    doc["mine"]["q_hyst"] = 99
-    path.write_text(json.dumps(doc))
-    with pytest.raises(ValueError):
-        load_presets(path)
 
 
 def test_suitability_is_strict():

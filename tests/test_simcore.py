@@ -7,10 +7,9 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from cellpilot import simcore
+from cellpilot import radio, simcore
 from cellpilot.container import load_container
 from cellpilot.policy import init_policy
-from cellpilot.radio import default_se_table
 from cellpilot.reselect import CONFIG_A, CONFIG_B, ReselectionParams
 from cellpilot.rlenv import observation_dim
 from cellpilot.simcore import (
@@ -21,7 +20,6 @@ from cellpilot.simcore import (
     cache_dir,
     constant_controller,
     reference_fingerprint,
-    reference_for_length,
     run_episode,
     run_episodes,
     run_heuristic_reference,
@@ -137,11 +135,14 @@ def test_out_of_range_controller_output_is_clamped():
     assert res.updates[0].params.q_hyst == 30.0
 
 
-def test_degenerate_se_table_makes_tput_equal_bandwidth():
+def test_degenerate_se_table_makes_tput_equal_bandwidth(monkeypatch):
+    # every episode looks the table up here; at SE 1 bit/s/Hz everywhere a
+    # loaded cell carries exactly its bandwidth
+    monkeypatch.setattr(radio, "default_se_table",
+                        lambda: (np.array([0.0]), np.array([1.0])))
     topo = two_layer_topo()
     cfg = EpisodeConfig(topo, 17, n_ues=40, length=2.0, pri=1,
-                        traffic=FROZEN_TRAFFIC,
-                        se_table=(np.array([0.0]), np.array([1.0])))
+                        traffic=FROZEN_TRAFFIC)
     res = run_episode(cfg, constant_controller(DESCENT_PARAMS))
     tr = res.steps
     assert tr.per_cell_tput[0][1] == pytest.approx(10e6, rel=1e-12)
@@ -246,7 +247,6 @@ def test_run_episodes_rejects_empty_and_mismatched_lists():
     ("pri", 2),
     ("traffic", TrafficConfig(mobility_enabled=True)),
     ("obstruction_enabled", True),
-    ("se_table", (np.array([0.0, 10.0]), np.array([1.0, 2.0]))),
     ("history_k", 3),
 ])
 def test_run_episodes_rejects_configs_that_differ(field_name, value):
@@ -258,11 +258,9 @@ def test_run_episodes_rejects_configs_that_differ(field_name, value):
 
 
 def test_run_episodes_accepts_equal_copies_of_shared_fields():
-    # an equal topology or SE table loaded twice is the same configuration
-    se = default_se_table()
-    a = EpisodeConfig(desk_topology(), 1, n_ues=4, length=2.0, se_table=se)
-    b = EpisodeConfig(desk_topology(), 2, n_ues=4, length=2.0,
-                      se_table=(se[0].copy(), se[1].copy()))
+    # an equal topology loaded twice is the same configuration
+    a = EpisodeConfig(desk_topology(), 1, n_ues=4, length=2.0)
+    b = EpisodeConfig(desk_topology(), 2, n_ues=4, length=2.0)
     ctl = constant_controller(CONFIG_B)
     assert len(run_episodes([a, b], [ctl, ctl])) == 2
 
@@ -271,12 +269,12 @@ def test_reference_cache_roundtrip(tmp_path):
     topo = two_layer_topo()
     cfg = EpisodeConfig(topo, 5, n_ues=12, length=6.0, pri=1,
                         traffic=FROZEN_TRAFFIC)
-    r1 = run_heuristic_reference(cfg, CONFIG_B, cache=tmp_path, preset_name="config_b")
+    r1 = run_heuristic_reference(cfg, CONFIG_B, cache=tmp_path)
     fp = reference_fingerprint(cfg, CONFIG_B)
     path = tmp_path / f"ref_{fp}.bin"
     assert path.exists()
     meta, _ = load_container(path)
-    assert meta["preset"] == "config_b" and meta["n_ues"] == 12
+    assert meta == {"fingerprint": fp, "n_ues": 12, "preset": "", "length": 6.0}
     r2 = run_heuristic_reference(cfg, CONFIG_B, cache=tmp_path)
     assert arrays_bytes(r1) == arrays_bytes(r2)
     # the cache stores count columns as float; the CSV must still print ints
@@ -327,19 +325,6 @@ def test_corrupt_cache_raises(tmp_path):
     (tmp_path / f"ref_{fp}.bin").write_bytes(b"not a container")
     with pytest.raises(SimError, match="corrupt"):
         run_heuristic_reference(cfg, CONFIG_B, cache=tmp_path)
-
-
-def test_reference_for_length_truncates(tmp_path):
-    topo = two_layer_topo()
-    cfg = EpisodeConfig(topo, 5, n_ues=12, length=20.0, pri=1,
-                        traffic=FROZEN_TRAFFIC)
-    full = run_heuristic_reference(cfg, CONFIG_B, cache=tmp_path)
-    part = reference_for_length(cfg, CONFIG_B, 8.0, cache=tmp_path)
-    assert len(part.steps) == 8
-    fa, pa = vars(full.steps), vars(part.steps)
-    for k in pa:
-        assert fa[k][:8].tobytes() == pa[k].tobytes(), k
-    assert len(list(tmp_path.glob("ref_*.bin"))) == 1  # one cache entry serves both
 
 
 def test_fingerprint_sensitivity(monkeypatch):

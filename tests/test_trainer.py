@@ -1,10 +1,13 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from cellpilot import trainer
+from cellpilot import simcore, trainer
 from cellpilot.policy import init_policy, load_checkpoint, warm_start
 from cellpilot.reselect import CONFIG_B
 from cellpilot.rlenv import BASELINE_ARRAYS, normalize_params
+from cellpilot.simcore import EpisodeConfig
 from cellpilot.topology import Cell, Topology, Tower
 from cellpilot.trainer import (
     SEED_STREAM_EVAL,
@@ -115,6 +118,21 @@ def test_convergence_monitor_math():
     assert m2.ewma == m.ewma and list(m2.recent) == list(m.recent)
     m2.update(50.0)                          # a spike breaks convergence
     assert not m2.converged()
+
+
+def test_reference_is_the_cut_of_one_max_length_run(tmp_path, monkeypatch):
+    ep = EpisodeConfig(tiny_topo(), 5, n_ues=4, length=8.0)
+    full = trainer._reference(replace(ep, length=20.0), CONFIG_B, 20.0, tmp_path)
+    # the shorter length is served from the one cached run, never re-run
+    monkeypatch.setattr(simcore, "run_episode", None)
+    part = trainer._reference(ep, CONFIG_B, 20.0, tmp_path)
+    assert (len(full), len(part)) == (20, 8)
+    for k, v in vars(part).items():
+        assert v.tobytes() == getattr(full, k)[:8].tobytes(), k
+    # the one entry is keyed by the max-length config; the literal name pins
+    # the cache key, so existing caches keep serving
+    assert [p.name for p in tmp_path.iterdir()] == [
+        "ref_f23ffa6b5147cf537f6da310d47f221f4e7e92d5f20963bb9a3e2cdc54b39044.bin"]
 
 
 def test_gain_ratio_guard():
@@ -354,6 +372,21 @@ def test_resume_from_a_capped_final_checkpoint(three_seed_run, cap, position):
     resumed = train(tiny_cfg(topo, seed_count=3), PASSES_SCHED,
                     root / f"resumed{cap}", cache=root / "cache",
                     resume_from=part.final_checkpoint)
+    assert_resumed_run_matches(full, part.log_rows, resumed)
+
+
+def test_resume_into_a_fresh_directory_keeps_the_best_checkpoint(three_seed_run):
+    # the uninterrupted run's best is from episode 2 and never beaten
+    root, full = three_seed_run
+    topo = tiny_topo()
+    part = train(tiny_cfg(topo, seed_count=3, episode_cap=4), PASSES_SCHED,
+                 root / "part4", cache=root / "cache")
+    resumed = train(tiny_cfg(topo, seed_count=3), PASSES_SCHED,
+                    root / "resumed4", cache=root / "cache",
+                    resume_from=part.final_checkpoint)
+    assert resumed.best_checkpoint == root / "resumed4" / "ckpt_best.bin"
+    assert resumed.best_checkpoint.read_bytes() == \
+        full.best_checkpoint.read_bytes()
     assert_resumed_run_matches(full, part.log_rows, resumed)
 
 
