@@ -4,8 +4,11 @@ Subcommands: gen-topology, train, eval, ablate, compare, report.
 Exit codes: 0 success, 1 runtime failure, 2 invalid arguments/config,
 3 comparison thresholds not met.
 
-Every run that produces files also writes a manifest.json describing the
-inputs (no timestamps, so reruns produce identical manifests).
+Every run that produces files also writes a manifest describing the inputs
+(no timestamps, so reruns produce identical manifests): manifest.json in the
+output directory of train and ablate, <out>.manifest.json beside the CSV of
+eval and compare. Only eval, compare and ablate evaluate, so only they take
+--jobs.
 """
 
 from __future__ import annotations
@@ -13,7 +16,6 @@ from __future__ import annotations
 import argparse
 import csv
 import json
-import os
 import sys
 from dataclasses import asdict
 from importlib import resources
@@ -70,12 +72,6 @@ def parse_pair(text: str, flag: str) -> tuple[float, float]:
     raise CliError(f"{flag} expects WxH (e.g. 320x240), got '{text}'")
 
 
-def cache_from_args(args) -> str | None:
-    if getattr(args, "cache", None):
-        return args.cache
-    return os.environ.get(simcore.CACHE_ENV_VAR) or None
-
-
 def write_manifest(path: Path, command: str, payload: dict) -> None:
     doc = {"tool": "cellpilot", "version": __version__, "command": command}
     doc.update(payload)
@@ -121,7 +117,6 @@ def build_train_config(args) -> tuple[TrainRunConfig, CurriculumSchedule]:
         lr=args.lr,
         checkpoint_every=args.checkpoint_every,
         episode_cap=args.episodes,
-        jobs=args.jobs,
     )
     schedule = CurriculumSchedule(
         initial_length=args.initial_length,
@@ -136,8 +131,7 @@ def build_train_config(args) -> tuple[TrainRunConfig, CurriculumSchedule]:
 def cmd_train(args) -> int:
     cfg, schedule = build_train_config(args)
     out_dir = Path(args.out)
-    cache = cache_from_args(args)
-    result = trainer.train(cfg, schedule, out_dir, cache=cache,
+    result = trainer.train(cfg, schedule, out_dir, cache=args.cache,
                            resume_from=args.resume)
     write_manifest(out_dir / "manifest.json", "train", {
         "topology_fingerprint": topology_fingerprint(cfg.topology),
@@ -180,37 +174,39 @@ def load_candidate(args):
     return PRESETS[name], []
 
 
-def eval_config(args) -> TrainRunConfig:
-    topo = resolve_topology(args.topology)
-    return TrainRunConfig(topology=topo, run_seed=args.run_seed,
-                          n_ues=args.ues, pri=args.pri,
-                          mobility_eval=args.mobility,
-                          eval_length=args.length, jobs=args.jobs)
-
-
-def cmd_eval(args) -> int:
+def run_eval(args, command: str) -> trainer.EvalReport:
+    """Evaluate the candidate of `args` on unseen seeds; with --out, write
+    the per-seed CSV and its <out>.manifest.json."""
     candidate, train_seeds = load_candidate(args)
-    cfg = eval_config(args)
+    cfg = TrainRunConfig(topology=resolve_topology(args.topology),
+                         run_seed=args.run_seed, n_ues=args.ues, pri=args.pri,
+                         mobility_eval=args.mobility)
     eval_seeds = derive_seeds(cfg.run_seed, trainer.SEED_STREAM_EVAL,
                               args.seeds, exclude=train_seeds)
     report = evaluate(candidate, cfg, eval_seeds, train_seeds,
-                      cache=cache_from_args(args), jobs=args.jobs,
+                      length=args.length, cache=args.cache, jobs=args.jobs,
                       baseline_preset=args.baseline)
+    if args.out:
+        trainer.write_eval_csv(report, args.out)
+        write_manifest(Path(args.out).with_suffix(".manifest.json"), command, {
+            "topology_fingerprint": topology_fingerprint(cfg.topology),
+            "baseline": args.baseline,
+            "seeds": [r.seed for r in report.rows],
+            "n_ues": report.n_ues, "pri": report.pri,
+            "length": report.length,
+            "medians": report.medians,
+        })
+    return report
+
+
+def cmd_eval(args) -> int:
+    report = run_eval(args, "eval")
     med = report.medians
     print(f"evaluated {len(report.rows)} seeds "
           f"(n_ues={report.n_ues}, pri={report.pri}, length={report.length:g}s)")
     print(f"median gains vs {args.baseline}: throughput {med['tput_gain']:+.4f}, "
           f"balance {med['bal_gain']:+.4f}, per-UE {med['ue_gain']:+.4f}")
     if args.out:
-        trainer.write_eval_csv(report, args.out)
-        write_manifest(Path(args.out).with_suffix(".manifest.json"), "eval", {
-            "topology_fingerprint": topology_fingerprint(cfg.topology),
-            "baseline": args.baseline,
-            "seeds": [r.seed for r in report.rows],
-            "n_ues": report.n_ues, "pri": report.pri,
-            "length": report.length,
-            "medians": med,
-        })
         print(f"wrote {args.out}")
     return 0
 
@@ -218,8 +214,8 @@ def cmd_eval(args) -> int:
 def cmd_ablate(args) -> int:
     cfg, schedule = build_train_config(args)
     out_dir = Path(args.out)
-    cache = cache_from_args(args)
-    result = trainer.ablate(cfg, schedule, args.variant, out_dir, cache=cache)
+    result = trainer.ablate(cfg, schedule, args.variant, out_dir,
+                            cache=args.cache, jobs=args.jobs)
     csv_path = out_dir / f"ablation_{args.variant}.csv"
     trainer.write_ablation_csv(result, csv_path)
     med = result.report.medians
@@ -237,13 +233,7 @@ def cmd_ablate(args) -> int:
 
 
 def cmd_compare(args) -> int:
-    candidate, train_seeds = load_candidate(args)
-    cfg = eval_config(args)
-    eval_seeds = derive_seeds(cfg.run_seed, trainer.SEED_STREAM_EVAL,
-                              args.seeds, exclude=train_seeds)
-    report = evaluate(candidate, cfg, eval_seeds, train_seeds,
-                      cache=cache_from_args(args), jobs=args.jobs,
-                      baseline_preset=args.baseline)
+    report = run_eval(args, "compare")
     med = report.medians
     name = args.checkpoint or args.params
     print(f"{name} vs {args.baseline} on {len(report.rows)} seeds:")
@@ -253,7 +243,6 @@ def cmd_compare(args) -> int:
     print(f"medians: throughput {med['tput_gain']:+.4f}, "
           f"balance {med['bal_gain']:+.4f}, per-UE {med['ue_gain']:+.4f}")
     if args.out:
-        trainer.write_eval_csv(report, args.out)
         print(f"wrote {args.out}")
     ok = (med["tput_gain"] >= args.min_tput_gain
           and med["bal_gain"] >= args.min_bal_gain)
@@ -336,13 +325,13 @@ def add_train_args(p, include_variant=False):
     p.add_argument("--increment", type=float, default=10.0)
     p.add_argument("--no-lr-halving", action="store_true")
     p.add_argument("--checkpoint-every", type=int, default=50)
-    p.add_argument("--jobs", type=int, default=1,
-                   help="evaluation runs as this many lockstep shards of "
-                        "contiguous seeds, one worker process each")
     p.add_argument("--cache", default=None,
                    help=f"reference cache dir (or ${simcore.CACHE_ENV_VAR})")
     if include_variant:
         p.add_argument("--variant", required=True, choices=ABLATION_VARIANTS)
+        p.add_argument("--jobs", type=int, default=1,
+                       help="evaluation runs as this many lockstep shards of "
+                            "contiguous seeds, one worker process each")
     else:
         p.add_argument("--resume", default=None,
                        help="checkpoint to resume from")

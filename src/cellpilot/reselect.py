@@ -76,13 +76,6 @@ class ReselectionParams:
         vals = {f: float(v) for f, v in zip(PARAM_ORDER, vec)}
         return cls(**vals, **fixed)
 
-    def validate(self) -> None:
-        for f in PARAM_ORDER:
-            lo, hi = PARAM_RANGES[f]
-            v = getattr(self, f)
-            if not (lo <= v <= hi):
-                raise ValueError(f"{f}={v} outside [{lo}, {hi}]")
-
 
 def param_columns(params: list[ReselectionParams], rows: int) -> ReselectionParams:
     """Per-row parameters for `rows` consecutive rows per entry of `params`:

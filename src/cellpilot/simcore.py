@@ -253,9 +253,11 @@ def constant_controller(params: ReselectionParams):
 # ---------------------------------------------------------------------------
 
 def cache_dir(override: str | os.PathLike | None = None) -> Path:
-    if override is not None:
+    """`override`, else $CELLPILOT_CACHE, else the default; an empty
+    string counts as unset in either place."""
+    if override:
         return Path(override)
-    return Path(os.environ.get(CACHE_ENV_VAR, DEFAULT_CACHE_DIR)).expanduser()
+    return Path(os.environ.get(CACHE_ENV_VAR) or DEFAULT_CACHE_DIR).expanduser()
 
 
 def reference_fingerprint(cfg: EpisodeConfig, params: ReselectionParams) -> str:

@@ -97,26 +97,16 @@ class TrainRunConfig:
     hidden: int = 1024
     history_k: int = 10
     lr: float = 1e-4
-    weight_decay: float = 1e-4
-    clip: float = 10.0
     checkpoint_every: int = 50
-    obstruction_train: bool = False   # obstruction loss disabled while training
-    obstruction_eval: bool = True
-    mobility_train: bool = False
     mobility_eval: bool = False
     preset: str = "config_b"
-    return_mode: str = "immediate"    # or "return_to_go"
     episode_cap: int | None = None
-    eval_length: float | None = None  # None -> curriculum final length
-    jobs: int = 1
 
     def validate(self) -> None:
         if abs(sum(self.weights) - 1.0) > 1e-9:
             raise ValueError(f"reward weights must sum to 1, got {self.weights}")
         if self.preset not in PRESETS:
             raise ValueError(f"unknown preset '{self.preset}'")
-        if self.return_mode not in ("immediate", "return_to_go"):
-            raise ValueError(f"unknown return_mode '{self.return_mode}'")
         for name in ("pri", "seed_count", "validation_seed_count",
                      "checkpoint_every", "baseline_window"):
             if getattr(self, name) < 1:
@@ -127,8 +117,10 @@ class TrainRunConfig:
     def episode_cfg(self, seed: int, length: float, *, train: bool,
                     pri: int | None = None, n_ues: int | None = None,
                     mobility: bool | None = None) -> EpisodeConfig:
+        """Training episodes run static and unobstructed; eval episodes run
+        with obstruction, and move when `mobility_eval` is set."""
         if mobility is None:
-            mobility = self.mobility_train if train else self.mobility_eval
+            mobility = not train and self.mobility_eval
         return EpisodeConfig(
             topology=self.topology,
             episode_seed=seed,
@@ -136,7 +128,7 @@ class TrainRunConfig:
             length=length,
             pri=pri if pri is not None else self.pri,
             traffic=TrafficConfig(mobility_enabled=mobility),
-            obstruction_enabled=self.obstruction_train if train else self.obstruction_eval,
+            obstruction_enabled=not train,
             history_k=self.history_k,
         )
 
@@ -239,9 +231,9 @@ def _mean_action_controller(net: pol.PolicyNet):
 def _reference(ep: EpisodeConfig, params: ReselectionParams,
                max_length: float, cache) -> simcore.Trajectory:
     """The heuristic reference of `ep`: one cached run at `max_length` cut
-    to `ep.length`, so every curriculum round and eval length of a seed
-    shares one cache entry. On a tie the length keeps `ep.length`'s type,
-    which the cache key spells out (50 and 50.0 are two keys)."""
+    to `ep.length`, so every curriculum round of a training seed shares one
+    cache entry. On a tie the length keeps `ep.length`'s type, which the
+    cache key spells out (50 and 50.0 are two keys)."""
     full = simcore.run_heuristic_reference(
         replace(ep, length=max(ep.length, max_length)), params, cache).steps
     n = int(round(ep.length / simcore.DT))
@@ -268,11 +260,7 @@ def _train_episode(net, opt, baselines, cfg: TrainRunConfig, seed: int,
     rewards = [compute_reward(a, baselines, seed, cfg.weights, ep.n_ues)
                for a in aggs]
     totals = [r.r_total for r in rewards]
-    if cfg.return_mode == "return_to_go":
-        credit = list(np.cumsum(totals[::-1])[::-1])
-    else:
-        credit = totals
-    grad_records = [(obs, action, credit[interval])
+    grad_records = [(obs, action, totals[interval])
                     for obs, action, interval in records]
     grads = pol.reinforce_backward(net, grad_records)
     grad_norm = pol.apply_update(net, opt, grads)
@@ -299,7 +287,8 @@ def _save_state(path, net, opt, baselines, rng, cfg: TrainRunConfig,
                    "baseline_window": cfg.baseline_window,
                    "hidden": cfg.hidden, "history_k": cfg.history_k,
                    "lr": cfg.lr, "preset": cfg.preset,
-                   "return_mode": cfg.return_mode},
+                   # the one credit rule; kept so checkpoints keep their bytes
+                   "return_mode": "immediate"},
     }
     pol.save_checkpoint(path, net, opt, baselines, rng.bit_generator.state, extra)
 
@@ -326,8 +315,6 @@ def train(cfg: TrainRunConfig, schedule: CurriculumSchedule,
     val_seeds = derive_seeds(cfg.run_seed, SEED_STREAM_VALIDATION,
                              cfg.validation_seed_count, exclude=train_seeds)
     lengths = schedule.lengths()
-    eval_length = cfg.eval_length if cfg.eval_length is not None else schedule.final_length
-    max_length = max(max(lengths), eval_length)
     monitor = ConvergenceMonitor()
     n, passes = len(train_seeds), schedule.passes_per_round
     seed_order = None
@@ -359,7 +346,7 @@ def train(cfg: TrainRunConfig, schedule: CurriculumSchedule,
     else:
         net = pol.init_policy(obs_dim, cfg.hidden, seed=cfg.run_seed)
         pol.warm_start(net, preset_params)
-        opt = pol.init_optimizer(net, cfg.lr, cfg.weight_decay, cfg.clip)
+        opt = pol.init_optimizer(net, cfg.lr)
         baselines = BaselineTable(cfg.baseline_window)
         rng = np.random.default_rng(
             np.random.SeedSequence([cfg.run_seed, SEED_STREAM_TRAINER]))
@@ -402,7 +389,8 @@ def train(cfg: TrainRunConfig, schedule: CurriculumSchedule,
         opt.lr = cfg.lr / (2 ** round_idx) if schedule.lr_halving else cfg.lr
         try:
             stats = _train_episode(net, opt, baselines, cfg, seed, length,
-                                   max_length, rng, cache, preset_params)
+                                   schedule.final_length, rng, cache,
+                                   preset_params)
         except pol.PolicyError as exc:
             raise TrainerError(
                 f"aborting at episode {episode + 1}: {exc}; "
@@ -421,8 +409,9 @@ def train(cfg: TrainRunConfig, schedule: CurriculumSchedule,
             ck_path = out_dir / f"ckpt_ep{episode:06d}.bin"
             checkpoint(ck_path)
             last_good = str(ck_path)
-            score = validation_score(net, cfg, val_seeds, eval_length,
-                                     max_length, cache, preset_params)
+            score = validation_score(net, cfg, val_seeds,
+                                     schedule.final_length, cache,
+                                     preset_params)
             if best_score is None or score > best_score:
                 best_score = score
                 checkpoint(best_path)
@@ -432,7 +421,7 @@ def train(cfg: TrainRunConfig, schedule: CurriculumSchedule,
 
     final_path = out_dir / "ckpt_final.bin"
     checkpoint(final_path, final=True)
-    score = validation_score(net, cfg, val_seeds, eval_length, max_length,
+    score = validation_score(net, cfg, val_seeds, schedule.final_length,
                              cache, preset_params)
     if best_score is None or score > best_score:
         best_score = score
@@ -487,7 +476,7 @@ def _eval_rows(args) -> list[EvalRow]:
     configs. The seeds go in batches of at most LOCKSTEP_UES UEs: each
     seed's reference is looked up (or filled) on its own, then the agent
     episodes of the batch advance in lockstep."""
-    (net_or_params, eps, baseline_params, max_length, cache) = args
+    (net_or_params, eps, baseline_params, cache) = args
     if isinstance(net_or_params, ReselectionParams):
         controller = simcore.constant_controller(net_or_params)
     else:
@@ -496,7 +485,7 @@ def _eval_rows(args) -> list[EvalRow]:
     rows = []
     for b in range(0, len(eps), per_batch):
         batch = eps[b:b + per_batch]
-        refs = [_reference(ep, baseline_params, max_length, cache)
+        refs = [simcore.run_heuristic_reference(ep, baseline_params, cache).steps
                 for ep in batch]
         results = simcore.run_episodes(batch, [controller] * len(batch))
         for ep, r, res in zip(batch, refs, results):
@@ -513,12 +502,13 @@ def _eval_rows(args) -> list[EvalRow]:
 
 
 def evaluate(net_or_params, cfg: TrainRunConfig, eval_seeds: list[int],
-             train_seeds: list[int], *, length: float | None = None,
+             train_seeds: list[int], *, length: float = 50.0,
              pri: int | None = None, n_ues: int | None = None,
              mobility: bool | None = None, cache=None, jobs: int = 1,
              baseline_preset: str = "config_b") -> EvalReport:
     """Deterministic mean-action rollouts on unseen seeds; per-seed relative
-    gains against the heuristic reference. Refuses seeds seen in training.
+    gains against the heuristic reference, which runs (and is cached) at the
+    eval `length`. Refuses seeds seen in training.
 
     The seeds run as `jobs` shards of contiguous seeds, one worker process
     per shard when `jobs` > 1, and each shard advances its seeds in lockstep
@@ -531,14 +521,10 @@ def evaluate(net_or_params, cfg: TrainRunConfig, eval_seeds: list[int],
         raise TrainerError(
             f"evaluation seeds overlap training seeds: {overlap[:5]}"
             + ("..." if len(overlap) > 5 else ""))
-    schedule_final = length if length is not None else \
-        (cfg.eval_length if cfg.eval_length is not None else 50.0)
     baseline_params = PRESETS[baseline_preset]
-    eps = [cfg.episode_cfg(seed=s, length=schedule_final, train=False, pri=pri,
+    eps = [cfg.episode_cfg(seed=s, length=length, train=False, pri=pri,
                            n_ues=n_ues, mobility=mobility) for s in eval_seeds]
-    max_length = max(schedule_final, 50.0)
-    shards = [(net_or_params, [eps[i] for i in idx], baseline_params,
-               max_length, cache)
+    shards = [(net_or_params, [eps[i] for i in idx], baseline_params, cache)
               for idx in np.array_split(np.arange(len(eps)),
                                         min(max(jobs, 1), len(eps)))]
     if len(shards) > 1:
@@ -551,7 +537,7 @@ def evaluate(net_or_params, cfg: TrainRunConfig, eval_seeds: list[int],
 
 
 def validation_score(net, cfg: TrainRunConfig, val_seeds: list[int],
-                     length: float, max_length: float, cache,
+                     length: float, cache,
                      preset_params: ReselectionParams) -> float:
     """Mean weighted gain on the held-out validation seeds (no mutation).
 
@@ -563,7 +549,7 @@ def validation_score(net, cfg: TrainRunConfig, val_seeds: list[int],
     w1, w2, w3 = cfg.weights
     for s in val_seeds:
         ep = cfg.episode_cfg(seed=s, length=length, train=False)
-        [row] = _eval_rows((net, [ep], preset_params, max_length, cache))
+        [row] = _eval_rows((net, [ep], preset_params, cache))
         total += w1 * row.tput_gain + w2 * row.bal_gain + w3 * row.ue_gain
     return total / len(val_seeds)
 
@@ -619,14 +605,14 @@ class AblationResult:
 
 
 def ablate(cfg: TrainRunConfig, schedule: CurriculumSchedule, variant: str,
-           out_dir, cache=None) -> AblationResult:
+           out_dir, cache=None, jobs: int = 1) -> AblationResult:
     cfg2, schedule2, eval_overrides = ablation_config(cfg, schedule, variant)
     result = train(cfg2, schedule2, out_dir, cache=cache)
     ck = pol.load_checkpoint(result.final_checkpoint)
     eval_seeds = derive_seeds(cfg2.run_seed, SEED_STREAM_EVAL,
                               cfg2.eval_seed_count, exclude=result.train_seeds)
     report = evaluate(ck.net, cfg2, eval_seeds, result.train_seeds,
-                      cache=cache, jobs=cfg2.jobs, **eval_overrides)
+                      cache=cache, jobs=jobs, **eval_overrides)
     return AblationResult(variant, result, report)
 
 

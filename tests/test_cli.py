@@ -60,11 +60,11 @@ def test_eval_with_preset_params(tmp_path, capsys):
                "--cache", str(tmp_path / "cache"), "--out", str(out)])
     assert rc == 0
     text = capsys.readouterr().out
-    assert "median gains vs config_b" in text
+    assert "median gains vs config_b" in text and "length=5s" in text
     assert out.exists()
     manifest = json.loads((tmp_path / "gains.manifest.json").read_text())
     assert manifest["command"] == "eval" and manifest["baseline"] == "config_b"
-    assert len(manifest["seeds"]) == 2
+    assert len(manifest["seeds"]) == 2 and manifest["length"] == 5.0
 
 
 def test_eval_argument_errors(tmp_path, capsys):
@@ -131,6 +131,28 @@ def test_compare_exit_codes(tmp_path, capsys):
     rc = main(base + ["--min-tput-gain", "0.1"])
     assert rc == 3
     assert "FAIL" in capsys.readouterr().out
+    # with --out, compare writes the CSV and its manifest as eval does
+    out = tmp_path / "c.csv"
+    rc = main(base + ["--out", str(out)])
+    assert rc == 0
+    assert capsys.readouterr().out.endswith(f"wrote {out}\nPASS: thresholds met\n")
+    with open(out, newline="") as fh:
+        rows = {r[0]: r[1:] for r in csv.reader(fh)}
+    manifest = json.loads((tmp_path / "c.manifest.json").read_text())
+    assert manifest["command"] == "compare"
+    assert manifest["seeds"] == derive_seeds(0, SEED_STREAM_EVAL, 2)
+    assert manifest["seeds"] == [int(s) for s in rows if s.isdigit()]
+    assert manifest["medians"] == dict(zip(("tput_gain", "bal_gain", "ue_gain"),
+                                           map(float, rows["median"])))
+
+
+def test_train_takes_no_jobs_flag(tmp_path, capsys):
+    with pytest.raises(SystemExit) as e:
+        main(["train", "--topology", "desk", "--out", str(tmp_path / "run"),
+              "--cache", str(tmp_path / "cache"), *TRAIN_ARGS, "--jobs", "2"])
+    assert e.value.code == 2
+    assert "--jobs" in capsys.readouterr().err
+    assert not (tmp_path / "run").exists()
 
 
 def test_report_training_log(tmp_path, capsys):

@@ -356,6 +356,12 @@ def test_cache_dir_resolution(monkeypatch):
     assert str(cache_dir()).endswith(".cache/cellpilot")
 
 
+def test_empty_cache_variable_counts_as_unset(tmp_path, monkeypatch):
+    monkeypatch.setenv("HOME", str(tmp_path))
+    monkeypatch.setenv("CELLPILOT_CACHE", "")
+    assert cache_dir() == tmp_path / ".cache" / "cellpilot"
+
+
 def test_trajectory_csv(tmp_path):
     topo = two_layer_topo()
     cfg = EpisodeConfig(topo, 17, n_ues=8, length=3.0, pri=1,

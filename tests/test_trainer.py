@@ -1,9 +1,11 @@
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from cellpilot import simcore, trainer
+from cellpilot.container import load_container
 from cellpilot.policy import init_policy, load_checkpoint, warm_start
 from cellpilot.reselect import CONFIG_B
 from cellpilot.rlenv import BASELINE_ARRAYS, normalize_params
@@ -87,14 +89,15 @@ def test_config_validation_and_episode_cfg():
         tiny_cfg(topo, weights=(0.5, 0.4, 0.2)).validate()
     with pytest.raises(ValueError):
         tiny_cfg(topo, preset="config_c").validate()
-    with pytest.raises(ValueError):
-        tiny_cfg(topo, return_mode="montecarlo").validate()
-    cfg = tiny_cfg(topo, obstruction_train=False, obstruction_eval=True,
-                   mobility_train=False, mobility_eval=True)
-    ep_t = cfg.episode_cfg(seed=5, length=10.0, train=True)
-    ep_e = cfg.episode_cfg(seed=5, length=10.0, train=False)
-    assert not ep_t.obstruction_enabled and ep_e.obstruction_enabled
-    assert not ep_t.traffic.mobility_enabled and ep_e.traffic.mobility_enabled
+    # obstruction only in eval; mobility only in eval, and there only when
+    # mobility_eval is set
+    for mobility_eval in (False, True):
+        cfg = tiny_cfg(topo, mobility_eval=mobility_eval)
+        ep_t = cfg.episode_cfg(seed=5, length=10.0, train=True)
+        ep_e = cfg.episode_cfg(seed=5, length=10.0, train=False)
+        assert not ep_t.obstruction_enabled and ep_e.obstruction_enabled
+        assert not ep_t.traffic.mobility_enabled
+        assert ep_e.traffic.mobility_enabled == mobility_eval
     ep_o = cfg.episode_cfg(seed=5, length=10.0, train=False, pri=7, n_ues=9,
                            mobility=False)
     assert (ep_o.pri, ep_o.n_ues, ep_o.traffic.mobility_enabled) == (7, 9, False)
@@ -133,6 +136,29 @@ def test_reference_is_the_cut_of_one_max_length_run(tmp_path, monkeypatch):
     # the cache key, so existing caches keep serving
     assert [p.name for p in tmp_path.iterdir()] == [
         "ref_f23ffa6b5147cf537f6da310d47f221f4e7e92d5f20963bb9a3e2cdc54b39044.bin"]
+
+
+def test_evaluate_fills_references_at_the_eval_length(tmp_path, monkeypatch):
+    cfg = tiny_cfg(tiny_topo())
+    net = init_policy(18, 8, seed=4)
+    seeds = [200, 201]
+    rep = evaluate(net, cfg, seeds, [1], length=5.0, cache=tmp_path / "short")
+    files = sorted((tmp_path / "short").iterdir())
+    assert len(files) == len(seeds)
+    for path in files:
+        meta, arrays = load_container(path)
+        assert meta["length"] == 5.0 and len(arrays["total_tput"]) == 5
+    # the same rows as against 50 s references cut to 5 s
+    real = simcore.run_heuristic_reference
+
+    def cut_from_50(ep, params, cache):
+        full = real(replace(ep, length=50.0), params, cache).steps
+        return SimpleNamespace(steps=simcore.Trajectory(
+            **{k: v[:5] for k, v in vars(full).items()}))
+    monkeypatch.setattr(simcore, "run_heuristic_reference", cut_from_50)
+    cut = evaluate(net, cfg, seeds, [1], length=5.0, cache=tmp_path / "long")
+    assert cut.rows == rep.rows
+    assert any(r.tput_gain != 0.0 for r in rep.rows)
 
 
 def test_gain_ratio_guard():
