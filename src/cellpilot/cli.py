@@ -180,12 +180,11 @@ def run_eval(args, command: str) -> trainer.EvalReport:
     candidate, train_seeds = load_candidate(args)
     cfg = TrainRunConfig(topology=resolve_topology(args.topology),
                          run_seed=args.run_seed, n_ues=args.ues, pri=args.pri,
-                         mobility_eval=args.mobility)
+                         mobility_eval=args.mobility, preset=args.baseline)
     eval_seeds = derive_seeds(cfg.run_seed, trainer.SEED_STREAM_EVAL,
                               args.seeds, exclude=train_seeds)
     report = evaluate(candidate, cfg, eval_seeds, train_seeds,
-                      length=args.length, cache=args.cache, jobs=args.jobs,
-                      baseline_preset=args.baseline)
+                      length=args.length, cache=args.cache, jobs=args.jobs)
     if args.out:
         trainer.write_eval_csv(report, args.out)
         write_manifest(Path(args.out).with_suffix(".manifest.json"), command, {

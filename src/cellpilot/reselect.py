@@ -72,9 +72,8 @@ class ReselectionParams:
         return np.array([getattr(self, f) for f in PARAM_ORDER], dtype=float)
 
     @classmethod
-    def from_vector(cls, vec, **fixed) -> "ReselectionParams":
-        vals = {f: float(v) for f, v in zip(PARAM_ORDER, vec)}
-        return cls(**vals, **fixed)
+    def from_vector(cls, vec) -> "ReselectionParams":
+        return cls(**{f: float(v) for f, v in zip(PARAM_ORDER, vec)})
 
 
 def param_columns(params: list[ReselectionParams], rows: int) -> ReselectionParams:

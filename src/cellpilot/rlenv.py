@@ -66,7 +66,7 @@ def build_observation(traj, step: int, cell_bw: np.ndarray, n_ues: int,
 # Action mapping
 # ---------------------------------------------------------------------------
 
-def map_action(raw, **fixed) -> ReselectionParams:
+def map_action(raw) -> ReselectionParams:
     """First six raw values (clipped to [0,1]) linearly mapped to the
     physical parameter ranges in canonical order."""
     raw = np.asarray(raw, dtype=float).ravel()
@@ -75,7 +75,7 @@ def map_action(raw, **fixed) -> ReselectionParams:
     for ui, name in zip(u, PARAM_ORDER):
         lo, hi = PARAM_RANGES[name]
         vals.append(lo + ui * (hi - lo))
-    return ReselectionParams.from_vector(vals, **fixed)
+    return ReselectionParams.from_vector(vals)
 
 
 def normalize_params(params: ReselectionParams) -> np.ndarray:

@@ -66,11 +66,6 @@ class EpisodeConfig:
             raise ValueError("n_ues must be >= 1")
         self.traffic.validate()
 
-    @property
-    def udr(self) -> float:
-        """Update-to-dwell ratio pri*dt / SDT for this configuration."""
-        return self.pri * DT / self.traffic.mean_dwell_s
-
 
 @dataclass(eq=False)
 class Trajectory:
@@ -115,10 +110,6 @@ class UpdateRecord:
 class EpisodeResult:
     steps: Trajectory
     updates: list[UpdateRecord]
-    n_cells: int
-    n_ues: int
-    pri: int
-    udr: float
 
 
 def run_episode(cfg: EpisodeConfig, controller) -> EpisodeResult:
@@ -240,8 +231,7 @@ def run_episodes(cfgs: list[EpisodeConfig], controllers: list) -> list[EpisodeRe
         traj.reselection_events[:, s] = (resel.reshape(n_seeds, n_ues).sum(axis=1)
                                          if s > 0 else 0)
 
-    return [EpisodeResult(traj.seed(i), updates[i], n_cells, n_ues, cfg.pri, cfg.udr)
-            for i in range(n_seeds)]
+    return [EpisodeResult(traj.seed(i), updates[i]) for i in range(n_seeds)]
 
 
 def constant_controller(params: ReselectionParams):
@@ -297,12 +287,11 @@ def run_heuristic_reference(cfg: EpisodeConfig, params: ReselectionParams,
     path = cdir / f"ref_{fp}.bin"
     if path.exists():
         try:
-            meta, arrays = load_container(path)
+            _, arrays = load_container(path)
             traj = Trajectory(**arrays)
         except Exception as exc:
             raise SimError(f"corrupt reference cache {path}: {exc}") from exc
-        return EpisodeResult(traj, [], traj.per_cell_tput.shape[1], meta["n_ues"],
-                             cfg.pri, cfg.udr)
+        return EpisodeResult(traj, [])
     result = run_episode(cfg, constant_controller(params))
     try:
         cdir.mkdir(parents=True, exist_ok=True)

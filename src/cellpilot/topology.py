@@ -651,7 +651,6 @@ GENERATOR_PRESETS = {
 def generate_topology(preset: str | None = None, seed: int = 0, *,
                       towers: int | None = None, cells: int | None = None,
                       area: tuple[float, float] | None = None,
-                      bands: list[int] | None = None,
                       buildings: int | None = None,
                       streets: tuple[int, int] | None = None) -> Topology:
     """Deterministic synthetic scenario for a given (preset/flags, seed).
@@ -669,9 +668,6 @@ def generate_topology(preset: str | None = None, seed: int = 0, *,
         params["cells"] = cells
     if area is not None:
         params["area"] = area
-    if bands is not None:
-        params["bands"] = bands
-        params.pop("per_tower_bands", None)
     if buildings is not None:
         params["buildings"] = buildings
     if streets is not None:

@@ -38,11 +38,6 @@ class TrafficConfig:
         if not (0.0 <= self.building_weight <= 1.0):
             raise ValueError("building_weight must be in [0, 1]")
 
-    @property
-    def mean_dwell_s(self) -> float:
-        """Mean state dwell time across the two modes."""
-        return 0.5 * (1.0 / self.lambda_idle + 1.0 / self.lambda_active)
-
 
 @dataclass(eq=False)
 class Population:

@@ -12,7 +12,7 @@ trajectory bit-exactly.
 from __future__ import annotations
 
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -106,28 +106,27 @@ class TrainRunConfig:
         if abs(sum(self.weights) - 1.0) > 1e-9:
             raise ValueError(f"reward weights must sum to 1, got {self.weights}")
         if self.preset not in PRESETS:
-            raise ValueError(f"unknown preset '{self.preset}'")
-        for name in ("pri", "seed_count", "validation_seed_count",
-                     "checkpoint_every", "baseline_window"):
+            raise ValueError(f"preset must be one of {', '.join(sorted(PRESETS))}, "
+                             f"got '{self.preset}'")
+        for name in ("pri", "n_ues", "hidden", "seed_count",
+                     "validation_seed_count", "checkpoint_every",
+                     "baseline_window"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
         if self.episode_cap is not None and self.episode_cap < 1:
             raise ValueError(f"episode_cap must be >= 1 when set, got {self.episode_cap}")
 
-    def episode_cfg(self, seed: int, length: float, *, train: bool,
-                    pri: int | None = None, n_ues: int | None = None,
-                    mobility: bool | None = None) -> EpisodeConfig:
+    def episode_cfg(self, seed: int, length: float, *,
+                    train: bool) -> EpisodeConfig:
         """Training episodes run static and unobstructed; eval episodes run
         with obstruction, and move when `mobility_eval` is set."""
-        if mobility is None:
-            mobility = not train and self.mobility_eval
         return EpisodeConfig(
             topology=self.topology,
             episode_seed=seed,
-            n_ues=n_ues if n_ues is not None else self.n_ues,
+            n_ues=self.n_ues,
             length=length,
-            pri=pri if pri is not None else self.pri,
-            traffic=TrafficConfig(mobility_enabled=mobility),
+            pri=self.pri,
+            traffic=TrafficConfig(mobility_enabled=not train and self.mobility_eval),
             obstruction_enabled=not train,
             history_k=self.history_k,
         )
@@ -192,9 +191,7 @@ class TrainLogRow:
     rolling_std: float
 
 
-LOG_COLUMNS = ("episode", "seed", "round", "pass_index", "lr", "length",
-               "r_total", "r_tput", "r_bal", "r_ue_eff", "grad_norm",
-               "clamped", "ewma", "rolling_std")
+LOG_COLUMNS = tuple(f.name for f in fields(TrainLogRow))
 
 
 def write_training_log(rows: list[TrainLogRow], path, append: bool = False) -> None:
@@ -241,10 +238,9 @@ def _reference(ep: EpisodeConfig, params: ReselectionParams,
 
 
 def _train_episode(net, opt, baselines, cfg: TrainRunConfig, seed: int,
-                   length: float, max_length: float, rng, cache,
-                   preset_params: ReselectionParams):
+                   length: float, max_length: float, rng, cache):
     ep = cfg.episode_cfg(seed=seed, length=length, train=True)
-    ref = _reference(ep, preset_params, max_length, cache)
+    ref = _reference(ep, PRESETS[cfg.preset], max_length, cache)
     baselines.seed_reference(seed, interval_aggregates(ref, ep.pri))
 
     records: list[tuple[np.ndarray, np.ndarray, int]] = []
@@ -310,7 +306,6 @@ def train(cfg: TrainRunConfig, schedule: CurriculumSchedule,
     out_dir.mkdir(parents=True, exist_ok=True)
     topo = cfg.topology
     obs_dim = rlenv.observation_dim(topo.n_cells, cfg.history_k)
-    preset_params = PRESETS[cfg.preset]
     train_seeds = derive_seeds(cfg.run_seed, SEED_STREAM_TRAIN, cfg.seed_count)
     val_seeds = derive_seeds(cfg.run_seed, SEED_STREAM_VALIDATION,
                              cfg.validation_seed_count, exclude=train_seeds)
@@ -345,7 +340,7 @@ def train(cfg: TrainRunConfig, schedule: CurriculumSchedule,
             seed_order = loop["seed_order"]
     else:
         net = pol.init_policy(obs_dim, cfg.hidden, seed=cfg.run_seed)
-        pol.warm_start(net, preset_params)
+        pol.warm_start(net, PRESETS[cfg.preset])
         opt = pol.init_optimizer(net, cfg.lr)
         baselines = BaselineTable(cfg.baseline_window)
         rng = np.random.default_rng(
@@ -389,8 +384,7 @@ def train(cfg: TrainRunConfig, schedule: CurriculumSchedule,
         opt.lr = cfg.lr / (2 ** round_idx) if schedule.lr_halving else cfg.lr
         try:
             stats = _train_episode(net, opt, baselines, cfg, seed, length,
-                                   schedule.final_length, rng, cache,
-                                   preset_params)
+                                   schedule.final_length, rng, cache)
         except pol.PolicyError as exc:
             raise TrainerError(
                 f"aborting at episode {episode + 1}: {exc}; "
@@ -410,8 +404,7 @@ def train(cfg: TrainRunConfig, schedule: CurriculumSchedule,
             checkpoint(ck_path)
             last_good = str(ck_path)
             score = validation_score(net, cfg, val_seeds,
-                                     schedule.final_length, cache,
-                                     preset_params)
+                                     schedule.final_length, cache)
             if best_score is None or score > best_score:
                 best_score = score
                 checkpoint(best_path)
@@ -422,7 +415,7 @@ def train(cfg: TrainRunConfig, schedule: CurriculumSchedule,
     final_path = out_dir / "ckpt_final.bin"
     checkpoint(final_path, final=True)
     score = validation_score(net, cfg, val_seeds, schedule.final_length,
-                             cache, preset_params)
+                             cache)
     if best_score is None or score > best_score:
         best_score = score
         checkpoint(best_path, final=True)
@@ -502,18 +495,19 @@ def _eval_rows(args) -> list[EvalRow]:
 
 
 def evaluate(net_or_params, cfg: TrainRunConfig, eval_seeds: list[int],
-             train_seeds: list[int], *, length: float = 50.0,
-             pri: int | None = None, n_ues: int | None = None,
-             mobility: bool | None = None, cache=None, jobs: int = 1,
-             baseline_preset: str = "config_b") -> EvalReport:
+             train_seeds: list[int], *, length: float = 50.0, cache=None,
+             jobs: int = 1) -> EvalReport:
     """Deterministic mean-action rollouts on unseen seeds; per-seed relative
-    gains against the heuristic reference, which runs (and is cached) at the
-    eval `length`. Refuses seeds seen in training.
+    gains against the heuristic reference (`cfg.preset`), which runs (and is
+    cached) at the eval `length`. Every other setting comes from `cfg`; pass
+    ``dataclasses.replace(cfg, ...)`` for another population or PRI. Refuses
+    seeds seen in training.
 
     The seeds run as `jobs` shards of contiguous seeds, one worker process
     per shard when `jobs` > 1, and each shard advances its seeds in lockstep
     batches of at most LOCKSTEP_UES UEs; the rows do not depend on `jobs`.
     """
+    cfg.validate()
     if len(eval_seeds) == 0:
         raise ValueError("eval_seeds is empty: evaluate needs at least one seed")
     overlap = sorted(set(eval_seeds) & set(train_seeds))
@@ -521,10 +515,8 @@ def evaluate(net_or_params, cfg: TrainRunConfig, eval_seeds: list[int],
         raise TrainerError(
             f"evaluation seeds overlap training seeds: {overlap[:5]}"
             + ("..." if len(overlap) > 5 else ""))
-    baseline_params = PRESETS[baseline_preset]
-    eps = [cfg.episode_cfg(seed=s, length=length, train=False, pri=pri,
-                           n_ues=n_ues, mobility=mobility) for s in eval_seeds]
-    shards = [(net_or_params, [eps[i] for i in idx], baseline_params, cache)
+    eps = [cfg.episode_cfg(seed=s, length=length, train=False) for s in eval_seeds]
+    shards = [(net_or_params, [eps[i] for i in idx], PRESETS[cfg.preset], cache)
               for idx in np.array_split(np.arange(len(eps)),
                                         min(max(jobs, 1), len(eps)))]
     if len(shards) > 1:
@@ -532,13 +524,11 @@ def evaluate(net_or_params, cfg: TrainRunConfig, eval_seeds: list[int],
             rows = [row for part in ex.map(_eval_rows, shards) for row in part]
     else:
         rows = _eval_rows(shards[0])
-    first = eps[0]
-    return EvalReport.from_rows(rows, first.n_ues, first.pri, first.length)
+    return EvalReport.from_rows(rows, cfg.n_ues, cfg.pri, length)
 
 
 def validation_score(net, cfg: TrainRunConfig, val_seeds: list[int],
-                     length: float, cache,
-                     preset_params: ReselectionParams) -> float:
+                     length: float, cache) -> float:
     """Mean weighted gain on the held-out validation seeds (no mutation).
 
     The seeds run one at a time: a lockstep of the three validation seeds
@@ -549,7 +539,7 @@ def validation_score(net, cfg: TrainRunConfig, val_seeds: list[int],
     w1, w2, w3 = cfg.weights
     for s in val_seeds:
         ep = cfg.episode_cfg(seed=s, length=length, train=False)
-        [row] = _eval_rows((net, [ep], preset_params, cache))
+        [row] = _eval_rows((net, [ep], PRESETS[cfg.preset], cache))
         total += w1 * row.tput_gain + w2 * row.bal_gain + w3 * row.ue_gain
     return total / len(val_seeds)
 
@@ -572,9 +562,9 @@ def write_eval_csv(report: EvalReport, path) -> None:
 
 def ablation_config(cfg: TrainRunConfig, schedule: CurriculumSchedule,
                     variant: str):
-    """(variant cfg, variant schedule, eval overrides) with exactly one
-    deviation from the base configuration."""
-    eval_overrides: dict = {}
+    """(variant cfg, variant schedule, eval cfg) with exactly one deviation
+    from the base configuration; the eval cfg is the variant cfg except
+    under `stress_test`, which evaluates at pri=10."""
     cfg2, schedule2 = cfg, schedule
     if variant == "no_curriculum":
         schedule2 = replace(schedule, initial_length=schedule.final_length,
@@ -584,7 +574,7 @@ def ablation_config(cfg: TrainRunConfig, schedule: CurriculumSchedule,
     elif variant == "mobility_eval":
         cfg2 = replace(cfg, mobility_eval=True)
     elif variant == "stress_test":
-        eval_overrides["pri"] = 10
+        return cfg, schedule, replace(cfg, pri=10)
     elif variant == "slow_updates":
         cfg2 = replace(cfg, pri=10)
     elif variant == "synchronous_updates":
@@ -594,7 +584,7 @@ def ablation_config(cfg: TrainRunConfig, schedule: CurriculumSchedule,
         raise TrainerError(
             f"unknown ablation variant '{variant}' (choose from "
             f"{', '.join(ABLATION_VARIANTS)})")
-    return cfg2, schedule2, eval_overrides
+    return cfg2, schedule2, cfg2
 
 
 @dataclass
@@ -606,13 +596,13 @@ class AblationResult:
 
 def ablate(cfg: TrainRunConfig, schedule: CurriculumSchedule, variant: str,
            out_dir, cache=None, jobs: int = 1) -> AblationResult:
-    cfg2, schedule2, eval_overrides = ablation_config(cfg, schedule, variant)
+    cfg2, schedule2, eval_cfg = ablation_config(cfg, schedule, variant)
     result = train(cfg2, schedule2, out_dir, cache=cache)
     ck = pol.load_checkpoint(result.final_checkpoint)
     eval_seeds = derive_seeds(cfg2.run_seed, SEED_STREAM_EVAL,
                               cfg2.eval_seed_count, exclude=result.train_seeds)
-    report = evaluate(ck.net, cfg2, eval_seeds, result.train_seeds,
-                      cache=cache, jobs=jobs, **eval_overrides)
+    report = evaluate(ck.net, eval_cfg, eval_seeds, result.train_seeds,
+                      cache=cache, jobs=jobs)
     return AblationResult(variant, result, report)
 
 

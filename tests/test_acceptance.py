@@ -6,6 +6,7 @@ scratch (600 episodes, a few minutes) and its checkpoint is reused by the
 population-scaling and slow-update checks (7, 8).
 """
 import time
+from dataclasses import replace
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -244,9 +245,9 @@ def test_06_training_beats_heuristic(desk_run, cache):
 def test_07_gains_scale_with_population(desk_run, cache):
     meds = {}
     for n in (25, 50, 100):
-        rep = evaluate(desk_run.net, desk_run.cfg, desk_run.eval_seeds,
-                       desk_run.res.train_seeds, length=50.0, n_ues=n,
-                       cache=cache, jobs=JOBS)
+        rep = evaluate(desk_run.net, replace(desk_run.cfg, n_ues=n),
+                       desk_run.eval_seeds, desk_run.res.train_seeds,
+                       length=50.0, cache=cache, jobs=JOBS)
         meds[n] = rep.medians["tput_gain"]
     _line(7, meds[100] >= meds[25] - 0.02,
           "median tput gain " + ", ".join(f"N={n}: {meds[n]:+.2%}"
@@ -257,8 +258,8 @@ def test_07_gains_scale_with_population(desk_run, cache):
 # -- 8: policy trained at pri=1 survives pri=10 updates ----------------------
 
 def test_08_slow_update_stress(desk_run, cache):
-    rep = evaluate(desk_run.net, desk_run.cfg, desk_run.eval_seeds,
-                   desk_run.res.train_seeds, length=50.0, pri=10,
+    rep = evaluate(desk_run.net, replace(desk_run.cfg, pri=10),
+                   desk_run.eval_seeds, desk_run.res.train_seeds, length=50.0,
                    cache=cache, jobs=JOBS)
     med = rep.medians["tput_gain"]
     _line(8, med >= 0.0, f"pri=10 eval: median tput gain {med:+.2%} (>=0)")

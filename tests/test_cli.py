@@ -109,7 +109,11 @@ def test_train_cli_and_manifest_determinism(tmp_path, capsys):
     (["train", "--checkpoint-every", "0"], "checkpoint_every"),
     (["train", "--seeds", "0"], "seed_count"),
     (["eval", "--params", "config_b", "--seeds", "0"], "eval_seeds"),
-], ids=["checkpoint-every", "train-seeds", "eval-seeds"])
+    (["eval", "--params", "config_b", "--baseline", "bogus"], "preset"),
+    (["eval", "--params", "config_b", "--ues", "0"], "n_ues"),
+    (["train", "--hidden", "0"], "hidden"),
+], ids=["checkpoint-every", "train-seeds", "eval-seeds", "eval-baseline",
+        "eval-ues", "train-hidden"])
 def test_counts_below_one_fail_early(tmp_path, capsys, argv, field):
     command, *rest = argv
     out = ["--out", str(tmp_path / "run")] if command == "train" else []

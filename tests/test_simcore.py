@@ -59,7 +59,7 @@ DESCENT_PARAMS = ReselectionParams(t_xhigh=-56.0, t_xlow=-58.0, t_slow=-54.0,
                                    q_hyst=3.0, q_offset=14.0, q_rxlevmin=-75.0)
 
 
-def test_config_validation_and_udr():
+def test_config_validation():
     topo = two_layer_topo()
     EpisodeConfig(topo, 0).validate()
     with pytest.raises(ValueError):
@@ -68,9 +68,6 @@ def test_config_validation_and_udr():
         EpisodeConfig(topo, 0, pri=0).validate()
     with pytest.raises(ValueError):
         EpisodeConfig(topo, 0, n_ues=0).validate()
-    cfg = EpisodeConfig(topo, 0, pri=5,
-                        traffic=TrafficConfig(lambda_idle=0.2, lambda_active=0.2))
-    assert cfg.udr == pytest.approx(1.0)
 
 
 def test_idle_only_reselection_and_event_counting():
@@ -91,7 +88,6 @@ def test_idle_only_reselection_and_event_counting():
         assert tr.per_cell_tput[i][0] == 0.0
         assert tr.per_cell_tput[i][1] > 0.0
         assert tr.per_cell_avail_bw[i][0] == 10e6
-    assert res.n_cells == 2 and res.n_ues == 40 and res.pri == 1
 
 
 def test_camp_on_tie_breaks_by_cell_id_not_index():
@@ -224,8 +220,6 @@ def test_lockstep_matches_serial_runs():
         want = run_episode(cfg, ctl)
         assert arrays_bytes(got) == arrays_bytes(want)
         assert got.updates == want.updates
-        assert (got.n_cells, got.n_ues, got.pri, got.udr) == \
-            (want.n_cells, want.n_ues, want.pri, want.udr)
     params = {u.params for r in together for u in r.updates}
     assert len(params) > 2   # the seeds really ran under different parameters
     assert sum(r.steps.reselection_events.sum() for r in together) > 0

@@ -37,7 +37,6 @@ def test_config_validation():
         TrafficConfig(lambda_active=-1.0).validate()
     with pytest.raises(ValueError):
         TrafficConfig(building_weight=1.5).validate()
-    assert TrafficConfig(lambda_idle=0.2, lambda_active=0.5).mean_dwell_s == pytest.approx(3.5)
 
 
 def test_init_population_fields():

@@ -1,16 +1,18 @@
 from dataclasses import replace
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+import cellpilot
 from cellpilot import simcore, trainer
 from cellpilot.container import load_container
 from cellpilot.policy import init_policy, load_checkpoint, warm_start
-from cellpilot.reselect import CONFIG_B
+from cellpilot.reselect import CONFIG_A, CONFIG_B
 from cellpilot.rlenv import BASELINE_ARRAYS, normalize_params
 from cellpilot.simcore import EpisodeConfig
-from cellpilot.topology import Cell, Topology, Tower
+from cellpilot.topology import Cell, Topology, Tower, load_topology
 from cellpilot.trainer import (
     SEED_STREAM_EVAL,
     SEED_STREAM_TRAIN,
@@ -53,6 +55,8 @@ def tiny_cfg(topo, **over):
     return TrainRunConfig(**base)
 
 
+DATA = Path(cellpilot.__file__).parent / "data"
+
 TINY_SCHED = CurriculumSchedule(initial_length=3.0, increment=1.0,
                                 passes_per_round=1, rounds=2)
 
@@ -87,7 +91,8 @@ def test_config_validation_and_episode_cfg():
     cfg.validate()
     with pytest.raises(ValueError):
         tiny_cfg(topo, weights=(0.5, 0.4, 0.2)).validate()
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="preset must be one of config_a, "
+                       "config_b, got 'config_c'"):
         tiny_cfg(topo, preset="config_c").validate()
     # obstruction only in eval; mobility only in eval, and there only when
     # mobility_eval is set
@@ -98,9 +103,10 @@ def test_config_validation_and_episode_cfg():
         assert not ep_t.obstruction_enabled and ep_e.obstruction_enabled
         assert not ep_t.traffic.mobility_enabled
         assert ep_e.traffic.mobility_enabled == mobility_eval
-    ep_o = cfg.episode_cfg(seed=5, length=10.0, train=False, pri=7, n_ues=9,
-                           mobility=False)
-    assert (ep_o.pri, ep_o.n_ues, ep_o.traffic.mobility_enabled) == (7, 9, False)
+    # population and PRI come from the config alone
+    ep_o = replace(cfg, pri=7, n_ues=9).episode_cfg(seed=5, length=10.0,
+                                                    train=False)
+    assert (ep_o.pri, ep_o.n_ues, ep_o.traffic.mobility_enabled) == (7, 9, True)
 
 
 def test_convergence_monitor_math():
@@ -210,6 +216,21 @@ def test_evaluating_the_baseline_gives_zero_gains(tmp_path):
         assert row.ue_gain == 0.0
 
 
+def test_evaluate_takes_the_reference_preset_from_the_config(tmp_path):
+    # config_a against a config_a reference gains nothing; against the
+    # default config_b reference on the same seeds it does differ
+    cfg = tiny_cfg(load_topology(DATA / "desk.topo"), n_ues=30)
+    seeds = [100, 101, 102]
+    same = evaluate(CONFIG_A, replace(cfg, preset="config_a"), seeds, [1],
+                    length=10.0, cache=tmp_path / "cache")
+    assert all((r.tput_gain, r.bal_gain, r.ue_gain) == (0.0, 0.0, 0.0)
+               for r in same.rows)
+    other = evaluate(CONFIG_A, replace(cfg, preset="config_b"), seeds, [1],
+                     length=10.0, cache=tmp_path / "cache")
+    assert any((r.tput_gain, r.bal_gain, r.ue_gain) != (0.0, 0.0, 0.0)
+               for r in other.rows)
+
+
 def test_evaluate_shards_give_the_same_rows(tmp_path):
     # jobs=k runs k lockstep shards of contiguous seeds in worker processes;
     # the rows and their order do not depend on k
@@ -252,22 +273,33 @@ def test_ablation_config_single_deviation():
     topo = tiny_topo()
     cfg = tiny_cfg(topo)
     sched = TINY_SCHED
-    c2, s2, ov = ablation_config(cfg, sched, "no_curriculum")
-    assert c2 is cfg and ov == {}
+    c2, s2, ev = ablation_config(cfg, sched, "no_curriculum")
+    assert c2 is cfg and ev is c2
     assert s2.initial_length == sched.final_length and s2.increment == 0.0
     assert s2.lengths() == [4.0, 4.0]
-    c2, s2, ov = ablation_config(cfg, sched, "seeds_500")
-    assert (c2.seed_count, s2, ov) == (500, sched, {})
-    c2, s2, ov = ablation_config(cfg, sched, "mobility_eval")
-    assert c2.mobility_eval and not cfg.mobility_eval
-    c2, s2, ov = ablation_config(cfg, sched, "stress_test")
-    assert c2 is cfg and s2 is sched and ov == {"pri": 10}
-    c2, s2, ov = ablation_config(cfg, sched, "slow_updates")
-    assert c2.pri == 10
-    c2, s2, ov = ablation_config(cfg, sched, "synchronous_updates")
+    c2, s2, ev = ablation_config(cfg, sched, "seeds_500")
+    assert (c2.seed_count, s2) == (500, sched) and ev is c2
+    c2, s2, ev = ablation_config(cfg, sched, "mobility_eval")
+    assert c2.mobility_eval and not cfg.mobility_eval and ev is c2
+    # the one variant whose evaluation deviates instead of its training
+    c2, s2, ev = ablation_config(cfg, sched, "stress_test")
+    assert c2 is cfg and s2 is sched and ev == replace(cfg, pri=10)
+    c2, s2, ev = ablation_config(cfg, sched, "slow_updates")
+    assert c2.pri == 10 and ev is c2
+    c2, s2, ev = ablation_config(cfg, sched, "synchronous_updates")
     assert (c2.pri, c2.weights, c2.baseline_window) == (5, (0.025, 0.95, 0.025), 10)
+    assert ev is c2
     with pytest.raises(TrainerError, match="unknown ablation"):
         ablation_config(cfg, sched, "bogus")
+
+
+def test_ablate_stress_test_trains_at_the_base_pri_and_evaluates_at_10(tmp_path):
+    cfg = tiny_cfg(tiny_topo())
+    result = trainer.ablate(cfg, TINY_SCHED, "stress_test", tmp_path / "run",
+                            cache=tmp_path / "cache")
+    ck = load_checkpoint(result.train.final_checkpoint)
+    assert ck.meta["config"]["pri"] == 1
+    assert (result.report.pri, len(result.report.rows)) == (10, cfg.eval_seed_count)
 
 
 def test_train_smoke(tmp_path):
@@ -437,7 +469,7 @@ def test_resume_rejects_another_run_layout(three_seed_run, tmp_path, field,
 def test_config_rejects_counts_below_one():
     topo = tiny_topo()
     for name in ("seed_count", "validation_seed_count", "checkpoint_every",
-                 "baseline_window", "pri", "episode_cap"):
+                 "baseline_window", "pri", "n_ues", "hidden", "episode_cap"):
         with pytest.raises(ValueError, match=f"{name} must be >= 1"):
             tiny_cfg(topo, **{name: 0}).validate()
     tiny_cfg(topo, episode_cap=None).validate()
