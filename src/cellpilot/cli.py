@@ -84,19 +84,12 @@ def write_manifest(path: Path, command: str, payload: dict) -> None:
 # ---------------------------------------------------------------------------
 
 def cmd_gen_topology(args) -> int:
-    overrides = {}
-    if args.towers is not None:
-        overrides["towers"] = args.towers
-    if args.cells is not None:
-        overrides["cells"] = args.cells
-    if args.area is not None:
-        overrides["area"] = parse_pair(args.area, "--area")
-    if args.buildings is not None:
-        overrides["buildings"] = args.buildings
-    if args.streets is not None:
-        sx, sy = parse_pair(args.streets, "--streets")
-        overrides["streets"] = (int(sx), int(sy))
-    topo = generate_topology(args.preset, args.seed, **overrides)
+    area = None if args.area is None else parse_pair(args.area, "--area")
+    streets = (None if args.streets is None else
+               tuple(int(v) for v in parse_pair(args.streets, "--streets")))
+    topo = generate_topology(args.preset, args.seed, towers=args.towers,
+                             cells=args.cells, area=area,
+                             buildings=args.buildings, streets=streets)
     save_topology(topo, args.output)
     fp = topology_fingerprint(topo)
     print(f"wrote {args.output}: {len(topo.towers)} towers, "

@@ -83,19 +83,18 @@ def _sigmoid(z: np.ndarray) -> np.ndarray:
     return out
 
 
-def forward(net: PolicyNet, obs: np.ndarray) -> tuple[np.ndarray, np.ndarray, tuple]:
-    """(mu, sigma_raw, cached activations) for a single observation."""
+def forward(net: PolicyNet, obs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(mu, sigma_raw) for a single observation."""
     obs = np.asarray(obs, dtype=float).ravel()
     if obs.shape[0] != net.obs_dim:
         raise PolicyError(
             f"observation length {obs.shape[0]} != expected {net.obs_dim}")
-    a1 = np.tanh(obs @ net.w1 + net.b1)
-    a2 = np.tanh(a1 @ net.w2 + net.b2)
-    out = _sigmoid(a2 @ net.w3 + net.b3)
-    return out[:N_PARAMS], out[N_PARAMS:], (obs, a1, a2, out)
+    out = _forward_batch(net, obs)[2]
+    return out[:N_PARAMS], out[N_PARAMS:]
 
 
 def _forward_batch(net: PolicyNet, x: np.ndarray):
+    """Activations (a1, a2, out) for one observation (D,) or rows (N, D)."""
     a1 = np.tanh(x @ net.w1 + net.b1)
     a2 = np.tanh(a1 @ net.w2 + net.b2)
     out = _sigmoid(a2 @ net.w3 + net.b3)
@@ -107,15 +106,12 @@ def effective_sigma(sigma_raw: np.ndarray) -> np.ndarray:
 
 
 def sample_action(mu: np.ndarray, sigma_raw: np.ndarray,
-                  rng: np.random.Generator) -> tuple[np.ndarray, float]:
+                  rng: np.random.Generator) -> np.ndarray:
     """Draw the 6 parameter values and return the 12-value raw action
-    (sample ++ sigma_raw) with its log-probability over the 6 draws.
-    The sample is left unclipped here; mapping clips to [0,1]."""
-    sigma = effective_sigma(sigma_raw)
-    eps = rng.standard_normal(N_PARAMS)
-    a = mu + sigma * eps
-    logp = float(np.sum(-0.5 * eps ** 2 - np.log(sigma) - 0.5 * LOG_2PI))
-    return np.concatenate([a, sigma_raw]), logp
+    (sample ++ sigma_raw). The sample is left unclipped here; mapping
+    clips to [0,1]."""
+    a = mu + effective_sigma(sigma_raw) * rng.standard_normal(N_PARAMS)
+    return np.concatenate([a, sigma_raw])
 
 
 def log_prob(mu: np.ndarray, sigma_raw: np.ndarray, action6: np.ndarray) -> float:
@@ -168,7 +164,7 @@ def reinforce_loss(net: PolicyNet, records) -> float:
     """Scalar L = -sum_j r_j log pi; the finite-difference oracle target."""
     total = 0.0
     for obs, action, r in records:
-        mu, sr, _ = forward(net, obs)
+        mu, sr = forward(net, obs)
         total -= float(r) * log_prob(mu, sr, np.asarray(action)[:N_PARAMS])
     return total
 

@@ -8,11 +8,11 @@ cell, each gated on target suitability:
 * equal — same priority: rx_target - q_offset > rx_serving + q_hyst
 * low   — target priority below serving, measured only while the serving
           level s_rxlev = rx_serving - q_rxlevmin is under the search
-          threshold (s_intra on the serving frequency, s_inter off it):
+          threshold (S_INTRA on the serving frequency, S_INTER off it):
           rx_serving < t_slow and rx_target > t_xlow
 
 A criterion's timer advances while its condition holds and resets to zero
-the step it fails; the UE reselects once elapsed time reaches t_resel.
+the step it fails; the UE reselects once elapsed time reaches T_RESEL.
 When several targets fire in one step the order high > equal > low
 applies, then (priority desc,) metric desc, cell id asc.
 
@@ -49,14 +49,15 @@ PARAM_RANGES = {
     "q_rxlevmin": (-100.0, 0.0),
 }
 
-T_RESEL_DEFAULT = 1.0    # s; one simulation step
-S_INTRA_DEFAULT = 4.0    # dB, search threshold on s_rxlev, serving frequency
-S_INTER_DEFAULT = 6.0    # dB, other frequencies
+# fixed by the protocol, not tuned
+T_RESEL = 1.0    # s; one simulation step
+S_INTRA = 4.0    # dB, search threshold on s_rxlev, serving frequency
+S_INTER = 6.0    # dB, other frequencies
 
 
 @dataclass(frozen=True)
 class ReselectionParams:
-    """The six broadcast tunables plus the fixed timing/search constants."""
+    """The six broadcast tunables, in PARAM_ORDER."""
 
     t_xhigh: float      # dBm, admit threshold toward higher-priority layers
     t_xlow: float       # dBm, target floor for lower-priority reselection
@@ -64,9 +65,6 @@ class ReselectionParams:
     q_hyst: float       # dB, serving-rank hysteresis
     q_offset: float     # dB, neighbor-rank penalty
     q_rxlevmin: float   # dBm, suitability floor
-    t_resel: float = T_RESEL_DEFAULT
-    s_intra: float = S_INTRA_DEFAULT
-    s_inter: float = S_INTER_DEFAULT
 
     def to_vector(self) -> np.ndarray:
         return np.array([getattr(self, f) for f in PARAM_ORDER], dtype=float)
@@ -85,7 +83,7 @@ def param_columns(params: list[ReselectionParams], rows: int) -> ReselectionPara
 
 def _rows(params: ReselectionParams, rows: np.ndarray) -> ReselectionParams:
     """The parameters of the given rows (scalar parameters serve them all)."""
-    if not isinstance(params.t_resel, np.ndarray):
+    if not isinstance(params.q_rxlevmin, np.ndarray):
         return params
     return ReselectionParams(*(col[rows] for col in vars(params).values()))
 
@@ -186,14 +184,11 @@ def step_reselection(serving: np.ndarray, timers: np.ndarray, rx: np.ndarray,
                       & (rx_off > rx_s + params.q_hyst))
     cond[rows, EQUAL, serving] = False
     same_freq = frequencies == frequencies[serving][:, None]
-    measured = np.where(same_freq, s_lev < params.s_intra, s_lev < params.s_inter)
+    measured = np.where(same_freq, s_lev < S_INTRA, s_lev < S_INTER)
     cond[:, LOW] = ((priorities < pr_s) & measured & (rx_s < params.t_slow)
                     & (rx > params.t_xlow) & suitable)
-    t_resel = params.t_resel
-    if isinstance(t_resel, np.ndarray):
-        t_resel = t_resel[:, :, None]   # (N, 1) column against (N, 3, C)
-    timers[...] = np.where(cond, np.minimum(timers + dt, t_resel), 0.0)
-    fired = cond & (timers >= t_resel)
+    timers[...] = np.where(cond, np.minimum(timers + dt, T_RESEL), 0.0)
+    fired = cond & (timers >= T_RESEL)
     # criterion order high > equal > low: the first criterion row that fired
     any_fired = fired.any(axis=2)
     crit = np.where(any_fired.any(axis=1), any_fired.argmax(axis=1), -1)
@@ -342,16 +337,16 @@ def brute_force_oracle(rx_trace, priorities, frequencies, params: ReselectionPar
                     "equal": (suit and prio[c] == prio[serving]
                               and rx[c] - params.q_offset > rx[serving] + params.q_hyst),
                     "low": (suit and prio[c] < prio[serving]
-                            and s_lev < (params.s_intra if freq[c] == freq[serving]
-                                         else params.s_inter)
+                            and s_lev < (S_INTRA if freq[c] == freq[serving]
+                                         else S_INTER)
                             and rx[serving] < params.t_slow
                             and rx[c] > params.t_xlow),
                 }
             for crit in ("high", "equal", "low"):
                 if ok[crit]:
-                    elapsed = min(timers.get((crit, c), 0.0) + dt, params.t_resel)
+                    elapsed = min(timers.get((crit, c), 0.0) + dt, T_RESEL)
                     timers[(crit, c)] = elapsed
-                    if elapsed >= params.t_resel:
+                    if elapsed >= T_RESEL:
                         fired[crit].append(c)
                 else:
                     timers.pop((crit, c), None)

@@ -206,7 +206,6 @@ class RewardBreakdown:
     r_bal: float
     r_ue_eff: float
     r_total: float
-    weights: tuple[float, float, float]
 
 
 def compute_reward(agg: IntervalAggregate, baselines: BaselineTable, seed: int,
@@ -239,5 +238,5 @@ def compute_reward(agg: IntervalAggregate, baselines: BaselineTable, seed: int,
     r_bal = float(np.clip(r_bal, -REWARD_CLIP, REWARD_CLIP))
     r_ue = float(np.clip(r_ue, -REWARD_CLIP, REWARD_CLIP))
     total = w1 * r_tput + w2 * r_bal + w3 * r_ue
-    return RewardBreakdown(r_tput, r_bal, r_ue, total, (w1, w2, w3))
+    return RewardBreakdown(r_tput, r_bal, r_ue, total)
 

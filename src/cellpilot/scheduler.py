@@ -6,8 +6,8 @@ whose cap needs less than the current fair share are pinned to exactly
 their cap's bandwidth and the surplus is re-split equally among the
 rest, iterated to a fixpoint.
 
-One :func:`allocate` call serves one cell or many: the UEs of each cell
-form a contiguous segment, and per-cell sums are slice sums with the same
+One :func:`allocate` call serves many cells: the UEs of each cell form a
+contiguous segment, and per-cell sums are slice sums with the same
 pairwise summation a cell's own ``.sum()`` uses, so every figure is
 bit-identical to allocating the cells one at a time.
 """
@@ -21,11 +21,10 @@ import numpy as np
 
 @dataclass
 class Allocation:
-    ue_ids: list[int] | np.ndarray
-    bandwidth: np.ndarray        # Hz per UE, aligned with ue_ids
+    bandwidth: np.ndarray        # Hz per UE, in the order of `se`
     throughput: np.ndarray       # bit/s per UE
-    cell_throughput: float | np.ndarray   # bit/s, per cell
-    available_bw: float | np.ndarray      # Hz left unallocated, per cell
+    cell_throughput: np.ndarray  # bit/s per cell, (K,)
+    available_bw: np.ndarray     # Hz left unallocated per cell, (K,)
 
 
 def segment_sums(values: np.ndarray, counts: np.ndarray) -> np.ndarray:
@@ -70,23 +69,17 @@ def _water_fill(cell_bw: float, se: np.ndarray, caps: np.ndarray) -> np.ndarray:
     return bw
 
 
-def allocate(cell_bw, ue_ids, se: np.ndarray,
-             rate_caps: np.ndarray | None = None,
-             counts: np.ndarray | None = None) -> Allocation:
+def allocate(cell_bw, se: np.ndarray, counts: np.ndarray,
+             rate_caps: np.ndarray | None = None) -> Allocation:
     """Allocate each cell's bandwidth among its ACTIVE UEs with the given
     spectral efficiencies; throughput_ue = bandwidth_ue * se_ue always.
 
-    One cell: `cell_bw` is its bandwidth in Hz and the Allocation holds
-    scalar per-cell figures. Many cells: `counts` (K,) gives each cell's
-    UE count, `ue_ids` and `se` list the UEs cell by cell, `cell_bw` is
-    (K,), and the per-cell figures are (K,) arrays. Water-filling under
-    `rate_caps` runs one cell at a time.
+    `counts` (K,) gives each cell's UE count, `se` lists the UEs cell by
+    cell, and `cell_bw` is (K,). Water-filling under `rate_caps` runs one
+    cell at a time.
     """
-    one_cell = counts is None
     se = np.asarray(se, dtype=float)
-    if one_cell:
-        counts = np.array([len(se)])
-    cell_bw = np.asarray(cell_bw, dtype=float).reshape(-1)
+    cell_bw = np.asarray(cell_bw, dtype=float)
     if rate_caps is None:
         bw = np.repeat(cell_bw / np.maximum(counts, 1), counts)
     else:
@@ -98,10 +91,7 @@ def allocate(cell_bw, ue_ids, se: np.ndarray,
             if n])
     tput = bw * se
     cell_tput, used = segment_sums(np.stack([tput, bw]), counts)
-    avail = cell_bw - used
-    if one_cell:
-        return Allocation(ue_ids, bw, tput, float(cell_tput[0]), float(avail[0]))
-    return Allocation(ue_ids, bw, tput, cell_tput, avail)
+    return Allocation(bw, tput, cell_tput, cell_bw - used)
 
 
 def network_throughput(per_cell: np.ndarray, n_active

@@ -58,8 +58,9 @@ class EpisodeConfig:
     history_k: int = 10           # observation frames
 
     def validate(self) -> None:
-        if self.length <= 0:
-            raise ValueError("episode length must be > 0")
+        if round(self.length / DT) < 1:
+            raise ValueError(f"length must give at least one {DT:g} s step, "
+                             f"got {self.length}")
         if self.pri < 1:
             raise ValueError("pri must be >= 1")
         if self.n_ues < 1:
@@ -214,7 +215,7 @@ def run_episodes(cfgs: list[EpisodeConfig], controllers: list) -> list[EpisodeRe
         ids, cells = scheduled[order], pop.serving[scheduled[order]]
         per_cell_active = np.bincount(slots, minlength=n_seeds * n_cells)
         se = radio.spectral_efficiency(rx[ids, cells] - noise_floor[cells], se_table)
-        alloc = scheduler.allocate(cell_bw, ids, se, counts=per_cell_active)
+        alloc = scheduler.allocate(cell_bw, se, per_cell_active)
         per_cell = alloc.cell_throughput.reshape(n_seeds, n_cells)
         per_cell_active = per_cell_active.reshape(n_seeds, n_cells)
         total, ue_mean = scheduler.network_throughput(
@@ -267,8 +268,8 @@ def reference_fingerprint(cfg: EpisodeConfig, params: ReselectionParams) -> str:
                     cfg.traffic.speed_spread, cfg.traffic.building_weight],
         "se_table": hashlib.sha256(np.ascontiguousarray(se[0]).tobytes()
                                    + np.ascontiguousarray(se[1]).tobytes()).hexdigest(),
-        "params": list(params.to_vector()) + [params.t_resel, params.s_intra,
-                                              params.s_inter],
+        "params": list(params.to_vector()) + [reselect.T_RESEL, reselect.S_INTRA,
+                                              reselect.S_INTER],
     }
     blob = json.dumps(doc, sort_keys=True, separators=(",", ":")).encode()
     return hashlib.sha256(blob).hexdigest()

@@ -662,16 +662,9 @@ def generate_topology(preset: str | None = None, seed: int = 0, *,
     params = dict(GENERATOR_PRESETS.get(preset or "", {}))
     if not params and preset is not None and preset not in GENERATOR_PRESETS:
         raise TopologyError(f"unknown preset '{preset}'")
-    if towers is not None:
-        params["towers"] = towers
-    if cells is not None:
-        params["cells"] = cells
-    if area is not None:
-        params["area"] = area
-    if buildings is not None:
-        params["buildings"] = buildings
-    if streets is not None:
-        params["streets"] = streets
+    overrides = dict(towers=towers, cells=cells, area=area,
+                     buildings=buildings, streets=streets)
+    params.update((k, v) for k, v in overrides.items() if v is not None)
     params.setdefault("bands", [0])
     for key in ("towers", "cells", "area", "buildings", "streets"):
         if key not in params:

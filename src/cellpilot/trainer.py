@@ -79,8 +79,11 @@ class CurriculumSchedule:
     def validate(self) -> None:
         if self.rounds < 1 or self.passes_per_round < 1:
             raise ValueError("rounds and passes_per_round must be >= 1")
-        if self.initial_length <= 0 or self.increment < 0:
-            raise ValueError("episode lengths must be positive and non-decreasing")
+        if round(self.initial_length / simcore.DT) < 1:
+            raise ValueError(f"initial_length must give at least one "
+                             f"{simcore.DT:g} s step, got {self.initial_length}")
+        if self.increment < 0:
+            raise ValueError(f"increment must be >= 0, got {self.increment}")
 
 
 @dataclass
@@ -209,18 +212,16 @@ def write_training_log(rows: list[TrainLogRow], path, append: bool = False) -> N
 
 @dataclass
 class TrainResult:
-    out_dir: Path
     final_checkpoint: Path
     best_checkpoint: Path | None
     log_rows: list[TrainLogRow]
     converged_episode: int | None
     train_seeds: list[int]
-    validation_seeds: list[int]
 
 
 def _mean_action_controller(net: pol.PolicyNet):
     def controller(obs, interval):
-        mu, sigma_raw, _ = pol.forward(net, obs)
+        mu, sigma_raw = pol.forward(net, obs)
         return map_action(np.concatenate([mu, sigma_raw]))
     return controller
 
@@ -246,8 +247,8 @@ def _train_episode(net, opt, baselines, cfg: TrainRunConfig, seed: int,
     records: list[tuple[np.ndarray, np.ndarray, int]] = []
 
     def controller(obs, interval):
-        mu, sigma_raw, _ = pol.forward(net, obs)
-        action, _ = pol.sample_action(mu, sigma_raw, rng)
+        mu, sigma_raw = pol.forward(net, obs)
+        action = pol.sample_action(mu, sigma_raw, rng)
         records.append((obs, action, interval))
         return map_action(action)
 
@@ -270,23 +271,6 @@ def _train_episode(net, opt, baselines, cfg: TrainRunConfig, seed: int,
         "grad_norm": grad_norm,
         "clamped": clamped,
     }
-
-
-def _save_state(path, net, opt, baselines, rng, cfg: TrainRunConfig,
-                schedule: CurriculumSchedule, loop: dict) -> None:
-    extra = {
-        "loop": loop,
-        "schedule": asdict(schedule),
-        "config": {"run_seed": cfg.run_seed, "seed_count": cfg.seed_count,
-                   "n_ues": cfg.n_ues, "pri": cfg.pri,
-                   "weights": list(cfg.weights),
-                   "baseline_window": cfg.baseline_window,
-                   "hidden": cfg.hidden, "history_k": cfg.history_k,
-                   "lr": cfg.lr, "preset": cfg.preset,
-                   # the one credit rule; kept so checkpoints keep their bytes
-                   "return_mode": "immediate"},
-    }
-    pol.save_checkpoint(path, net, opt, baselines, rng.bit_generator.state, extra)
 
 
 def train(cfg: TrainRunConfig, schedule: CurriculumSchedule,
@@ -356,7 +340,6 @@ def train(cfg: TrainRunConfig, schedule: CurriculumSchedule,
         old_best = Path(resume_from).parent / "ckpt_best.bin"
         if old_best.exists():
             write_atomic(best_path, old_best.read_bytes())
-    have_best = best_path.exists() and best_score is not None
     last_good = str(resume_from) if resume_from else None
 
     def checkpoint(path, final: bool = False) -> None:
@@ -368,12 +351,22 @@ def train(cfg: TrainRunConfig, schedule: CurriculumSchedule,
         if final and episode % n == 0:
             k, order = k + 1, None
         round_idx, pass_idx = divmod(k, passes)
-        _save_state(path, net, opt, baselines, rng, cfg, schedule, {
-            "round": round_idx, "pass": pass_idx, "pos": pos + 1,
-            "seed_order": order, "episode": episode,
-            "monitor": monitor.state(), "best_score": best_score,
-            "converged_at": converged_at,
-            "train_seeds": train_seeds, "val_seeds": val_seeds})
+        loop = {"round": round_idx, "pass": pass_idx, "pos": pos + 1,
+                "seed_order": order, "episode": episode,
+                "monitor": monitor.state(), "best_score": best_score,
+                "converged_at": converged_at,
+                "train_seeds": train_seeds, "val_seeds": val_seeds}
+        config = {"run_seed": cfg.run_seed, "seed_count": cfg.seed_count,
+                  "n_ues": cfg.n_ues, "pri": cfg.pri,
+                  "weights": list(cfg.weights),
+                  "baseline_window": cfg.baseline_window,
+                  "hidden": cfg.hidden, "history_k": cfg.history_k,
+                  "lr": cfg.lr, "preset": cfg.preset,
+                  # the one credit rule; kept so checkpoints keep their bytes
+                  "return_mode": "immediate"}
+        pol.save_checkpoint(path, net, opt, baselines, rng.bit_generator.state,
+                            {"loop": loop, "schedule": asdict(schedule),
+                             "config": config})
 
     while episode < n * passes * schedule.rounds:
         round_idx, pass_idx = divmod(episode // n, passes)
@@ -408,7 +401,6 @@ def train(cfg: TrainRunConfig, schedule: CurriculumSchedule,
             if best_score is None or score > best_score:
                 best_score = score
                 checkpoint(best_path)
-                have_best = True
         if cfg.episode_cap is not None and episode >= cfg.episode_cap:
             break
 
@@ -419,11 +411,11 @@ def train(cfg: TrainRunConfig, schedule: CurriculumSchedule,
     if best_score is None or score > best_score:
         best_score = score
         checkpoint(best_path, final=True)
-        have_best = True
     write_training_log(rows, out_dir / "training_log.csv",
                        append=resume_from is not None)
-    return TrainResult(out_dir, final_path, best_path if have_best else None,
-                       rows, converged_at, train_seeds, val_seeds)
+    # a fresh run always scores a best; a resume copies or keeps its file
+    return TrainResult(final_path, best_path if best_path.exists() else None,
+                       rows, converged_at, train_seeds)
 
 
 # ---------------------------------------------------------------------------
@@ -515,10 +507,12 @@ def evaluate(net_or_params, cfg: TrainRunConfig, eval_seeds: list[int],
         raise TrainerError(
             f"evaluation seeds overlap training seeds: {overlap[:5]}"
             + ("..." if len(overlap) > 5 else ""))
+    if jobs < 1:
+        raise ValueError(f"jobs must be >= 1, got {jobs}")
     eps = [cfg.episode_cfg(seed=s, length=length, train=False) for s in eval_seeds]
+    eps[0].validate()  # before a worker starts or a reference is written
     shards = [(net_or_params, [eps[i] for i in idx], PRESETS[cfg.preset], cache)
-              for idx in np.array_split(np.arange(len(eps)),
-                                        min(max(jobs, 1), len(eps)))]
+              for idx in np.array_split(np.arange(len(eps)), min(jobs, len(eps)))]
     if len(shards) > 1:
         with ProcessPoolExecutor(max_workers=len(shards)) as ex:
             rows = [row for part in ex.map(_eval_rows, shards) for row in part]
@@ -596,6 +590,8 @@ class AblationResult:
 
 def ablate(cfg: TrainRunConfig, schedule: CurriculumSchedule, variant: str,
            out_dir, cache=None, jobs: int = 1) -> AblationResult:
+    if jobs < 1:  # before the training run, not after it
+        raise ValueError(f"jobs must be >= 1, got {jobs}")
     cfg2, schedule2, eval_cfg = ablation_config(cfg, schedule, variant)
     result = train(cfg2, schedule2, out_dir, cache=cache)
     ck = pol.load_checkpoint(result.final_checkpoint)

@@ -320,22 +320,22 @@ def test_10_scheduler_conservation_and_waterfill():
         se = rng.uniform(0.0, 7.8, n)
         se[rng.random(n) < 0.1] = 0.0
         if trial % 2:
-            a = allocate(bw, list(range(n)), se)
+            a = allocate([bw], se, np.array([n]))
             fairness_worst = max(fairness_worst,
                                  float(np.abs(a.bandwidth * n / bw - 1.0).max()))
         else:
             caps = rng.uniform(0.2e6, 30e6, n)
             caps[rng.random(n) < 0.3] = np.inf
-            a = allocate(bw, list(range(n)), se, rate_caps=caps)
+            a = allocate([bw], se, np.array([n]), rate_caps=caps)
             if n <= 6:
                 want = oracle_water_fill(bw, se, caps)
                 assert np.allclose(a.bandwidth, want, rtol=1e-9, atol=1e-6), trial
                 oracle_trials += 1
-            if a.available_bw > 1e-3:
+            if a.available_bw[0] > 1e-3:
                 pinned_seen = True
         # per-UE throughputs sum to the per-cell figure exactly
-        assert a.cell_throughput == float(a.throughput.sum())
-        assert abs(a.bandwidth.sum() + a.available_bw - bw) <= 1e-9 * bw
+        assert a.cell_throughput[0] == float(a.throughput.sum())
+        assert abs(a.bandwidth.sum() + a.available_bw[0] - bw) <= 1e-9 * bw
     _line(10, fairness_worst <= 1e-9 and oracle_trials >= 200 and pinned_seen,
           f"2000 instances: equal-split fairness off by <= {fairness_worst:.1e}, "
           f"{oracle_trials} capped instances match the subset-enumeration oracle")

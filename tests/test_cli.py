@@ -1,6 +1,7 @@
 import csv
 import io
 import json
+from importlib import resources
 
 import numpy as np
 import pytest
@@ -36,6 +37,16 @@ def test_gen_topology(tmp_path, capsys):
     other = tmp_path / "other.topo"
     main(["gen-topology", "--preset", "desk", "--seed", "30", "-o", str(other)])
     assert other.read_bytes() != out.read_bytes()
+
+
+@pytest.mark.parametrize("preset, seed", [
+    ("desk", 29), ("baseline", 12), ("alt", 21), ("large", 5)])
+def test_bundled_topologies_regenerate(tmp_path, preset, seed):
+    out = tmp_path / f"{preset}.topo"
+    assert main(["gen-topology", "--preset", preset, "--seed", str(seed),
+                 "-o", str(out)]) == 0
+    bundled = resources.files("cellpilot.data") / f"{preset}.topo"
+    assert out.read_bytes() == bundled.read_bytes()
 
 
 def test_gen_topology_overrides_and_errors(tmp_path, capsys):
@@ -112,17 +123,25 @@ def test_train_cli_and_manifest_determinism(tmp_path, capsys):
     (["eval", "--params", "config_b", "--baseline", "bogus"], "preset"),
     (["eval", "--params", "config_b", "--ues", "0"], "n_ues"),
     (["train", "--hidden", "0"], "hidden"),
+    # a length under half a step would run an episode of no steps
+    (["eval", "--params", "config_b", "--length", "0.3"], "length"),
+    (["train", "--initial-length", "0.3"], "initial_length"),
+    (["eval", "--params", "config_b", "--jobs", "0"], "jobs"),
+    (["compare", "--params", "config_b", "--jobs", "0"], "jobs"),
+    (["ablate", "--variant", "stress_test", "--jobs", "0"], "jobs"),
 ], ids=["checkpoint-every", "train-seeds", "eval-seeds", "eval-baseline",
-        "eval-ues", "train-hidden"])
+        "eval-ues", "train-hidden", "eval-length", "train-initial-length",
+        "eval-jobs", "compare-jobs", "ablate-jobs"])
 def test_counts_below_one_fail_early(tmp_path, capsys, argv, field):
     command, *rest = argv
-    out = ["--out", str(tmp_path / "run")] if command == "train" else []
+    trains = command in ("train", "ablate")
+    out = ["--out", str(tmp_path / "run")] if trains else []
     rc = main([command, "--topology", "desk", *out,
                "--cache", str(tmp_path / "cache"),
-               *(TRAIN_ARGS if command == "train" else []), *rest])
+               *(TRAIN_ARGS if trains else []), *rest])
     assert rc == 2
     assert field in capsys.readouterr().err
-    assert not (tmp_path / "run").exists() and not (tmp_path / "cache").exists()
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_compare_exit_codes(tmp_path, capsys):

@@ -46,7 +46,7 @@ def test_init_shapes_and_determinism():
 
 def test_forward_ranges_and_dim_check():
     net = init_policy(10, 8, seed=0)
-    mu, sr, _ = forward(net, np.linspace(0, 1, 10))
+    mu, sr = forward(net, np.linspace(0, 1, 10))
     assert mu.shape == (6,) and sr.shape == (6,)
     assert np.all((mu > 0) & (mu < 1)) and np.all((sr > 0) & (sr < 1))
     with pytest.raises(PolicyError, match="observation length"):
@@ -78,7 +78,7 @@ def test_warm_start_mean_is_exact_and_input_independent():
     rng = np.random.default_rng(0)
     mus = []
     for _ in range(5):
-        mu, sr, _ = forward(net, rng.random(30))
+        mu, sr = forward(net, rng.random(30))
         assert mu == pytest.approx(want, abs=1e-9)
         # sigma heads keep their random weights; raw value stays near 0.5
         assert np.all((sr > 0.2) & (sr < 0.8))
@@ -88,14 +88,16 @@ def test_warm_start_mean_is_exact_and_input_independent():
 
 def test_sample_action_logp_consistency():
     net = init_policy(12, 8, seed=2)
-    mu, sr, _ = forward(net, np.zeros(12))
+    mu, sr = forward(net, np.zeros(12))
     rng = np.random.default_rng(9)
-    raw, logp = sample_action(mu, sr, rng)
+    raw = sample_action(mu, sr, rng)
     assert raw.shape == (12,)
     assert np.array_equal(raw[6:], sr)
-    assert log_prob(mu, sr, raw[:6]) == pytest.approx(logp, rel=1e-12)
+    # the draw is mu + sigma * a standard normal from the given generator
+    eps = np.random.default_rng(9).standard_normal(6)
+    assert np.array_equal(raw[:6], mu + effective_sigma(sr) * eps)
     # a displaced action is less likely than the mean
-    assert log_prob(mu, sr, mu) >= logp
+    assert log_prob(mu, sr, mu) >= log_prob(mu, sr, raw[:6])
 
 
 def make_records(net, n, seed):
@@ -103,8 +105,8 @@ def make_records(net, n, seed):
     records = []
     for _ in range(n):
         obs = rng.random(net.obs_dim)
-        mu, sr, _ = forward(net, obs)
-        raw, _ = sample_action(mu, sr, rng)
+        mu, sr = forward(net, obs)
+        raw = sample_action(mu, sr, rng)
         records.append((obs, raw, float(rng.normal())))
     return records
 

@@ -1,5 +1,3 @@
-from dataclasses import replace
-
 import numpy as np
 
 from cellpilot.reselect import (
@@ -8,6 +6,9 @@ from cellpilot.reselect import (
     EVENT_NAMES,
     PARAM_ORDER,
     PARAM_RANGES,
+    S_INTER,
+    S_INTRA,
+    T_RESEL,
     ReselectionParams,
     brute_force_oracle,
     cell_id_rank,
@@ -56,8 +57,8 @@ def test_validate_and_clamp():
 def test_preset_values():
     assert CONFIG_B.to_vector().tolist() == [-56.0, -58.0, -54.0, 3.0, 14.0, -60.0]
     assert CONFIG_A.to_vector().tolist() == [-58.0, -60.0, -58.0, 3.0, 20.0, -60.0]
-    assert CONFIG_B.t_resel == 1.0
-    assert CONFIG_B.s_intra == 4.0 and CONFIG_B.s_inter == 6.0
+    assert T_RESEL == 1.0
+    assert S_INTRA == 4.0 and S_INTER == 6.0
 
 
 def test_suitability_is_strict():
@@ -133,8 +134,8 @@ def test_equal_priority_needs_strict_margin():
 
 
 def test_low_priority_gates():
-    # s_lev = rx_s - q_rxlevmin; measurement gate s_intra=4 on the serving
-    # frequency, s_inter=6 off it
+    # s_lev = rx_s - q_rxlevmin; measurement gate S_INTRA=4 on the serving
+    # frequency, S_INTER=6 off it
     p = make_params(t_slow=-54.0, t_xlow=-58.0, q_rxlevmin=-60.0)
     prio = [2, 1]
     rx = [-55.0, -50.0]      # s_lev = 5, rx_s < t_slow holds
@@ -151,7 +152,7 @@ def test_low_priority_gates():
 
 
 def test_criterion_order_high_beats_equal_beats_low():
-    # s_lev = -60 - (-64) = 4 < s_inter keeps the low path measured
+    # s_lev = -60 - (-64) = 4 < S_INTER keeps the low path measured
     p = make_params(t_xhigh=-56.0, t_slow=-40.0, t_xlow=-58.0,
                     q_hyst=1.0, q_offset=1.0, q_rxlevmin=-64.0)
     prio = [2, 3, 2, 1]
@@ -232,7 +233,7 @@ def test_trace_event_kinds_and_shapes():
     trace = np.tile([-50.0, -55.0], (3, 1))
     events = run_ue_trace(trace, prio, freq, p)
     # initial selection is priority-first (cell 1 despite the weaker rx);
-    # serving -55 < t_slow with s_lev 5 < s_inter opens the low path down,
+    # serving -55 < t_slow with s_lev 5 < S_INTER opens the low path down,
     # then the high criterion climbs straight back: a ping-pong
     assert events == [(0, "select", None, 1), (1, "low", 1, 0), (2, "high", 0, 1)]
     for ev in events:
@@ -333,7 +334,7 @@ def test_param_columns_layout():
     cols = param_columns([CONFIG_A, CONFIG_B], 3)
     assert cols.q_offset.shape == (6, 1)
     assert cols.q_offset[:, 0].tolist() == [20.0] * 3 + [14.0] * 3
-    assert cols.t_resel[:, 0].tolist() == [1.0] * 6
+    assert cols.q_rxlevmin[:, 0].tolist() == [-60.0] * 6
 
 
 def test_per_row_parameters_match_scalar_calls_and_oracle():
@@ -346,12 +347,7 @@ def test_per_row_parameters_match_scalar_calls_and_oracle():
     for trial in range(8):
         trace, prio, freq, _, ids = tied_instance(rng, n_ues=40)
         t_steps, n, n_cells = trace.shape
-        # timing and search constants differ per row too
-        params = [replace(random_instance(rng)[3],
-                          t_resel=float(rng.choice([0.5, 1.0, 2.0])),
-                          s_intra=float(rng.uniform(0, 8)),
-                          s_inter=float(rng.uniform(0, 8)))
-                  for _ in range(n)]
+        params = [random_instance(rng)[3] for _ in range(n)]
         cols = param_columns(params, 1)
         rank = cell_id_rank(ids)
         dt = 1.0 if trial % 3 else 0.5
