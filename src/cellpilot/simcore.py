@@ -46,6 +46,11 @@ class SimError(Exception):
     pass
 
 
+def step_count(length: float) -> int:
+    """The number of DT steps an episode of `length` seconds runs."""
+    return int(round(length / DT))
+
+
 @dataclass
 class EpisodeConfig:
     topology: Topology
@@ -58,7 +63,7 @@ class EpisodeConfig:
     history_k: int = 10           # observation frames
 
     def validate(self) -> None:
-        if round(self.length / DT) < 1:
+        if step_count(self.length) < 1:
             raise ValueError(f"length must give at least one {DT:g} s step, "
                              f"got {self.length}")
         if self.pri < 1:
@@ -169,7 +174,7 @@ def run_episodes(cfgs: list[EpisodeConfig], controllers: list) -> list[EpisodeRe
     # a UE's (seed, cell) slot is slot_base + its cell; seed i owns UE rows
     # i * n_ues onwards and cell slots i * n_cells onwards
     slot_base = np.repeat(np.arange(n_seeds) * n_cells, n_ues)
-    n_steps = int(round(cfg.length / DT))
+    n_steps = step_count(cfg.length)
     traj = Trajectory.zeros(n_steps, n_cells, n_seeds)
     updates: list[list[UpdateRecord]] = [[] for _ in cfgs]
     params: ReselectionParams | None = None

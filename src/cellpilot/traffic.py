@@ -1,26 +1,39 @@
 """UE population dynamics: IDLE/ACTIVE Poisson mode switching and optional
 street-constrained mobility.
 
-Every UE owns an independent RNG stream derived from
-SeedSequence([episode_seed, ue_index]), so populations are reproducible
-and invariant to iteration order. The per-UE draw order at init is fixed:
-placement, speed, travel direction, initial mode, first dwell. After init
-a UE's stream serves only its later dwells, which it hands out from a small
-buffer of pre-drawn standard exponentials: a block draw continues the
-stream exactly as single draws would, and ``scale * standard_exponential``
-is what ``exponential(scale)`` computes, so the dwells are unchanged.
+Every UE owns an independent RNG stream, exactly the one numpy's
+SeedSequence([episode_seed, ue_index]) seeds, so populations are
+reproducible and invariant to iteration order. The seed words of all of an
+episode's UEs come from one array pass of SeedSequence's hash, not from
+one SeedSequence object per UE. The per-UE draw order at init is fixed:
+placement, speed, travel direction, initial mode, then one block of
+1 + DWELL_BUFFER standard exponentials, the first dwell and a full buffer of
+later ones. A UE hands out its later dwells from that buffer and refills it
+from its stream when it runs out: a block draw continues the stream exactly
+as single draws would, and ``scale * standard_exponential`` is what
+``exponential(scale)`` computes, so the dwells are unchanged.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, fields
 
 import numpy as np
+from numpy.random.bit_generator import ISeedSequence
 
 from .topology import Topology, sample_placement, street_points_at
 
 IDLE, ACTIVE = 0, 1
 DWELL_BUFFER = 16   # dwell draws a UE takes from its stream at a time
+
+# SeedSequence's hash (numpy.random.bit_generator, after M. E. O'Neill's
+# seed_seq_fe): its uint32 constants and pool size
+_MASK32 = 0xFFFFFFFF
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875   # pool mixing
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED   # state generation
+_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
+_POOL = 4
 
 
 @dataclass
@@ -52,9 +65,12 @@ class Population:
     next_switch_time: np.ndarray  # (N,) absolute sim time of the next mode flip
     serving: np.ndarray           # (N,) int camped cell index, -1 = out of service
     timers: np.ndarray            # (N, 3, C) reselection dwell timers
-    rngs: list[np.random.Generator]   # UE i's stream, SeedSequence([episode_seed, i])
+    # UE i's stream, exactly the one SeedSequence([episode_seed, i]) seeds;
+    # the seed words of all N come from one array pass (_seed_words)
+    rngs: list[np.random.Generator]
     dwell_draws: np.ndarray       # (N, DWELL_BUFFER) standard exponentials drawn ahead
-    dwell_next: np.ndarray        # (N,) int, next unused column; DWELL_BUFFER = empty
+    dwell_next: np.ndarray        # (N,) int, next unused column: 0 = full (as at
+                                  # init), DWELL_BUFFER = empty
 
     def __len__(self) -> int:
         return len(self.mode)
@@ -70,40 +86,112 @@ class Population:
                       for f in fields(cls)})
 
 
-def _dwell_rate(mode: int, cfg: TrafficConfig) -> float:
-    return cfg.lambda_idle if mode == IDLE else cfg.lambda_active
+def _dwell_scale(cfg: TrafficConfig) -> np.ndarray:
+    """Mean dwell 1/rate, indexed by mode."""
+    return 1.0 / np.array([cfg.lambda_idle, cfg.lambda_active])
+
+
+def _hash_consts(init: int, mult: int, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """The xor and multiply constants of k successive hash steps, as (k, 1)
+    columns: each step multiplies the running constant by `mult`."""
+    c = [init]
+    for _ in range(k):
+        c.append(c[-1] * mult & _MASK32)
+    c = np.array(c, dtype=np.uint64)[:, None]
+    return c[:-1], c[1:]
+
+
+def _hash(v: np.ndarray, xor: np.ndarray, mul: np.ndarray) -> np.ndarray:
+    """Hash steps, one per row: xor, multiply (mod 2**32), xorshift."""
+    v = (v ^ xor) * mul & _MASK32
+    return v ^ (v >> 16)
+
+
+def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Mixes hashed words y into pool words x."""
+    v = (_MIX_L * x - _MIX_R * y) & _MASK32   # a uint64 wrap is 0 mod 2**32
+    return v ^ (v >> 16)
+
+
+def _seed_words(episode_seed: int, n: int) -> np.ndarray:
+    """(n, 4) uint64 whose row i equals
+    SeedSequence([episode_seed, i]).generate_state(4, np.uint64), the words
+    PCG64 seeds from, for all i in one pass. The uint32 arithmetic runs in
+    uint64 arrays masked to 32 bits, one row per pool word; the pool words a
+    step updates depend only on words it leaves alone, so each is one op."""
+    seed = operator.index(episode_seed)
+    if seed < 0:
+        raise ValueError(f"episode_seed must be >= 0, got {seed}")
+    # entropy words as SeedSequence lays them out: the seed's 32-bit words,
+    # low first (one word for 0), then i's (a single word, as n < 2**32),
+    # then zeros up to the pool size
+    words = [seed >> b & _MASK32 for b in range(0, max(seed.bit_length(), 1), 32)]
+    entropy = np.zeros((max(len(words) + 1, _POOL), n), dtype=np.uint64)
+    entropy[:len(words)] = np.array(words, dtype=np.uint64)[:, None]
+    entropy[len(words)] = np.arange(n)
+    extra = entropy[_POOL:len(words) + 1]
+    xor, mul = _hash_consts(_INIT_A, _MULT_A, _POOL * _POOL + _POOL * len(extra))
+    pool = _hash(entropy[:_POOL], xor[:_POOL], mul[:_POOL])
+    k = _POOL
+    for src in range(_POOL):   # mix every pool word into every other
+        dst = [d for d in range(_POOL) if d != src]
+        pool[dst] = _mix(pool[dst], _hash(pool[src], xor[k:k + 3], mul[k:k + 3]))
+        k += 3
+    for word in extra:         # then each entropy word past the pool into all
+        pool = _mix(pool, _hash(word, xor[k:k + _POOL], mul[k:k + _POOL]))
+        k += _POOL
+    xor, mul = _hash_consts(_INIT_B, _MULT_B, 8)
+    state = _hash(np.concatenate([pool, pool]), xor, mul)   # the pool, cycled
+    # little-endian pairs; rows contiguous, as PCG64 reads them from memory
+    return np.ascontiguousarray((state[0::2] | (state[1::2] << 32)).T)
+
+
+@ISeedSequence.register
+class _SeedWords:
+    """Hands PCG64 one row of `_seed_words` as its seed state."""
+
+    def __init__(self, words: np.ndarray):
+        self.words = words
+
+    def generate_state(self, n_words: int, dtype=np.uint32) -> np.ndarray:
+        if (n_words, dtype) != (4, np.uint64):
+            raise ValueError("only PCG64's 4 uint64 words are precomputed")
+        return self.words
 
 
 def init_population(n: int, topo: Topology, episode_seed: int,
                     cfg: TrafficConfig) -> Population:
-    """n UEs with positions, speeds, modes, and first switch times drawn
-    from their own streams; bit-identical for the same episode_seed."""
+    """n UEs with positions, speeds, modes, first switch times and full
+    dwell buffers drawn from their own streams; bit-identical for the same
+    episode_seed."""
     if n <= 0:
         raise ValueError("population size must be > 0")
     cfg.validate()
+    words = _seed_words(episode_seed, n)
     pos, indoor, street_index, arc_pos = [], [], [], []
-    direction, speed_mps, mode, next_switch_time, rngs = [], [], [], [], []
+    direction, speed_mps, mode, rngs = [], [], [], []
+    draws = np.empty((n, 1 + DWELL_BUFFER))
     for i in range(n):
-        rng = np.random.default_rng(np.random.SeedSequence([episode_seed, i]))
+        rng = np.random.Generator(np.random.PCG64(_SeedWords(words[i])))
         placement = sample_placement(topo, rng, cfg.building_weight)
         speed = cfg.speed_kmh * (1.0 + cfg.speed_spread * (2.0 * rng.random() - 1.0))
         direction.append(1 if rng.random() < 0.5 else -1)
-        m = ACTIVE if rng.random() < 0.5 else IDLE
-        mode.append(m)
-        next_switch_time.append(rng.exponential(1.0 / _dwell_rate(m, cfg)))
+        mode.append(ACTIVE if rng.random() < 0.5 else IDLE)
+        rng.standard_exponential(out=draws[i])
         pos.append(placement.point)
         indoor.append(placement.indoor)
         street_index.append(placement.street_index)
         arc_pos.append(placement.arc_pos)
         speed_mps.append(speed / 3.6)
         rngs.append(rng)
+    mode = np.array(mode, dtype=int)
     return Population(np.array(pos, dtype=float).reshape(n, 2),
                       np.array(indoor, dtype=bool), np.array(street_index, dtype=int),
                       np.array(arc_pos, dtype=float), np.array(direction, dtype=int),
-                      np.array(speed_mps, dtype=float), np.array(mode, dtype=int),
-                      np.array(next_switch_time, dtype=float), np.full(n, -1),
+                      np.array(speed_mps, dtype=float), mode,
+                      _dwell_scale(cfg)[mode] * draws[:, 0], np.full(n, -1),
                       np.zeros((n, 3, topo.n_cells)), rngs,
-                      np.empty((n, DWELL_BUFFER)), np.full(n, DWELL_BUFFER))
+                      draws[:, 1:].copy(), np.zeros(n, dtype=int))
 
 
 def _next_dwell_draws(pop: Population, ues: np.ndarray) -> np.ndarray:
@@ -128,7 +216,7 @@ def step_modes(pop: Population, t: float, dt: float, cfg: TrafficConfig) -> int:
     if dt <= 0:
         raise ValueError("dt must be > 0")
     horizon = t + dt
-    scale = 1.0 / np.array([cfg.lambda_idle, cfg.lambda_active])   # by mode
+    scale = _dwell_scale(cfg)
     due = np.flatnonzero(pop.next_switch_time <= horizon)
     flips = 0
     ues = due

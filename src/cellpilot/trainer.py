@@ -79,7 +79,7 @@ class CurriculumSchedule:
     def validate(self) -> None:
         if self.rounds < 1 or self.passes_per_round < 1:
             raise ValueError("rounds and passes_per_round must be >= 1")
-        if round(self.initial_length / simcore.DT) < 1:
+        if simcore.step_count(self.initial_length) < 1:
             raise ValueError(f"initial_length must give at least one "
                              f"{simcore.DT:g} s step, got {self.initial_length}")
         if self.increment < 0:
@@ -234,7 +234,7 @@ def _reference(ep: EpisodeConfig, params: ReselectionParams,
     cache key spells out (50 and 50.0 are two keys)."""
     full = simcore.run_heuristic_reference(
         replace(ep, length=max(ep.length, max_length)), params, cache).steps
-    n = int(round(ep.length / simcore.DT))
+    n = simcore.step_count(ep.length)
     return simcore.Trajectory(**{k: v[:n] for k, v in vars(full).items()})
 
 

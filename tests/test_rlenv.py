@@ -5,8 +5,7 @@ import pytest
 
 from cellpilot.policy import (init_optimizer, init_policy, load_checkpoint,
                               save_checkpoint)
-from cellpilot.reselect import (CONFIG_B, PARAM_ORDER, PARAM_RANGES,
-                                ReselectionParams, clamp_params)
+from cellpilot.reselect import CONFIG_B, PARAM_ORDER, PARAM_RANGES, clamp_params
 from cellpilot.rlenv import (
     BASELINE_ARRAYS,
     BaselineTable,

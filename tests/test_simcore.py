@@ -13,7 +13,6 @@ from cellpilot.policy import init_policy
 from cellpilot.reselect import CONFIG_A, CONFIG_B, ReselectionParams
 from cellpilot.rlenv import observation_dim
 from cellpilot.simcore import (
-    DT,
     EpisodeConfig,
     SimError,
     Trajectory,

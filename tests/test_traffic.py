@@ -1,3 +1,4 @@
+import copy
 from pathlib import Path
 
 import numpy as np
@@ -12,6 +13,8 @@ from cellpilot.traffic import (
     IDLE,
     Population,
     TrafficConfig,
+    _seed_words,
+    _SeedWords,
     init_population,
     step_mobility,
     step_modes,
@@ -113,14 +116,49 @@ def test_init_population_matches_the_element_loop(topo_name):
         pop = init_population(60, topo, seed, cfg)
         ref = element_init_population(60, topo, seed, cfg)
         for name in ("pos", "indoor", "street_index", "arc_pos", "direction",
-                     "speed_mps", "mode", "next_switch_time", "serving", "timers",
-                     "dwell_next"):
+                     "speed_mps", "mode", "next_switch_time", "serving", "timers"):
             got, want = getattr(pop, name), getattr(ref, name)
             assert (got.dtype, got.shape, got.tobytes()) == \
                 (want.dtype, want.shape, want.tobytes()), name
-        assert pop.dwell_draws.shape == ref.dwell_draws.shape
-        assert [r.bit_generator.state for r in pop.rngs] == \
-            [r.bit_generator.state for r in ref.rngs]
+        # the reference fills a UE's dwell buffer on its first flip; the
+        # population starts with it full: the next DWELL_BUFFER draws of
+        # the same stream, after which the streams stand at the same state
+        for name in ("dwell_draws", "dwell_next"):
+            got, want = getattr(pop, name), getattr(ref, name)
+            assert (got.dtype, got.shape) == (want.dtype, want.shape), name
+        assert not pop.dwell_next.any()
+        for i, rng in enumerate(ref.rngs):
+            rng = copy.deepcopy(rng)
+            assert pop.dwell_draws[i].tobytes() == \
+                rng.standard_exponential(DWELL_BUFFER).tobytes()
+            assert pop.rngs[i].bit_generator.state == rng.bit_generator.state
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2**32 - 1, 2**32, 2**64 - 1, 2**128, *map(
+    int, np.random.default_rng(33).integers(0, 2**63, 4))])
+def test_seed_words_are_seed_sequence_state(seed):
+    # 2**128 has five 32-bit words, more than SeedSequence's pool of four,
+    # so it also runs the hash's extra mixing loop
+    n = 4000
+    words = _seed_words(seed, n)
+    assert (words.dtype, words.shape) == (np.uint64, (n, 4))
+    for i in [*range(0, n, 37), n - 1]:
+        ss = np.random.SeedSequence([seed, i])
+        assert words[i].tobytes() == ss.generate_state(4, np.uint64).tobytes(), i
+        if i % 10 == 0:
+            got = np.random.Generator(np.random.PCG64(_SeedWords(words[i])))
+            want = np.random.default_rng(ss)
+            assert got.random() == want.random()
+            assert got.standard_exponential(5).tobytes() == \
+                want.standard_exponential(5).tobytes()
+            assert got.bit_generator.state == want.bit_generator.state
+
+
+def test_negative_episode_seed_fails():
+    with pytest.raises(ValueError):
+        np.random.SeedSequence([-1, 0])
+    with pytest.raises(ValueError):
+        init_population(3, street_topo(), -1, TrafficConfig())
 
 
 def test_building_weight_extremes():
@@ -186,7 +224,9 @@ def test_step_modes_resets_timers_only_on_flip():
 
 
 def scalar_step_modes(pop, t, dt, cfg):
-    """The per-UE loop step_modes replaced, one exponential draw per flip."""
+    """The per-UE loop step_modes replaced, one exponential draw per flip;
+    run on element_init_population's streams, which stand right after the
+    first dwell."""
     flips = 0
     horizon = t + dt
     due = np.flatnonzero(pop.next_switch_time <= horizon)
@@ -210,7 +250,7 @@ def test_step_modes_matches_the_scalar_loop(rates):
     topo = street_topo()
     cfg = TrafficConfig(lambda_idle=rates[0], lambda_active=rates[1])
     pop = init_population(40, topo, 21, cfg)
-    ref = init_population(40, topo, 21, cfg)
+    ref = element_init_population(40, topo, 21, cfg)
     pop.timers[:] = ref.timers[:] = 1.0
     most_flips, total = 0, 0
     for step in range(30):
