@@ -1,5 +1,5 @@
 """Idle-mode cell (re)selection: suitability, hierarchical priority-based
-reselection, equal-priority ranking, and the per-criterion dwell timers.
+reselection and equal-priority ranking.
 
 Three criteria are evaluated for a camped UE each step, each per target
 cell, each gated on target suitability:
@@ -11,9 +11,9 @@ cell, each gated on target suitability:
           threshold (S_INTRA on the serving frequency, S_INTER off it):
           rx_serving < t_slow and rx_target > t_xlow
 
-A criterion's timer advances while its condition holds and resets to zero
-the step it fails; the UE reselects once elapsed time reaches T_RESEL.
-When several targets fire in one step the order high > equal > low
+The reselection timer T_RESEL is one simulation step, so a criterion fires
+in the step its condition holds and no dwell time carries over to the next
+step. When several targets fire in one step the order high > equal > low
 applies, then (priority desc,) metric desc, cell id asc.
 
 The state machine is one kernel over a leading UE axis: the simulator
@@ -24,7 +24,8 @@ one scalar `ReselectionParams` for every row, or per-row (N, 1) columns
 same float expressions either way.
 
 `brute_force_oracle` re-implements the whole protocol with plain Python
-loops and dictionaries as an independent cross-check.
+loops and an explicit dwell timer per (criterion, cell) as an independent
+cross-check; at one step per T_RESEL it must agree with the kernel.
 """
 
 from __future__ import annotations
@@ -33,8 +34,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-# criterion rows in the (N, 3, C) timer array; the per-UE event codes of
-# `step_ues` extend them with SELECT and OUTAGE (-1 = no event)
+# criterion rows in the (N, 3, C) mask of criteria that hold; the per-UE
+# event codes of `step_ues` extend them with SELECT and OUTAGE (-1 = no event)
 HIGH, EQUAL, LOW = 0, 1, 2
 SELECT, OUTAGE = 3, 4
 EVENT_NAMES = ("high", "equal", "low", "select", "outage")
@@ -160,35 +161,33 @@ def initial_select(rx: np.ndarray, priorities: np.ndarray,
     return _pick(cand, rx, id_rank)
 
 
-def step_reselection(serving: np.ndarray, timers: np.ndarray, rx: np.ndarray,
+def step_reselection(serving: np.ndarray, rx: np.ndarray,
                      priorities: np.ndarray, frequencies: np.ndarray,
-                     params: ReselectionParams, dt: float,
+                     params: ReselectionParams,
                      id_rank: np.ndarray | None = None
                      ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """One dwell-timer step for N camped UEs whose serving cells are suitable.
+    """One reselection step for N camped UEs whose serving cells are suitable.
 
-    serving (N,), timers (N, 3, C), rx (N, C). Returns (new serving cells,
-    timers, fired criterion per row or -1). Timers are mutated in place, and
-    a row that reselects has all of its timers zeroed (every criterion is
-    relative to the serving cell, which just changed).
+    serving (N,), rx (N, C). Returns (new serving cells, the (N, 3, C) mask
+    of criteria that hold, fired criterion per row or -1). A criterion fires
+    in the step its condition holds (T_RESEL is one step); the mask is
+    returned for callers that look at every criterion, not only the winner.
     """
     rows = np.arange(len(serving))
-    suitable = rx - params.q_rxlevmin > 0.0
+    suitable = is_suitable(rx, params)
     pr_s = priorities[serving][:, None]
     rx_s = rx[rows, serving][:, None]
     s_lev = rx_s - params.q_rxlevmin
-    cond = np.empty(timers.shape, dtype=bool)
-    cond[:, HIGH] = (priorities > pr_s) & (rx > params.t_xhigh) & suitable
+    fired = np.empty((len(serving), 3, rx.shape[1]), dtype=bool)
+    fired[:, HIGH] = (priorities > pr_s) & (rx > params.t_xhigh) & suitable
     rx_off = rx - params.q_offset
-    cond[:, EQUAL] = ((priorities == pr_s) & suitable
-                      & (rx_off > rx_s + params.q_hyst))
-    cond[rows, EQUAL, serving] = False
+    fired[:, EQUAL] = ((priorities == pr_s) & suitable
+                       & (rx_off > rx_s + params.q_hyst))
+    fired[rows, EQUAL, serving] = False
     same_freq = frequencies == frequencies[serving][:, None]
     measured = np.where(same_freq, s_lev < S_INTRA, s_lev < S_INTER)
-    cond[:, LOW] = ((priorities < pr_s) & measured & (rx_s < params.t_slow)
-                    & (rx > params.t_xlow) & suitable)
-    timers[...] = np.where(cond, np.minimum(timers + dt, T_RESEL), 0.0)
-    fired = cond & (timers >= T_RESEL)
+    fired[:, LOW] = ((priorities < pr_s) & measured & (rx_s < params.t_slow)
+                     & (rx > params.t_xlow) & suitable)
     # criterion order high > equal > low: the first criterion row that fired
     any_fired = fired.any(axis=2)
     crit = np.where(any_fired.any(axis=1), any_fired.argmax(axis=1), -1)
@@ -200,23 +199,22 @@ def step_reselection(serving: np.ndarray, timers: np.ndarray, rx: np.ndarray,
         cand = np.where(c == HIGH, _top_priority(cand, priorities), cand)
         metric = np.where(c == EQUAL, rx_off[moving], rx[moving])
         new[moving] = _pick(cand, metric, id_rank)
-        timers[moving] = 0.0
-    return new, timers, crit
+    return new, fired, crit
 
 
-def step_ues(serving: np.ndarray, timers: np.ndarray, rx: np.ndarray,
-             may_reselect: np.ndarray, priorities: np.ndarray,
-             frequencies: np.ndarray, params: ReselectionParams, dt: float,
+def step_ues(serving: np.ndarray, rx: np.ndarray, may_reselect: np.ndarray,
+             priorities: np.ndarray, frequencies: np.ndarray,
+             params: ReselectionParams,
              id_rank: np.ndarray | None = None) -> np.ndarray:
     """One protocol step for N UEs against the step's rx snapshot (N, C),
     under scalar parameters or (N, 1) columns.
 
-    serving (N,), with -1 for out of service, and timers (N, 3, C) are
-    updated in place. Out-of-service rows run initial selection; a camped
-    row whose serving cell lost suitability drops out of service (initial
-    selection re-runs on the next step); the other camped rows where
-    `may_reselect` holds run one dwell-timer step. Returns the event code
-    per row: SELECT, OUTAGE, the fired criterion, or -1.
+    serving (N,), with -1 for out of service, is updated in place.
+    Out-of-service rows run initial selection; a camped row whose serving
+    cell lost suitability drops out of service (initial selection re-runs on
+    the next step); the other camped rows where `may_reselect` holds run one
+    reselection step. Returns the event code per row: SELECT, OUTAGE, the
+    fired criterion, or -1.
     """
     event = np.full(len(serving), -1)
     camped = np.flatnonzero(serving >= 0)
@@ -228,17 +226,14 @@ def step_ues(serving: np.ndarray, timers: np.ndarray, rx: np.ndarray,
         sel = initial_select(rx[out], priorities, _rows(params, out), id_rank)
         got = sel >= 0
         serving[out[got]] = sel[got]
-        timers[out] = 0.0
         event[out[got]] = SELECT
     serving[lost] = -1
-    timers[lost] = 0.0
     event[lost] = OUTAGE
     if staying.size:
-        new, t, crit = step_reselection(
-            serving[staying], timers[staying], rx[staying], priorities,
-            frequencies, _rows(params, staying), dt, id_rank)
+        new, _, crit = step_reselection(
+            serving[staying], rx[staying], priorities, frequencies,
+            _rows(params, staying), id_rank)
         serving[staying] = new
-        timers[staying] = t
         event[staying] = crit
     return event
 
@@ -249,7 +244,7 @@ def _cell(c) -> int | None:
 
 def run_traces(rx_traces: np.ndarray, priorities: np.ndarray,
                frequencies: np.ndarray, params: ReselectionParams,
-               dt: float = 1.0, id_rank: np.ndarray | None = None
+               id_rank: np.ndarray | None = None
                ) -> list[list[tuple[int, str, int | None, int | None]]]:
     """Full idle-UE protocol for N UEs over a (T, N, C) rx trace, one
     :func:`step_ues` call per step; returns each UE's event list.
@@ -260,15 +255,14 @@ def run_traces(rx_traces: np.ndarray, priorities: np.ndarray,
     (initial selection then re-runs on the next step).
     """
     rx_traces = np.asarray(rx_traces, dtype=float)
-    t_steps, n, n_cells = rx_traces.shape
+    t_steps, n, _ = rx_traces.shape
     serving = np.full(n, -1)
-    timers = np.zeros((n, 3, n_cells))
     idle = np.ones(n, dtype=bool)
     events: list[list] = [[] for _ in range(n)]
     for t in range(t_steps):
         before = serving.copy()
-        event = step_ues(serving, timers, rx_traces[t], idle, priorities,
-                         frequencies, params, dt, id_rank)
+        event = step_ues(serving, rx_traces[t], idle, priorities,
+                         frequencies, params, id_rank)
         for i in np.flatnonzero(event >= 0):
             events[i].append((t, EVENT_NAMES[event[i]], _cell(before[i]),
                               _cell(serving[i])))
@@ -277,12 +271,12 @@ def run_traces(rx_traces: np.ndarray, priorities: np.ndarray,
 
 def run_ue_trace(rx_trace: np.ndarray, priorities: np.ndarray,
                  frequencies: np.ndarray, params: ReselectionParams,
-                 dt: float = 1.0, id_rank: np.ndarray | None = None
+                 id_rank: np.ndarray | None = None
                  ) -> list[tuple[int, str, int | None, int | None]]:
     """:func:`run_traces` for one UE over a (T, C) rx trace."""
     rx_trace = np.asarray(rx_trace, dtype=float)
     return run_traces(rx_trace[:, None, :], priorities, frequencies, params,
-                      dt, id_rank)[0]
+                      id_rank)[0]
 
 
 # ---------------------------------------------------------------------------

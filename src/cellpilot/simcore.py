@@ -207,9 +207,8 @@ def run_episodes(cfgs: list[EpisodeConfig], controllers: list) -> list[EpisodeRe
         traffic.step_modes(pop, t, DT, cfg.traffic)
 
         idle = pop.mode == traffic.IDLE
-        event = reselect.step_ues(pop.serving, pop.timers, rx, idle,
-                                  topo.cell_priority, topo.cell_frequency,
-                                  params, DT, id_rank)
+        event = reselect.step_ues(pop.serving, rx, idle, topo.cell_priority,
+                                  topo.cell_frequency, params, id_rank)
         # recoveries and reselections count; camp-on at t=0 and outages do not
         resel = (event >= 0) & (event != reselect.OUTAGE)
 

@@ -64,7 +64,6 @@ class Population:
     mode: np.ndarray              # (N,) int, IDLE | ACTIVE
     next_switch_time: np.ndarray  # (N,) absolute sim time of the next mode flip
     serving: np.ndarray           # (N,) int camped cell index, -1 = out of service
-    timers: np.ndarray            # (N, 3, C) reselection dwell timers
     # UE i's stream, exactly the one SeedSequence([episode_seed, i]) seeds;
     # the seed words of all N come from one array pass (_seed_words)
     rngs: list[np.random.Generator]
@@ -189,8 +188,7 @@ def init_population(n: int, topo: Topology, episode_seed: int,
                       np.array(indoor, dtype=bool), np.array(street_index, dtype=int),
                       np.array(arc_pos, dtype=float), np.array(direction, dtype=int),
                       np.array(speed_mps, dtype=float), mode,
-                      _dwell_scale(cfg)[mode] * draws[:, 0], np.full(n, -1),
-                      np.zeros((n, 3, topo.n_cells)), rngs,
+                      _dwell_scale(cfg)[mode] * draws[:, 0], np.full(n, -1), rngs,
                       draws[:, 1:].copy(), np.zeros(n, dtype=int))
 
 
@@ -211,15 +209,15 @@ def step_modes(pop: Population, t: float, dt: float, cfg: TrafficConfig) -> int:
 
     A UE may flip more than once inside one window (each flip draws the
     next dwell from the UE's own stream); each round flips every UE still
-    due. Any flip invalidates the UE's reselection dwell timers.
+    due. Reselection keeps no per-UE state across steps (T_RESEL is one
+    step), so a flip resets nothing.
     """
     if dt <= 0:
         raise ValueError("dt must be > 0")
     horizon = t + dt
     scale = _dwell_scale(cfg)
-    due = np.flatnonzero(pop.next_switch_time <= horizon)
     flips = 0
-    ues = due
+    ues = np.flatnonzero(pop.next_switch_time <= horizon)
     while ues.size:
         mode = 1 - pop.mode[ues]   # IDLE <-> ACTIVE
         pop.mode[ues] = mode
@@ -227,7 +225,6 @@ def step_modes(pop: Population, t: float, dt: float, cfg: TrafficConfig) -> int:
         pop.next_switch_time[ues] = nxt
         flips += ues.size
         ues = ues[nxt <= horizon]
-    pop.timers[due] = 0.0
     return flips
 
 

@@ -125,9 +125,8 @@ def test_01_reselection_matches_oracle():
     for trial in range(10_000):
         trace, prio, freq, params = _random_reselection_instance(
             rng, wide=trial % 2 == 0)
-        dt = 1.0 if trial % 4 else 0.5
-        got = run_ue_trace(trace, prio, freq, params, dt=dt)
-        want = brute_force_oracle(trace, prio, freq, params, dt=dt)
+        got = run_ue_trace(trace, prio, freq, params)
+        want = brute_force_oracle(trace, prio, freq, params)
         assert got == want, f"trial {trial}: {got} != {want}"
         for _, kind, _, _ in got:
             kinds[kind] = kinds.get(kind, 0) + 1

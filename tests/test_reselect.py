@@ -1,9 +1,13 @@
 import numpy as np
 
+from cellpilot import simcore
 from cellpilot.reselect import (
     CONFIG_A,
     CONFIG_B,
+    EQUAL,
     EVENT_NAMES,
+    HIGH,
+    LOW,
     PARAM_ORDER,
     PARAM_RANGES,
     S_INTER,
@@ -58,6 +62,9 @@ def test_preset_values():
     assert CONFIG_B.to_vector().tolist() == [-56.0, -58.0, -54.0, 3.0, 14.0, -60.0]
     assert CONFIG_A.to_vector().tolist() == [-58.0, -60.0, -58.0, 3.0, 20.0, -60.0]
     assert T_RESEL == 1.0
+    # the kernel fires a criterion in the step its condition holds, which
+    # is the protocol only while one step lasts at least T_RESEL
+    assert simcore.DT >= T_RESEL
     assert S_INTRA == 4.0 and S_INTER == 6.0
 
 
@@ -73,13 +80,13 @@ def select1(rx, prio, params):
     return sel if sel >= 0 else None
 
 
-def step1(serving, timers, rx, prio, freq, params, dt):
-    """step_reselection for one UE: (serving, its (3, C) timers, criterion
-    name or None)."""
-    new, t, crit = step_reselection(
-        np.array([serving]), timers[None], np.asarray(rx, float)[None],
-        np.asarray(prio), np.asarray(freq, float), params, dt)
-    return int(new[0]), t[0], EVENT_NAMES[crit[0]] if crit[0] >= 0 else None
+def one_step(serving, rx, prio, freq, params):
+    """step_reselection for one UE: (serving, its (3, C) mask of criteria
+    that hold, criterion name or None)."""
+    new, holds, crit = step_reselection(
+        np.array([serving]), np.asarray(rx, float)[None], np.asarray(prio),
+        np.asarray(freq, float), params)
+    return int(new[0]), holds[0], EVENT_NAMES[crit[0]] if crit[0] >= 0 else None
 
 
 def test_initial_select_priority_then_rx_then_id():
@@ -98,25 +105,18 @@ def test_initial_select_priority_then_rx_then_id():
     assert select1(rx, prio, p) == 2
 
 
-def one_step(serving, rx, prio, freq, params, dt=1.0, timers=None):
-    if timers is None:
-        timers = np.zeros((3, len(rx)))
-    return step1(serving, timers, rx, prio, freq, params, dt)
-
-
 def test_high_priority_criterion():
     p = make_params(t_xhigh=-56.0, q_rxlevmin=-60.0)
     prio = [1, 2]
     freq = [1e9, 2e9]
-    # target above t_xhigh and suitable -> fires on the first step at dt=1
+    # target above t_xhigh and suitable -> fires in the step it holds
     new, _, crit = one_step(0, [-50.0, -55.0], prio, freq, p)
     assert (new, crit) == (1, "high")
     # at the threshold exactly: strict comparison, no move
     new, _, crit = one_step(0, [-50.0, -56.0], prio, freq, p)
     assert (new, crit) == (0, None)
     # above threshold but unsuitable -> no move
-    new, _, crit = one_step(0, [-50.0, -60.5], prio, freq, p,
-                            timers=None)
+    new, _, crit = one_step(0, [-50.0, -60.5], prio, freq, p)
     assert crit is None
 
 
@@ -158,8 +158,9 @@ def test_criterion_order_high_beats_equal_beats_low():
     prio = [2, 3, 2, 1]
     freq = [1e9, 2e9, 2e9, 3e9]
     rx = [-60.0, -50.0, -40.0, -45.0]  # all three criteria fire together
-    new, _, crit = one_step(0, rx, prio, freq, p)
+    new, holds, crit = one_step(0, rx, prio, freq, p)
     assert (new, crit) == (1, "high")
+    assert holds[HIGH, 1] and holds[EQUAL, 2] and holds[LOW, 3]
     rx[1] = -91.0                      # drop the high candidate
     new, _, crit = one_step(0, rx, prio, freq, p)
     assert (new, crit) == (2, "equal")
@@ -179,34 +180,6 @@ def test_tie_breaks_within_a_criterion():
     prio = [1, 3, 3, 3]
     new, _, crit = one_step(0, [-50.0, -60.0, -60.0, -60.0], prio, freq, p)
     assert (new, crit) == (1, "high")
-
-
-def test_dt_half_needs_two_sustained_steps():
-    p = make_params(t_xhigh=-56.0, q_rxlevmin=-60.0)
-    prio = np.array([1, 2])
-    freq = np.array([1e9, 2e9])
-    rx = np.array([-50.0, -55.0])
-    timers = np.zeros((3, 2))
-    new, timers, crit = step1(0, timers, rx, prio, freq, p, 0.5)
-    assert crit is None and timers[0, 1] == 0.5
-    new, timers, crit = step1(0, timers, rx, prio, freq, p, 0.5)
-    assert (new, crit) == (1, "high")
-    assert np.all(timers == 0.0)       # timers zeroed after the move
-
-
-def test_timer_resets_when_condition_breaks():
-    p = make_params(t_xhigh=-56.0, q_rxlevmin=-60.0)
-    prio = np.array([1, 2])
-    freq = np.array([1e9, 2e9])
-    good = np.array([-50.0, -55.0])
-    bad = np.array([-50.0, -57.0])
-    timers = np.zeros((3, 2))
-    _, timers, crit = step1(0, timers, good, prio, freq, p, 0.5)
-    assert timers[0, 1] == 0.5
-    _, timers, crit = step1(0, timers, bad, prio, freq, p, 0.5)
-    assert timers[0, 1] == 0.0         # one bad step clears the credit
-    _, timers, crit = step1(0, timers, good, prio, freq, p, 0.5)
-    assert crit is None and timers[0, 1] == 0.5
 
 
 def test_trace_select_outage_reacquire():
@@ -264,9 +237,8 @@ def test_fuzz_against_brute_force_oracle():
     total_events = 0
     for trial in range(300):
         trace, prio, freq, params = random_instance(rng)
-        dt = 1.0 if trial % 3 else 0.5
-        got = run_ue_trace(trace, prio, freq, params, dt=dt)
-        want = brute_force_oracle(trace, prio, freq, params, dt=dt)
+        got = run_ue_trace(trace, prio, freq, params)
+        want = brute_force_oracle(trace, prio, freq, params)
         assert got == want, f"trial {trial}: {got} != {want}"
         total_events += len(want)
     # the corpus must actually exercise every event kind
@@ -313,13 +285,12 @@ def test_stacked_traces_match_oracle_with_cell_ids():
     decided_by_id = set()   # event kinds where the id order changed the outcome
     for trial in range(8):
         trace, prio, freq, params, ids = tied_instance(rng, n_ues=40)
-        dt = 1.0 if trial % 3 else 0.5
-        got = run_traces(trace, prio, freq, params, dt, cell_id_rank(ids))
+        got = run_traces(trace, prio, freq, params, cell_id_rank(ids))
         assert len(got) == trace.shape[1]
         for i, events in enumerate(got):
-            want = brute_force_oracle(trace[:, i], prio, freq, params, dt, cell_ids=ids)
+            want = brute_force_oracle(trace[:, i], prio, freq, params, cell_ids=ids)
             assert events == want, f"trial {trial}, UE {i}: {events} != {want}"
-            by_index = brute_force_oracle(trace[:, i], prio, freq, params, dt)
+            by_index = brute_force_oracle(trace[:, i], prio, freq, params)
             diff = [w for w, x in zip(want, by_index) if w != x]
             if diff:
                 decided_by_id.add(diff[0][1])
@@ -328,6 +299,19 @@ def test_stacked_traces_match_oracle_with_cell_ids():
     assert traces >= 256
     assert kinds == {"select", "outage", "high", "equal", "low"}
     assert {"select", "high", "equal", "low"} <= decided_by_id
+
+
+def test_integer_grid_boundaries_match_oracle():
+    """Traces and parameters on a 1 dB grid, so every strict comparison of
+    the protocol meets its boundary exactly; continuous draws never do."""
+    rng = np.random.default_rng(13579)
+    for trial in range(8):
+        trace, prio, freq, params, ids = tied_instance(rng, n_ues=40)
+        params = ReselectionParams.from_vector(np.round(params.to_vector()))
+        got = run_traces(trace, prio, freq, params, cell_id_rank(ids))
+        for i, events in enumerate(got):
+            want = brute_force_oracle(trace[:, i], prio, freq, params, cell_ids=ids)
+            assert events == want, f"trial {trial}, UE {i}: {events} != {want}"
 
 
 def test_param_columns_layout():
@@ -339,35 +323,31 @@ def test_param_columns_layout():
 
 def test_per_row_parameters_match_scalar_calls_and_oracle():
     """Each trace under its own random parameters, all in one kernel call
-    per step through (N, 1) columns: serving cells, timers and events equal
+    per step through (N, 1) columns: serving cells and events equal
     one scalar-parameter call per row, and the events equal the oracle's."""
     rng = np.random.default_rng(97531)
     traces = 0
     kinds = set()
     for trial in range(8):
         trace, prio, freq, _, ids = tied_instance(rng, n_ues=40)
-        t_steps, n, n_cells = trace.shape
+        t_steps, n, _ = trace.shape
         params = [random_instance(rng)[3] for _ in range(n)]
         cols = param_columns(params, 1)
         rank = cell_id_rank(ids)
-        dt = 1.0 if trial % 3 else 0.5
-        serving, timers = np.full(n, -1), np.zeros((n, 3, n_cells))
-        row_serving, row_timers = serving.copy(), timers.copy()
+        serving = np.full(n, -1)
+        row_serving = serving.copy()
         for t in range(t_steps):
             may = rng.random(n) < 0.8
-            event = step_ues(serving, timers, trace[t], may, prio, freq, cols,
-                             dt, rank)
+            event = step_ues(serving, trace[t], may, prio, freq, cols, rank)
             for i in range(n):
-                ev = step_ues(row_serving[i:i + 1], row_timers[i:i + 1],
-                              trace[t, i:i + 1], may[i:i + 1], prio, freq,
-                              params[i], dt, rank)
+                ev = step_ues(row_serving[i:i + 1], trace[t, i:i + 1],
+                              may[i:i + 1], prio, freq, params[i], rank)
                 assert ev[0] == event[i], (trial, t, i)
             assert serving.tolist() == row_serving.tolist()
-            assert timers.tobytes() == row_timers.tobytes()
-        got = run_traces(trace, prio, freq, cols, dt, rank)
+        got = run_traces(trace, prio, freq, cols, rank)
         for i, events in enumerate(got):
             assert events == brute_force_oracle(trace[:, i], prio, freq, params[i],
-                                                dt, cell_ids=ids), (trial, i)
+                                                cell_ids=ids), (trial, i)
             kinds.update(ev[1] for ev in events)
             traces += 1
     assert traces >= 256

@@ -52,7 +52,6 @@ def test_init_population_fields():
     assert (pop.next_switch_time > 0.0).all()
     assert ((lo <= pop.speed_mps) & (pop.speed_mps <= hi)).all()
     assert np.isin(pop.direction, (-1, 1)).all()
-    assert pop.timers.shape == (12, 3, topo.n_cells) and not pop.timers.any()
     assert (pop.serving == -1).all()
     assert (pop.indoor == (pop.street_index < 0)).all()
     with pytest.raises(ValueError):
@@ -101,8 +100,7 @@ def element_init_population(n, topo, episode_seed, cfg):
         speed_mps[i] = speed / 3.6
         rngs.append(rng)
     return Population(pos, indoor, street_index, arc_pos, direction, speed_mps,
-                      mode, next_switch_time, np.full(n, -1),
-                      np.zeros((n, 3, topo.n_cells)), rngs,
+                      mode, next_switch_time, np.full(n, -1), rngs,
                       np.empty((n, DWELL_BUFFER)), np.full(n, DWELL_BUFFER))
 
 
@@ -116,7 +114,7 @@ def test_init_population_matches_the_element_loop(topo_name):
         pop = init_population(60, topo, seed, cfg)
         ref = element_init_population(60, topo, seed, cfg)
         for name in ("pos", "indoor", "street_index", "arc_pos", "direction",
-                     "speed_mps", "mode", "next_switch_time", "serving", "timers"):
+                     "speed_mps", "mode", "next_switch_time", "serving"):
             got, want = getattr(pop, name), getattr(ref, name)
             assert (got.dtype, got.shape, got.tobytes()) == \
                 (want.dtype, want.shape, want.tobytes()), name
@@ -205,20 +203,17 @@ def test_step_modes_multiple_flips_one_window():
     assert (pop.next_switch_time > 1.0).all()
 
 
-def test_step_modes_resets_timers_only_on_flip():
+def test_step_modes_flips_only_due_ues():
     topo = street_topo()
     cfg = TrafficConfig(lambda_idle=0.2, lambda_active=0.2)
     pop = init_population(2, topo, 2, cfg)
     pop.next_switch_time[0] = 0.5   # flips inside the window
     pop.next_switch_time[1] = 99.0  # does not
-    pop.timers[:] = 0.7
     before = pop.mode.tolist()
     flips = step_modes(pop, 0.0, 1.0, cfg)
     assert flips >= 1
     assert pop.mode[0] != before[0] or pop.next_switch_time[0] != 0.5
-    assert not pop.timers[0].any()
     assert pop.mode[1] == before[1]
-    assert (pop.timers[1] == 0.7).all()
     with pytest.raises(ValueError):
         step_modes(pop, 0.0, 0.0, cfg)
 
@@ -239,7 +234,6 @@ def scalar_step_modes(pop, t, dt, cfg):
             flips += 1
         pop.mode[i] = mode
         pop.next_switch_time[i] = nxt
-    pop.timers[due] = 0.0
     return flips
 
 
@@ -251,17 +245,14 @@ def test_step_modes_matches_the_scalar_loop(rates):
     cfg = TrafficConfig(lambda_idle=rates[0], lambda_active=rates[1])
     pop = init_population(40, topo, 21, cfg)
     ref = element_init_population(40, topo, 21, cfg)
-    pop.timers[:] = ref.timers[:] = 1.0
     most_flips, total = 0, 0
     for step in range(30):
         flips = step_modes(pop, float(step), 1.0, cfg)
         assert flips == scalar_step_modes(ref, float(step), 1.0, cfg)
         assert pop.mode.tolist() == ref.mode.tolist()
         assert pop.next_switch_time.tobytes() == ref.next_switch_time.tobytes()
-        assert pop.timers.tobytes() == ref.timers.tobytes()
         most_flips = max(most_flips, flips)
         total += flips
-        pop.timers[:] = ref.timers[:] = 1.0
     if rates[0] > 1.0:
         assert total > 2 * DWELL_BUFFER * len(pop)   # every UE refilled
         assert most_flips > len(pop)   # some UE flipped twice in one window
