@@ -33,6 +33,8 @@ CHECKPOINT_KIND = "cellpilot-checkpoint"
 WEIGHT_NAMES = ("w1", "w2", "w3")
 PARAM_NAMES = ("w1", "b1", "w2", "b2", "w3", "b3")
 ADAM_BLOCK = 16384  # elements per Adam block: its operands stay in cache
+FORWARD_BLOCK = 128  # weight columns per forward block: 1 MB at hidden 1024
+BLOCK_ROWS = 8       # rows from which the forward reads weights block by block
 
 
 class PolicyError(Exception):
@@ -83,18 +85,56 @@ def _sigmoid(z: np.ndarray) -> np.ndarray:
     return out
 
 
+def _rows_matmul(x: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """x @ w for rows x (S, K), each row by its own GEMV, so row i's bits
+    are those of the one-row product ``x[i] @ w`` whatever S is.
+
+    From BLOCK_ROWS rows on, the columns of w go block by block into one
+    reused contiguous buffer, and every row's GEMV reads a block while it is
+    in cache. OpenBLAS's dgemv gives each output column the bits of the
+    whole-matrix call as long as the last block keeps the whole matrix's
+    column tail, so the remainder joins the last block: no block is narrower
+    than FORWARD_BLOCK unless the layer is. That holds at one BLAS thread;
+    with more, OpenBLAS may split the whole matrix's outputs between threads
+    at other columns than a block's (README, Evaluation).
+    """
+    n_rows, k = x.shape
+    width = w.shape[1]
+    out = np.empty((n_rows, width))
+    if n_rows < BLOCK_ROWS:
+        for r, o in zip(x, out):
+            np.matmul(r, w, out=o)
+        return out
+    edges = [*range(0, FORWARD_BLOCK * max(width // FORWARD_BLOCK, 1),
+                    FORWARD_BLOCK), width]
+    buf = np.empty(k * (width - edges[-2]))   # the last block is the widest
+    for lo, hi in zip(edges, edges[1:]):
+        blk = buf[:k * (hi - lo)].reshape(k, hi - lo)
+        np.copyto(blk, w[:, lo:hi])
+        for r, o in zip(x, out[:, lo:hi]):
+            np.matmul(r, blk, out=o)
+    return out
+
+
 def forward(net: PolicyNet, obs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(mu, sigma_raw) for a single observation."""
-    obs = np.asarray(obs, dtype=float).ravel()
-    if obs.shape[0] != net.obs_dim:
-        raise PolicyError(
-            f"observation length {obs.shape[0]} != expected {net.obs_dim}")
-    out = _forward_batch(net, obs)[2]
-    return out[:N_PARAMS], out[N_PARAMS:]
+    """(mu, sigma_raw), each (S, 6), for observation rows (S, obs_dim).
+
+    Row i's values are bit for bit those of a one-row call on obs[i:i+1]:
+    every layer is a GEMV per row (:func:`_rows_matmul`), unlike the GEMM
+    of :func:`_forward_batch`.
+    """
+    x = np.ascontiguousarray(obs, dtype=float)
+    if x.ndim != 2 or x.shape[1] != net.obs_dim:
+        raise PolicyError(f"observations of shape {x.shape} != expected "
+                          f"(rows, {net.obs_dim})")
+    a1 = np.tanh(_rows_matmul(x, net.w1) + net.b1)
+    a2 = np.tanh(_rows_matmul(a1, net.w2) + net.b2)
+    out = _sigmoid(_rows_matmul(a2, net.w3) + net.b3)
+    return out[:, :N_PARAMS], out[:, N_PARAMS:]
 
 
 def _forward_batch(net: PolicyNet, x: np.ndarray):
-    """Activations (a1, a2, out) for one observation (D,) or rows (N, D)."""
+    """Activations (a1, a2, out) for rows (N, D), as one GEMM per layer."""
     a1 = np.tanh(x @ net.w1 + net.b1)
     a2 = np.tanh(a1 @ net.w2 + net.b2)
     out = _sigmoid(a2 @ net.w3 + net.b3)
@@ -164,7 +204,7 @@ def reinforce_loss(net: PolicyNet, records) -> float:
     """Scalar L = -sum_j r_j log pi; the finite-difference oracle target."""
     total = 0.0
     for obs, action, r in records:
-        mu, sr = forward(net, obs)
+        (mu,), (sr,) = forward(net, np.asarray(obs, dtype=float)[None])
         total -= float(r) * log_prob(mu, sr, np.asarray(action)[:N_PARAMS])
     return total
 

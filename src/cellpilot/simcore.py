@@ -8,8 +8,9 @@ all UEs, reading only the step's frozen snapshot.
 
 `run_episodes` advances several seeds of one configuration in lockstep:
 their populations are stacked on the UE axis and every layer runs once per
-step for all of them, while each seed's controller sees only its own
-observation. `run_episode` is the same loop for one seed.
+step for all of them. At each PRI boundary one controller call sees all
+seeds' observation rows, (S, D), and returns one parameter set per seed.
+`run_episode` is the same loop for one seed.
 
 Episodes are pure functions of (config, controller outputs). Constant-
 parameter reference episodes are cached on disk, keyed by a fingerprint
@@ -119,18 +120,16 @@ class EpisodeResult:
 
 
 def run_episode(cfg: EpisodeConfig, controller) -> EpisodeResult:
-    """Run one seeded episode; `controller(obs, interval) -> ReselectionParams`
-    is invoked at every PRI boundary and its output applied network-wide
-    (clamped into range if needed, with the clamp recorded)."""
-    return run_episodes([cfg], [controller])[0]
+    """Run one seeded episode; `controller(obs, interval)` is invoked at
+    every PRI boundary with one observation row, (1, D), and returns a
+    sequence of one ReselectionParams, applied network-wide (clamped into
+    range if needed, with the clamp recorded)."""
+    return run_episodes([cfg], controller)[0]
 
 
-def _check_lockstep(cfgs: list[EpisodeConfig], controllers: list) -> None:
+def _check_lockstep(cfgs: list[EpisodeConfig]) -> None:
     if not cfgs:
         raise ValueError("run_episodes needs at least one episode config")
-    if len(cfgs) != len(controllers):
-        raise ValueError(f"{len(cfgs)} episode configs but "
-                         f"{len(controllers)} controllers")
     first = cfgs[0]
     for cfg in cfgs[1:]:
         for f in fields(EpisodeConfig):
@@ -151,15 +150,17 @@ def _check_lockstep(cfgs: list[EpisodeConfig], controllers: list) -> None:
     first.validate()
 
 
-def run_episodes(cfgs: list[EpisodeConfig], controllers: list) -> list[EpisodeResult]:
-    """Run S episodes in lockstep, one per (config, controller) pair.
+def run_episodes(cfgs: list[EpisodeConfig], controller) -> list[EpisodeResult]:
+    """Run S episodes in lockstep, one per config.
 
     The configs differ only in `episode_seed`. Their populations are stacked
-    on the UE axis, so each step makes one call per layer for all seeds;
-    each controller is called with its own seed's observation, and the
-    result for each seed is exactly what a run on its own gives.
+    on the UE axis, so each step makes one call per layer for all seeds. At
+    each PRI boundary `controller(obs, interval)` gets the observation rows
+    of all seeds, (S, D), and returns S ReselectionParams, row i's for seed
+    i. The result for each seed is exactly what a run on its own gives when
+    the controller's row i does not depend on the other rows.
     """
-    _check_lockstep(cfgs, controllers)
+    _check_lockstep(cfgs)
     cfg = cfgs[0]
     n_seeds, n_ues = len(cfgs), cfg.n_ues
     topo = cfg.topology
@@ -194,12 +195,13 @@ def run_episodes(cfgs: list[EpisodeConfig], controllers: list) -> list[EpisodeRe
         if s % cfg.pri == 0:
             obs = build_observation(traj, s, topo.cell_bandwidth, n_ues,
                                     cfg.history_k)
+            chosen = controller(obs, s // cfg.pri)
+            if len(chosen) != n_seeds:
+                raise ValueError(f"controller returned {len(chosen)} parameter "
+                                 f"sets for {n_seeds} seeds")
             applied = []
-            for i, controller in enumerate(controllers):
-                # a row of its own, as in a run alone: a controller may keep
-                # its observation, and a view would pin the whole block
-                p, clamped = reselect.clamp_params(
-                    controller(obs[i].copy(), s // cfg.pri))
+            for i, choice in enumerate(chosen):
+                p, clamped = reselect.clamp_params(choice)
                 updates[i].append(UpdateRecord(s // cfg.pri, s, p, clamped))
                 applied.append(p)
             params = (applied[0] if n_seeds == 1
@@ -240,7 +242,7 @@ def run_episodes(cfgs: list[EpisodeConfig], controllers: list) -> list[EpisodeRe
 
 
 def constant_controller(params: ReselectionParams):
-    return lambda obs, interval: params
+    return lambda obs, interval: [params] * len(obs)
 
 
 # ---------------------------------------------------------------------------

@@ -220,9 +220,10 @@ class TrainResult:
 
 
 def _mean_action_controller(net: pol.PolicyNet):
+    """Every row's mean action, from one forward call over all rows."""
     def controller(obs, interval):
-        mu, sigma_raw = pol.forward(net, obs)
-        return map_action(np.concatenate([mu, sigma_raw]))
+        mu, _ = pol.forward(net, obs)
+        return [map_action(m) for m in mu]
     return controller
 
 
@@ -248,9 +249,9 @@ def _train_episode(net, opt, baselines, cfg: TrainRunConfig, seed: int,
 
     def controller(obs, interval):
         mu, sigma_raw = pol.forward(net, obs)
-        action = pol.sample_action(mu, sigma_raw, rng)
-        records.append((obs, action, interval))
-        return map_action(action)
+        action = pol.sample_action(mu[0], sigma_raw[0], rng)
+        records.append((obs[0], action, interval))
+        return [map_action(action)]
 
     result = simcore.run_episode(ep, controller)
     aggs = interval_aggregates(result.steps, ep.pri)
@@ -472,7 +473,7 @@ def _eval_rows(args) -> list[EvalRow]:
         batch = eps[b:b + per_batch]
         refs = [simcore.run_heuristic_reference(ep, baseline_params, cache).steps
                 for ep in batch]
-        results = simcore.run_episodes(batch, [controller] * len(batch))
+        results = simcore.run_episodes(batch, controller)
         for ep, r, res in zip(batch, refs, results):
             a = res.steps
             tput_gain = _gain_ratio(float(a.total_tput.mean()),

@@ -5,11 +5,13 @@ import pytest
 
 from cellpilot.container import save_container
 from cellpilot.policy import (
+    BLOCK_ROWS,
     PARAM_NAMES,
     SIGMA_CAP,
     SIGMA_MIN,
     PolicyError,
     PolicyNet,
+    _rows_matmul,
     apply_update,
     effective_sigma,
     forward,
@@ -46,11 +48,35 @@ def test_init_shapes_and_determinism():
 
 def test_forward_ranges_and_dim_check():
     net = init_policy(10, 8, seed=0)
-    mu, sr = forward(net, np.linspace(0, 1, 10))
-    assert mu.shape == (6,) and sr.shape == (6,)
+    mu, sr = forward(net, np.linspace(0, 1, 20).reshape(2, 10))
+    assert mu.shape == (2, 6) and sr.shape == (2, 6)
     assert np.all((mu > 0) & (mu < 1)) and np.all((sr > 0) & (sr < 1))
-    with pytest.raises(PolicyError, match="observation length"):
-        forward(net, np.zeros(11))
+    # rows only: a wrong width, and a flat or other-shaped input of the
+    # right size, are refused rather than reshaped
+    for bad in (np.zeros((1, 11)), np.zeros(10), np.zeros((2, 5)),
+                np.zeros((1, 1, 10))):
+        with pytest.raises(PolicyError, match=r"expected \(rows, 10\)"):
+            forward(net, bad)
+
+
+@pytest.mark.parametrize("hidden", [8, 128, 129, 130, 257, 300, 1024])
+@pytest.mark.parametrize("obs_dim", [18, 350])
+def test_forward_rows_match_one_row_calls(obs_dim, hidden):
+    # a row of a batched forward has the bytes of a one-row call, below and
+    # from BLOCK_ROWS rows on, at widths of one block, of a block and a
+    # merged tail, and of several blocks; the net is not warm-started, so the
+    # means read the GEMV results too. The layer product on its own is
+    # checked against the whole-matrix GEMV of each row as well
+    net = init_policy(obs_dim, hidden, seed=hidden)
+    x = np.random.default_rng(obs_dim).random((20, obs_dim))
+    for n in (1, BLOCK_ROWS - 1, BLOCK_ROWS, 20):
+        rows = forward(net, x[:n])
+        h = _rows_matmul(x[:n], net.w1)
+        for i in range(n):
+            one = forward(net, x[i:i + 1])
+            for k in range(2):
+                assert rows[k][i].tobytes() == one[k][0].tobytes(), (n, i, k)
+            assert h[i].tobytes() == (x[i] @ net.w1).tobytes(), (n, i)
 
 
 def test_effective_sigma_cap_and_floor():
@@ -78,7 +104,7 @@ def test_warm_start_mean_is_exact_and_input_independent():
     rng = np.random.default_rng(0)
     mus = []
     for _ in range(5):
-        mu, sr = forward(net, rng.random(30))
+        (mu,), (sr,) = forward(net, rng.random((1, 30)))
         assert mu == pytest.approx(want, abs=1e-9)
         # sigma heads keep their random weights; raw value stays near 0.5
         assert np.all((sr > 0.2) & (sr < 0.8))
@@ -88,7 +114,7 @@ def test_warm_start_mean_is_exact_and_input_independent():
 
 def test_sample_action_logp_consistency():
     net = init_policy(12, 8, seed=2)
-    mu, sr = forward(net, np.zeros(12))
+    (mu,), (sr,) = forward(net, np.zeros((1, 12)))
     rng = np.random.default_rng(9)
     raw = sample_action(mu, sr, rng)
     assert raw.shape == (12,)
@@ -105,7 +131,7 @@ def make_records(net, n, seed):
     records = []
     for _ in range(n):
         obs = rng.random(net.obs_dim)
-        mu, sr = forward(net, obs)
+        (mu,), (sr,) = forward(net, obs[None])
         raw = sample_action(mu, sr, rng)
         records.append((obs, raw, float(rng.normal())))
     return records

@@ -9,7 +9,7 @@ import pytest
 
 from cellpilot import radio, simcore
 from cellpilot.container import load_container
-from cellpilot.policy import init_policy
+from cellpilot.policy import BLOCK_ROWS, init_policy
 from cellpilot.reselect import CONFIG_A, CONFIG_B, ReselectionParams
 from cellpilot.rlenv import observation_dim
 from cellpilot.simcore import (
@@ -112,7 +112,7 @@ def test_updates_recorded_at_pri_boundaries():
     seen = []
     def ctl(obs, interval):
         seen.append(interval)
-        return CONFIG_B
+        return [CONFIG_B]
     res = run_episode(cfg, ctl)
     assert seen == [0, 1, 2]
     assert [(u.interval, u.step) for u in res.updates] == [(0, 0), (1, 4), (2, 8)]
@@ -200,23 +200,33 @@ def baseline_topology():
 
 
 def test_lockstep_matches_serial_runs():
-    # four seeds in one lockstep run, under constant and mean-action controllers
-    # (per-seed parameters through the kernel's columns), with mobility,
-    # obstruction and pri=2: each seed's trajectory and updates are those of
-    # its own run, bit for bit
+    # ten seeds in one lockstep run, with mobility, obstruction and pri=2:
+    # two under constant parameters and eight under the mean action of one
+    # un-warm-started hidden-300 net, whose rows go through one forward call
+    # (BLOCK_ROWS of them, so the weights are read block by block). Per-seed
+    # parameters reach the kernel as columns. Each seed's trajectory and
+    # updates are those of its own run, bit for bit
     topo = baseline_topology()
     policy_controller = _mean_action_controller(
-        init_policy(observation_dim(topo.n_cells, 10), 16, seed=3))
+        init_policy(observation_dim(topo.n_cells, 10), 300, seed=3))
+    fixed = {0: CONFIG_B, 5: CONFIG_A}   # seed slot -> constant parameters
     cfgs = [EpisodeConfig(topo, seed, n_ues=30, length=12.0, pri=2,
                           traffic=TrafficConfig(mobility_enabled=True),
                           obstruction_enabled=True)
-            for seed in (5, 6, 7, 8)]
-    controllers = [constant_controller(CONFIG_B), policy_controller,
-                   constant_controller(CONFIG_A), policy_controller]
-    together = run_episodes(cfgs, controllers)
-    assert len(together) == 4
-    for cfg, ctl, got in zip(cfgs, controllers, together):
-        want = run_episode(cfg, ctl)
+            for seed in range(5, 15)]
+    policy_slots = [i for i in range(len(cfgs)) if i not in fixed]
+    assert len(policy_slots) >= BLOCK_ROWS
+
+    def dispatch(obs, interval):
+        mean = iter(policy_controller(obs[policy_slots], interval))
+        return [fixed[i] if i in fixed else next(mean) for i in range(len(obs))]
+
+    together = run_episodes(cfgs, dispatch)
+    assert len(together) == len(cfgs)
+    for i, (cfg, got) in enumerate(zip(cfgs, together)):
+        alone = (constant_controller(fixed[i]) if i in fixed
+                 else policy_controller)
+        want = run_episode(cfg, alone)
         assert arrays_bytes(got) == arrays_bytes(want)
         assert got.updates == want.updates
     params = {u.params for r in together for u in r.updates}
@@ -225,12 +235,16 @@ def test_lockstep_matches_serial_runs():
 
 
 def test_run_episodes_rejects_empty_and_mismatched_lists():
+    # no configs, or a controller that returns other than one parameter set
+    # per seed
     cfg = EpisodeConfig(two_layer_topo(), 1, n_ues=4, length=2.0)
     with pytest.raises(ValueError, match="at least one"):
-        run_episodes([], [])
-    with pytest.raises(ValueError, match="2 episode configs but 1 controllers"):
+        run_episodes([], constant_controller(CONFIG_B))
+    with pytest.raises(ValueError, match="returned 1 parameter sets for 2 seeds"):
         run_episodes([cfg, replace(cfg, episode_seed=2)],
-                     [constant_controller(CONFIG_B)])
+                     lambda obs, interval: [CONFIG_B])
+    with pytest.raises(ValueError, match="returned 2 parameter sets for 1 seeds"):
+        run_episode(cfg, lambda obs, interval: [CONFIG_B, CONFIG_A])
 
 
 @pytest.mark.parametrize("field_name, value", [
@@ -247,7 +261,7 @@ def test_run_episodes_rejects_configs_that_differ(field_name, value):
     other = replace(cfg, episode_seed=2, **{field_name: value})
     ctl = constant_controller(CONFIG_B)
     with pytest.raises(ValueError, match=f"'{field_name}' differs"):
-        run_episodes([cfg, other], [ctl, ctl])
+        run_episodes([cfg, other], ctl)
 
 
 def test_run_episodes_accepts_equal_copies_of_shared_fields():
@@ -255,7 +269,7 @@ def test_run_episodes_accepts_equal_copies_of_shared_fields():
     a = EpisodeConfig(desk_topology(), 1, n_ues=4, length=2.0)
     b = EpisodeConfig(desk_topology(), 2, n_ues=4, length=2.0)
     ctl = constant_controller(CONFIG_B)
-    assert len(run_episodes([a, b], [ctl, ctl])) == 2
+    assert len(run_episodes([a, b], ctl)) == 2
 
 
 def test_reference_cache_roundtrip(tmp_path):

@@ -8,9 +8,9 @@ import pytest
 import cellpilot
 from cellpilot import simcore, trainer
 from cellpilot.container import load_container
-from cellpilot.policy import init_policy, load_checkpoint, warm_start
-from cellpilot.reselect import CONFIG_A, CONFIG_B
-from cellpilot.rlenv import BASELINE_ARRAYS, normalize_params
+from cellpilot.policy import BLOCK_ROWS, init_policy, load_checkpoint, warm_start
+from cellpilot.reselect import CONFIG_A, CONFIG_B, PRESETS
+from cellpilot.rlenv import BASELINE_ARRAYS, normalize_params, observation_dim
 from cellpilot.simcore import EpisodeConfig
 from cellpilot.topology import Cell, Topology, Tower, load_topology
 from cellpilot.trainer import (
@@ -23,6 +23,7 @@ from cellpilot.trainer import (
     EvalRow,
     TrainRunConfig,
     TrainerError,
+    _eval_rows,
     _gain_ratio,
     _mean_action_controller,
     ablation_config,
@@ -179,7 +180,7 @@ def test_mean_action_controller_reproduces_preset():
     net = init_policy(18, 8, seed=0)
     warm_start(net, CONFIG_B)
     ctl = _mean_action_controller(net)
-    p = ctl(np.random.default_rng(0).random(18), 0)
+    [p] = ctl(np.random.default_rng(0).random((1, 18)), 0)
     assert normalize_params(p) == pytest.approx(normalize_params(CONFIG_B), abs=1e-9)
 
 
@@ -246,6 +247,24 @@ def test_evaluate_shards_give_the_same_rows(tmp_path):
     assert any(r.tput_gain != 0.0 for r in one.rows)
 
 
+def test_lockstep_eval_rows_match_seeds_run_alone(tmp_path):
+    # evaluate(jobs=1) runs the seeds as one lockstep batch, so its mean-action
+    # forward has BLOCK_ROWS rows and more and reads the weights block by
+    # block; each row equals that of its seed evaluated alone (one-row
+    # forwards). The hidden-300 net is not warm-started, so the mean action
+    # reads every layer's GEMV results (a warm start zeroes the mean head)
+    topo = load_topology(DATA / "desk.topo")
+    cfg = tiny_cfg(topo, n_ues=10, hidden=300)
+    net = init_policy(observation_dim(topo.n_cells, cfg.history_k), 300, seed=6)
+    seeds = list(range(300, 300 + BLOCK_ROWS + 2))
+    together = evaluate(net, cfg, seeds, [1], length=8.0, cache=tmp_path, jobs=1)
+    alone = [row for s in seeds
+             for row in _eval_rows((net, [cfg.episode_cfg(s, 8.0, train=False)],
+                                    PRESETS[cfg.preset], tmp_path))]
+    assert together.rows == alone
+    assert any(r.tput_gain != 0.0 for r in alone)
+
+
 def test_evaluate_caps_the_ues_of_a_lockstep_batch(tmp_path, monkeypatch):
     # a shard runs its seeds in lockstep batches of at most LOCKSTEP_UES UEs;
     # the rows do not depend on the batch size
@@ -257,9 +276,9 @@ def test_evaluate_caps_the_ues_of_a_lockstep_batch(tmp_path, monkeypatch):
     widths = []
     run_episodes = trainer.simcore.run_episodes
 
-    def counted(cfgs, controllers):
+    def counted(cfgs, controller):
         widths.append(len(cfgs))
-        return run_episodes(cfgs, controllers)
+        return run_episodes(cfgs, controller)
 
     monkeypatch.setattr(trainer.simcore, "run_episodes", counted)
     monkeypatch.setattr(trainer, "LOCKSTEP_UES", 9)
