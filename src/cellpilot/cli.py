@@ -55,21 +55,28 @@ def resolve_topology(arg: str):
 
 
 def parse_weights(text: str) -> tuple[float, float, float]:
-    parts = text.split(",")
-    if len(parts) != 3:
-        raise CliError(f"--weights expects three comma-separated values, got '{text}'")
-    w = tuple(float(p) for p in parts)
+    try:
+        w = tuple(float(p) for p in text.split(","))
+    except ValueError:
+        w = ()
+    if len(w) != 3:
+        raise CliError(f"--weights expects three comma-separated numbers "
+                       f"(e.g. 0.4,0.4,0.2), got '{text}'")
     if abs(sum(w) - 1.0) > 1e-9:
         raise CliError(f"--weights must sum to 1, got {w}")
     return w
 
 
-def parse_pair(text: str, flag: str) -> tuple[float, float]:
+def parse_pair(text: str, flag: str, form: str) -> tuple[float, float]:
+    """Two numbers written AxB or A,B; `form` shows the expected one."""
     for sep in ("x", ","):
         if sep in text:
             a, b = text.split(sep, 1)
-            return float(a), float(b)
-    raise CliError(f"{flag} expects WxH (e.g. 320x240), got '{text}'")
+            try:
+                return float(a), float(b)
+            except ValueError:
+                break
+    raise CliError(f"{flag} expects {form}, got '{text}'")
 
 
 def write_manifest(path: Path, command: str, payload: dict) -> None:
@@ -84,9 +91,11 @@ def write_manifest(path: Path, command: str, payload: dict) -> None:
 # ---------------------------------------------------------------------------
 
 def cmd_gen_topology(args) -> int:
-    area = None if args.area is None else parse_pair(args.area, "--area")
+    area = (None if args.area is None else
+            parse_pair(args.area, "--area", "WxH (e.g. 320x240)"))
     streets = (None if args.streets is None else
-               tuple(int(v) for v in parse_pair(args.streets, "--streets")))
+               tuple(int(v) for v in parse_pair(args.streets, "--streets",
+                                                "NXxNY (e.g. 8x7)")))
     topo = generate_topology(args.preset, args.seed, towers=args.towers,
                              cells=args.cells, area=area,
                              buildings=args.buildings, streets=streets)
@@ -249,8 +258,10 @@ def cmd_compare(args) -> int:
 def cmd_report(args) -> int:
     with open(args.input, newline="") as fh:
         reader = csv.reader(fh)
-        header = next(reader)
+        header = next(reader, None)
         rows = list(reader)
+    if header is None:
+        raise CliError(f"{args.input}: empty file")
     if header[:2] == ["episode", "seed"]:
         return _report_training(header, rows)
     if header[0] == "seed":

@@ -25,7 +25,6 @@ N_PARAMS = 6
 SIGMA_CAP = 0.1     # normalized-action std cap
 SIGMA_MIN = 1e-3    # floor keeping log-densities finite
 LOGIT_CLAMP = 8.0   # warm-start bias clamp for range-endpoint presets
-LOG_2PI = math.log(2.0 * math.pi)
 
 CHECKPOINT_VERSION = 1
 CHECKPOINT_KIND = "cellpilot-checkpoint"
@@ -154,12 +153,6 @@ def sample_action(mu: np.ndarray, sigma_raw: np.ndarray,
     return np.concatenate([a, sigma_raw])
 
 
-def log_prob(mu: np.ndarray, sigma_raw: np.ndarray, action6: np.ndarray) -> float:
-    sigma = effective_sigma(sigma_raw)
-    z = (np.asarray(action6, dtype=float) - mu) / sigma
-    return float(np.sum(-0.5 * z ** 2 - np.log(sigma) - 0.5 * LOG_2PI))
-
-
 def reinforce_backward(net: PolicyNet, records) -> dict[str, np.ndarray]:
     """Gradient of L = -sum_j r_j * log pi(a_j | s_j).
 
@@ -198,15 +191,6 @@ def reinforce_backward(net: PolicyNet, records) -> dict[str, np.ndarray]:
     gw1 = x.T @ dz1
     gb1 = dz1.sum(axis=0)
     return {"w1": gw1, "b1": gb1, "w2": gw2, "b2": gb2, "w3": gw3, "b3": gb3}
-
-
-def reinforce_loss(net: PolicyNet, records) -> float:
-    """Scalar L = -sum_j r_j log pi; the finite-difference oracle target."""
-    total = 0.0
-    for obs, action, r in records:
-        (mu,), (sr,) = forward(net, np.asarray(obs, dtype=float)[None])
-        total -= float(r) * log_prob(mu, sr, np.asarray(action)[:N_PARAMS])
-    return total
 
 
 # ---------------------------------------------------------------------------

@@ -17,15 +17,15 @@ step. When several targets fire in one step the order high > equal > low
 applies, then (priority desc,) metric desc, cell id asc.
 
 The state machine is one kernel over a leading UE axis: the simulator
-advances its whole population with one :func:`step_ues` call per step, and
-:func:`run_ue_trace` is the same call for a single UE. Parameters are either
-one scalar `ReselectionParams` for every row, or per-row (N, 1) columns
-(:func:`param_columns`) broadcast against rx (N, C); each element sees the
-same float expressions either way.
+advances its whole population with one :func:`step_ues` call per step.
+Parameters are either one scalar `ReselectionParams` for every row, or
+per-row (N, 1) columns (:func:`param_columns`) broadcast against rx (N, C);
+each element sees the same float expressions either way.
 
-`brute_force_oracle` re-implements the whole protocol with plain Python
-loops and an explicit dwell timer per (criterion, cell) as an independent
-cross-check; at one step per T_RESEL it must agree with the kernel.
+The test suite's ``tests/oracles.py`` re-implements the whole protocol with
+plain Python loops and an explicit dwell timer per (criterion, cell) as an
+independent cross-check; at one step per T_RESEL it must agree with the
+kernel.
 """
 
 from __future__ import annotations
@@ -38,7 +38,6 @@ import numpy as np
 # event codes of `step_ues` extend them with SELECT and OUTAGE (-1 = no event)
 HIGH, EQUAL, LOW = 0, 1, 2
 SELECT, OUTAGE = 3, 4
-EVENT_NAMES = ("high", "equal", "low", "select", "outage")
 
 PARAM_ORDER = ("t_xhigh", "t_xlow", "t_slow", "q_hyst", "q_offset", "q_rxlevmin")
 PARAM_RANGES = {
@@ -236,128 +235,3 @@ def step_ues(serving: np.ndarray, rx: np.ndarray, may_reselect: np.ndarray,
         serving[staying] = new
         event[staying] = crit
     return event
-
-
-def _cell(c) -> int | None:
-    return int(c) if c >= 0 else None
-
-
-def run_traces(rx_traces: np.ndarray, priorities: np.ndarray,
-               frequencies: np.ndarray, params: ReselectionParams,
-               id_rank: np.ndarray | None = None
-               ) -> list[list[tuple[int, str, int | None, int | None]]]:
-    """Full idle-UE protocol for N UEs over a (T, N, C) rx trace, one
-    :func:`step_ues` call per step; returns each UE's event list.
-
-    Events are (step, kind, from, to) with kind in {select, outage, high,
-    equal, low}: `select` when an out-of-service UE acquires a cell (this
-    includes step 0), `outage` when the serving cell loses suitability
-    (initial selection then re-runs on the next step).
-    """
-    rx_traces = np.asarray(rx_traces, dtype=float)
-    t_steps, n, _ = rx_traces.shape
-    serving = np.full(n, -1)
-    idle = np.ones(n, dtype=bool)
-    events: list[list] = [[] for _ in range(n)]
-    for t in range(t_steps):
-        before = serving.copy()
-        event = step_ues(serving, rx_traces[t], idle, priorities,
-                         frequencies, params, id_rank)
-        for i in np.flatnonzero(event >= 0):
-            events[i].append((t, EVENT_NAMES[event[i]], _cell(before[i]),
-                              _cell(serving[i])))
-    return events
-
-
-def run_ue_trace(rx_trace: np.ndarray, priorities: np.ndarray,
-                 frequencies: np.ndarray, params: ReselectionParams,
-                 id_rank: np.ndarray | None = None
-                 ) -> list[tuple[int, str, int | None, int | None]]:
-    """:func:`run_traces` for one UE over a (T, C) rx trace."""
-    rx_trace = np.asarray(rx_trace, dtype=float)
-    return run_traces(rx_trace[:, None, :], priorities, frequencies, params,
-                      id_rank)[0]
-
-
-# ---------------------------------------------------------------------------
-# Independent oracle (plain Python, no shared logic with the above)
-# ---------------------------------------------------------------------------
-
-def brute_force_oracle(rx_trace, priorities, frequencies, params: ReselectionParams,
-                       dt: float = 1.0, cell_ids: list[str] | None = None
-                       ) -> list[tuple[int, str, int | None, int | None]]:
-    """Exhaustive per-step re-evaluation of the reselection protocol.
-
-    Same event contract as :func:`run_ue_trace`, computed with explicit
-    loops and dict timer bookkeeping. Exists to cross-check the vectorized
-    implementation, so it deliberately shares no code with it. Final ties
-    go to the smaller cell id string when `cell_ids` is given, else to the
-    smaller cell index.
-    """
-    trace = [[float(v) for v in row] for row in np.asarray(rx_trace, dtype=float)]
-    prio = [int(p) for p in priorities]
-    freq = [float(f) for f in frequencies]
-    n = len(prio)
-
-    def tie(c):
-        return cell_ids[c] if cell_ids is not None else c
-
-    timers: dict[tuple[str, int], float] = {}
-    serving = None
-    events = []
-    for t, rx in enumerate(trace):
-        if serving is None:
-            suitable = [c for c in range(n) if rx[c] - params.q_rxlevmin > 0.0]
-            if suitable:
-                serving = sorted(suitable,
-                                 key=lambda c: (-prio[c], -rx[c], tie(c)))[0]
-                events.append((t, "select", None, serving))
-            timers.clear()
-            continue
-        if not (rx[serving] - params.q_rxlevmin > 0.0):
-            events.append((t, "outage", serving, None))
-            serving = None
-            timers.clear()
-            continue
-        s_lev = rx[serving] - params.q_rxlevmin
-        fired: dict[str, list[int]] = {"high": [], "equal": [], "low": []}
-        for c in range(n):
-            if c == serving:
-                ok = {"high": False, "equal": False, "low": False}
-            else:
-                suit = rx[c] - params.q_rxlevmin > 0.0
-                ok = {
-                    "high": suit and prio[c] > prio[serving] and rx[c] > params.t_xhigh,
-                    "equal": (suit and prio[c] == prio[serving]
-                              and rx[c] - params.q_offset > rx[serving] + params.q_hyst),
-                    "low": (suit and prio[c] < prio[serving]
-                            and s_lev < (S_INTRA if freq[c] == freq[serving]
-                                         else S_INTER)
-                            and rx[serving] < params.t_slow
-                            and rx[c] > params.t_xlow),
-                }
-            for crit in ("high", "equal", "low"):
-                if ok[crit]:
-                    elapsed = min(timers.get((crit, c), 0.0) + dt, T_RESEL)
-                    timers[(crit, c)] = elapsed
-                    if elapsed >= T_RESEL:
-                        fired[crit].append(c)
-                else:
-                    timers.pop((crit, c), None)
-        target = crit_name = None
-        if fired["high"]:
-            target = sorted(fired["high"],
-                            key=lambda c: (-prio[c], -rx[c], tie(c)))[0]
-            crit_name = "high"
-        elif fired["equal"]:
-            target = sorted(fired["equal"],
-                            key=lambda c: (-(rx[c] - params.q_offset), tie(c)))[0]
-            crit_name = "equal"
-        elif fired["low"]:
-            target = sorted(fired["low"], key=lambda c: (-rx[c], tie(c)))[0]
-            crit_name = "low"
-        if target is not None:
-            events.append((t, crit_name, serving, target))
-            serving = target
-            timers.clear()
-    return events

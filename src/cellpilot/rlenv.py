@@ -146,9 +146,6 @@ class BaselineTable:
             return i
         return None
 
-    def has(self, seed: int, interval: int) -> bool:
-        return self._find(seed, interval) is not None
-
     def _row(self, seed: int, aggs: list[IntervalAggregate]) -> int:
         """Row of `seed`, added if new, with T grown to cover `aggs`."""
         i = int(np.searchsorted(self.bl_seeds, seed))

@@ -337,23 +337,3 @@ def write_trajectory_csv(result: EpisodeResult, path, cell_ids: list[str]) -> No
         row += [str(int(v)) for v in tr.per_cell_active[i]]
         lines.append(",".join(row))
     write_atomic(path, ("\n".join(lines) + "\n").encode())
-
-
-def write_updates_csv(result: EpisodeResult, path,
-                      rewards: list | None = None) -> None:
-    """Per-update record: parameters applied, clamped fields, and (when
-    provided by the caller) the reward breakdown per interval."""
-    cols = ["interval", "step", *reselect.PARAM_ORDER, "clamped"]
-    if rewards is not None:
-        cols += ["r_tput", "r_bal", "r_ue_eff", "r_total"]
-    lines = [",".join(cols)]
-    for i, u in enumerate(result.updates):
-        row = [str(u.interval), str(u.step)]
-        row += [_fmt(getattr(u.params, f)) for f in reselect.PARAM_ORDER]
-        row.append("|".join(u.clamped))
-        if rewards is not None:
-            r = rewards[i]
-            row += [_fmt(r.r_tput), _fmt(r.r_bal), _fmt(r.r_ue_eff),
-                    _fmt(r.r_total)]
-        lines.append(",".join(row))
-    write_atomic(path, ("\n".join(lines) + "\n").encode())

@@ -123,7 +123,7 @@ class Topology:
     def _street_table(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         """Streets padded to the longest one: segment counts (S,), segment
         lengths (S, M), arc length at each segment start (S, M; the running
-        sum :func:`polyline_point_at` accumulates) and vertices (S, M+1, 2)."""
+        sum :func:`_walk_arc` accumulates) and vertices (S, M+1, 2)."""
         n = np.array([len(seg) for seg in self.street_segment_lengths], dtype=int)
         m = int(n.max(initial=0))
         seg = np.zeros((len(n), m))
@@ -266,8 +266,19 @@ def _bbox_overlaps(points: np.ndarray, bounds) -> bool:
     )
 
 
+def _check_finite(name: str, shapes: list[np.ndarray], points: np.ndarray) -> None:
+    """Raise TopologyError naming the first of `shapes` (polygons or
+    polylines) with a NaN or infinite coordinate; `points` holds all their
+    coordinates, so a valid topology costs one array test."""
+    if not np.isfinite(points).all():
+        i = next(i for i, s in enumerate(shapes) if not np.isfinite(s).all())
+        raise TopologyError(f"{name}[{i}]: coordinates must be finite")
+
+
 def validate_topology(topo: Topology) -> None:
     """Raise TopologyError naming the first violated invariant."""
+    if not all(math.isfinite(v) for v in topo.area_bounds):
+        raise TopologyError("area_bounds: must be finite")
     xmin, ymin, xmax, ymax = topo.area_bounds
     if not (xmax > xmin and ymax > ymin):
         raise TopologyError("area_bounds: degenerate rectangle")
@@ -275,7 +286,18 @@ def validate_topology(topo: Topology) -> None:
     for t in topo.towers:
         if t.id in seen_towers:
             raise TopologyError(f"towers[{t.id}]: duplicate tower id")
+        if not (math.isfinite(t.x) and math.isfinite(t.y)):
+            raise TopologyError(f"towers[{t.id}]: x and y must be finite")
         seen_towers.add(t.id)
+    if not topo.cells:
+        raise TopologyError("cells: at least one cell is required")
+    bad = np.flatnonzero(~np.isfinite(topo.cell_tx_power))
+    if bad.size:
+        raise TopologyError(f"cells[{bad[0]}] (id={topo.cells[bad[0]].id}): "
+                            "tx_power must be finite")
+    _check_finite("buildings", topo.buildings, topo._wall_edges)
+    _check_finite("streets", topo.streets,
+                  np.concatenate(topo.streets) if topo.streets else np.zeros(0))
     seen_cells = set()
     for i, c in enumerate(topo.cells):
         ctx = f"cells[{i}] (id={c.id})"
@@ -363,9 +385,21 @@ def load_topology(path) -> Topology:
                 tx_power=float(c.get("tx_power_dbm", DEFAULT_TX_POWER_DBM)),
             )
         )
-    buildings = [np.array(p, dtype=float) for p in doc.get("buildings", [])]
-    streets = [np.array(p, dtype=float) for p in doc.get("streets", [])]
-    topo = Topology(tuple(float(v) for v in bounds), towers, cells, buildings, streets)
+    def points(key):
+        """doc[key] as one (P, 2) float array per entry."""
+        out = []
+        for i, p in enumerate(doc.get(key, [])):
+            try:
+                a = np.array(p, dtype=float)
+            except (TypeError, ValueError):
+                a = None
+            if a is None or a.shape[1:] != (2,):
+                raise TopologyError(f"{path}: {key}[{i}]: expected a list of [x, y] points")
+            out.append(a)
+        return out
+
+    topo = Topology(tuple(float(v) for v in bounds), towers, cells,
+                    points("buildings"), points("streets"))
     validate_topology(topo)
     return topo
 
@@ -413,50 +447,23 @@ def save_topology(topo: Topology, path) -> None:
 # Geometric queries
 # ---------------------------------------------------------------------------
 
-def wall_crossings(a, b, topo: Topology) -> int:
-    """Number of building wall crossings of the open segment (a, b).
-
-    Counts edges whose interior the segment crosses transversally, plus
-    polygon vertices lying strictly inside the open segment (a vertex hit
-    counts once, not once per incident edge). Collinear overlap with an
-    edge therefore contributes only through that edge's vertices.
-    """
-    ax, ay = float(a[0]), float(a[1])
-    bx, by = float(b[0]), float(b[1])
-    if ax == bx and ay == by:
-        raise ValueError("wall_crossings: segment endpoints coincide")
-    x1, y1, x2, y2 = topo._wall_edges
-    dx, dy = bx - ax, by - ay
-    # orientation of each edge endpoint relative to the segment line
-    d1 = dx * (y1 - ay) - dy * (x1 - ax)
-    d2 = dx * (y2 - ay) - dy * (x2 - ax)
-    # orientation of the segment endpoints relative to each edge line
-    ex, ey = x2 - x1, y2 - y1
-    d3 = ex * (ay - y1) - ey * (ax - x1)
-    d4 = ex * (by - y1) - ey * (bx - x1)
-    proper = (d1 * d2 < 0) & (d3 * d4 < 0)
-    # vertices (the edge start points) exactly on the open segment, each
-    # counted once; d1 is their orientation relative to the segment line
-    dot = (x1 - ax) * dx + (y1 - ay) * dy
-    seg_len2 = dx * dx + dy * dy
-    on_open = (d1 == 0) & (dot > 0) & (dot < seg_len2)
-    return int(np.count_nonzero(proper)) + int(np.count_nonzero(on_open))
-
-
 def wall_crossings_to_cells(ue_xy: np.ndarray, topo: Topology) -> np.ndarray:
     """Crossing counts for every (UE, cell) pair; shape (N, C).
 
-    Same counting rule as :func:`wall_crossings`, vectorized over UEs. The
-    segment UE->cell depends only on the cell's site, so counts are taken
-    once per distinct cell position and shared by its co-located cells.
-    Per site, only the edges of buildings whose padded box overlaps the
-    segment's box are tested; every other building is too far from it to
-    count. That box test runs only on the UEs whose direction from the site
-    lies in one of the building's angle intervals (``Topology._site_sectors``),
-    found by a binary search in the sorted UE directions: a segment that
-    touches the box points into its angular extent, so no UE that counts is
-    left out. The pair math is exact, so a pair these tests keep that cannot
-    cross only costs its arithmetic.
+    A pair counts the building edges whose interior its open segment
+    crosses transversally, plus the polygon vertices lying strictly inside
+    the open segment (a vertex hit counts once, not once per incident
+    edge), so collinear overlap with an edge counts only through that
+    edge's vertices. The segment UE->cell depends only on the cell's site,
+    so counts are taken once per distinct cell position and shared by its
+    co-located cells. Per site, only the edges of buildings whose padded
+    box overlaps the segment's box are tested; every other building is too
+    far from it to count. That box test runs only on the UEs whose direction
+    from the site lies in one of the building's angle intervals
+    (``Topology._site_sectors``), found by a binary search in the sorted UE
+    directions: a segment that touches the box points into its angular
+    extent, so no UE that counts is left out. The pair math is exact, so a
+    pair these tests keep that cannot cross only costs its arithmetic.
     """
     n, c = len(ue_xy), topo.n_cells
     if not topo.buildings or n == 0 or c == 0:
@@ -523,22 +530,12 @@ def _polyline_lengths(line: np.ndarray) -> np.ndarray:
     return np.hypot(np.diff(line[:, 0]), np.diff(line[:, 1]))
 
 
-def polyline_point_at(line: np.ndarray, arc: float,
-                      seg: np.ndarray | None = None) -> tuple[float, float]:
-    """Point at arc-length `arc` along the polyline (clamped to its ends).
-
-    `seg` is the polyline's segment lengths when the caller has them cached
-    (``Topology.street_segment_lengths``).
-    """
-    if seg is None:
-        seg = _polyline_lengths(line)
-    return _walk_arc(line.tolist(), seg.tolist(), float(seg.sum()), float(arc))
-
-
 def _walk_arc(pts: list, seg: list[float], total: float,
               arc: float) -> tuple[float, float]:
-    """:func:`polyline_point_at` on Python floats: vertices `pts`, segment
-    lengths `seg` and their pairwise sum `total`."""
+    """Point at arc length `arc` along a polyline (clamped to its ends), on
+    Python floats: vertices `pts`, segment lengths `seg` and their pairwise
+    sum `total`. The walk takes the first segment whose end the arc does
+    not pass (else the last one) and interpolates along it."""
     arc = min(max(arc, 0.0), total)
     acc = 0.0
     for i, s in enumerate(seg):
@@ -554,8 +551,8 @@ def _walk_arc(pts: list, seg: list[float], total: float,
 def street_points_at(topo: Topology, street: np.ndarray,
                      arc: np.ndarray) -> np.ndarray:
     """(P, 2) points at arc lengths `arc` along streets `street`: row j is
-    ``polyline_point_at(topo.streets[street[j]], arc[j])``, bit for bit, for
-    all rows in one array pass over ``Topology._street_table``."""
+    the point :func:`_walk_arc` gives on ``topo.streets[street[j]]``, bit
+    for bit, for all rows in one array pass over ``Topology._street_table``."""
     n, seg, start, pts = topo._street_table
     total = topo.street_lengths[street]
     arc = np.where(arc < 0.0, 0.0, arc)          # max(arc, 0.0)

@@ -56,8 +56,7 @@ class TrafficConfig:
 class Population:
     """The UE population, one array per field; row i is UE i."""
     pos: np.ndarray               # (N, 2) position
-    indoor: np.ndarray            # (N,) bool
-    street_index: np.ndarray      # (N,) int; valid for street UEs, else -1
+    street_index: np.ndarray      # (N,) int; the UE's street, -1 indoors
     arc_pos: np.ndarray           # (N,) arc length along the street polyline
     direction: np.ndarray         # (N,) int, +1/-1 along the polyline
     speed_mps: np.ndarray         # (N,)
@@ -167,7 +166,7 @@ def init_population(n: int, topo: Topology, episode_seed: int,
         raise ValueError("population size must be > 0")
     cfg.validate()
     words = _seed_words(episode_seed, n)
-    pos, indoor, street_index, arc_pos = [], [], [], []
+    pos, street_index, arc_pos = [], [], []
     direction, speed_mps, mode, rngs = [], [], [], []
     draws = np.empty((n, 1 + DWELL_BUFFER))
     for i in range(n):
@@ -178,14 +177,13 @@ def init_population(n: int, topo: Topology, episode_seed: int,
         mode.append(ACTIVE if rng.random() < 0.5 else IDLE)
         rng.standard_exponential(out=draws[i])
         pos.append(placement.point)
-        indoor.append(placement.indoor)
         street_index.append(placement.street_index)
         arc_pos.append(placement.arc_pos)
         speed_mps.append(speed / 3.6)
         rngs.append(rng)
     mode = np.array(mode, dtype=int)
     return Population(np.array(pos, dtype=float).reshape(n, 2),
-                      np.array(indoor, dtype=bool), np.array(street_index, dtype=int),
+                      np.array(street_index, dtype=int),
                       np.array(arc_pos, dtype=float), np.array(direction, dtype=int),
                       np.array(speed_mps, dtype=float), mode,
                       _dwell_scale(cfg)[mode] * draws[:, 0], np.full(n, -1), rngs,
@@ -235,7 +233,7 @@ def step_mobility(pop: Population, topo: Topology, dt: float,
     moved (none when mobility is off)."""
     if not cfg.mobility_enabled:
         return []
-    moved = np.flatnonzero(~pop.indoor & (pop.street_index >= 0))
+    moved = np.flatnonzero(pop.street_index >= 0)
     k = pop.street_index[moved]
     total = topo.street_lengths[k]
     direction = pop.direction[moved]

@@ -19,7 +19,6 @@ from cellpilot.policy import (
     init_policy,
     load_checkpoint,
     reinforce_backward,
-    reinforce_loss,
     warm_start,
 )
 from cellpilot.reselect import (
@@ -27,8 +26,6 @@ from cellpilot.reselect import (
     CONFIG_B,
     PARAM_RANGES,
     ReselectionParams,
-    brute_force_oracle,
-    run_ue_trace,
 )
 from cellpilot.rlenv import (
     BASELINE_ARRAYS,
@@ -43,7 +40,6 @@ from cellpilot.simcore import (
     constant_controller,
     run_episode,
     write_trajectory_csv,
-    write_updates_csv,
 )
 from cellpilot.topology import load_topology
 from cellpilot.trainer import (
@@ -56,8 +52,9 @@ from cellpilot.trainer import (
     train,
 )
 
+from oracles import (brute_force_oracle, oracle_water_fill, reinforce_loss,
+                     run_ue_trace, write_updates_csv)
 from test_policy import make_records
-from test_scheduler import oracle_water_fill
 
 DATA = Path(cellpilot.__file__).parent / "data"
 JOBS = 4

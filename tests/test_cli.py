@@ -62,6 +62,13 @@ def test_gen_topology_overrides_and_errors(tmp_path, capsys):
                "-o", str(tmp_path / "x.topo")])
     assert rc == 2
     assert "expects WxH" in capsys.readouterr().err
+    for flag, value, form in (("--area", "10xfoo", "WxH"),
+                              ("--streets", "4xq", "NXxNY")):
+        rc = main(["gen-topology", "--preset", "desk", flag, value,
+                   "-o", str(tmp_path / "x.topo")])
+        assert rc == 2
+        assert f"error: {flag} expects {form}" in capsys.readouterr().err
+    assert not (tmp_path / "x.topo").exists()
 
 
 def test_eval_with_preset_params(tmp_path, capsys):
@@ -129,9 +136,10 @@ def test_train_cli_and_manifest_determinism(tmp_path, capsys):
     (["eval", "--params", "config_b", "--jobs", "0"], "jobs"),
     (["compare", "--params", "config_b", "--jobs", "0"], "jobs"),
     (["ablate", "--variant", "stress_test", "--jobs", "0"], "jobs"),
+    (["train", "--weights", "a,b,c"], "--weights expects three comma-separated numbers"),
 ], ids=["checkpoint-every", "train-seeds", "eval-seeds", "eval-baseline",
         "eval-ues", "train-hidden", "eval-length", "train-initial-length",
-        "eval-jobs", "compare-jobs", "ablate-jobs"])
+        "eval-jobs", "compare-jobs", "ablate-jobs", "train-weights"])
 def test_counts_below_one_fail_early(tmp_path, capsys, argv, field):
     command, *rest = argv
     trains = command in ("train", "ablate")
@@ -256,6 +264,11 @@ def test_report_eval_csv(tmp_path, capsys):
     junk = tmp_path / "junk.csv"
     junk.write_text("alpha,beta\n1,2\n")
     assert main(["report", str(junk)]) == 2
+    capsys.readouterr()
+    empty = tmp_path / "empty.csv"
+    empty.write_text("")
+    assert main(["report", str(empty)]) == 2
+    assert capsys.readouterr().err == f"error: {empty}: empty file\n"
 
 
 def test_manifest_write_is_atomic(tmp_path, monkeypatch, failing_write):

@@ -19,10 +19,8 @@ from cellpilot.policy import (
     init_optimizer,
     init_policy,
     load_checkpoint,
-    log_prob,
     logit,
     reinforce_backward,
-    reinforce_loss,
     sample_action,
     save_checkpoint,
     warm_start,
@@ -30,6 +28,8 @@ from cellpilot.policy import (
 from cellpilot.reselect import CONFIG_B
 from cellpilot.rlenv import (BASELINE_ARRAYS, BaselineTable, IntervalAggregate,
                              normalize_params)
+
+from oracles import log_prob, reinforce_loss
 
 
 def test_init_shapes_and_determinism():

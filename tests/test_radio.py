@@ -23,7 +23,9 @@ from cellpilot.radio import (
     spectral_efficiency,
 )
 from cellpilot.topology import (Cell, Topology, Tower, generate_topology,
-                                load_topology, sample_placement, wall_crossings)
+                                load_topology, sample_placement)
+
+from oracles import wall_crossings
 
 DATA = Path(cellpilot.__file__).parent / "data"
 

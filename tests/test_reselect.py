@@ -5,7 +5,6 @@ from cellpilot.reselect import (
     CONFIG_A,
     CONFIG_B,
     EQUAL,
-    EVENT_NAMES,
     HIGH,
     LOW,
     PARAM_ORDER,
@@ -14,17 +13,16 @@ from cellpilot.reselect import (
     S_INTRA,
     T_RESEL,
     ReselectionParams,
-    brute_force_oracle,
     cell_id_rank,
     clamp_params,
     initial_select,
     is_suitable,
     param_columns,
-    run_traces,
-    run_ue_trace,
     step_reselection,
     step_ues,
 )
+
+from oracles import EVENT_NAMES, brute_force_oracle, run_traces, run_ue_trace
 
 
 def make_params(**over):

@@ -159,7 +159,9 @@ def seeded_table(seed=0, tput=1e6, sigma=1e5, ue=1e4, intervals=1, window=2):
 def test_baseline_ring_buffer_and_first_touch():
     t = BaselineTable(window=2)
     t.seed_reference(3, [agg(0, tput=100.0)])
-    assert t.has(3, 0) and not t.has(3, 1) and not t.has(4, 0)
+    for seed, interval in ((3, 1), (4, 0)):
+        with pytest.raises(RlenvError, match="baseline missing"):
+            t.means(seed, interval)
     assert t.means(3, 0)[0] == 100.0
     t.seed_reference(3, [agg(0, tput=999.0)])   # no overwrite on second touch
     assert t.means(3, 0)[0] == 100.0

@@ -1,9 +1,9 @@
-from itertools import combinations
-
 import numpy as np
 import pytest
 
 from cellpilot.scheduler import allocate, network_throughput, segment_sums
+
+from oracles import oracle_water_fill
 
 
 def test_equal_share_without_caps():
@@ -57,23 +57,6 @@ def test_conservation_no_caps():
         a = allocate([bw], rng.uniform(0.1, 7.8, n), np.array([n]))
         assert abs(a.bandwidth.sum() - bw) <= 1e-9 * bw
         assert np.all(np.abs(a.bandwidth * n / bw - 1.0) <= 1e-9)
-
-
-def oracle_water_fill(cell_bw, se, caps):
-    """Subset enumeration: find the pinned set S with share = (B - sum needs)
-    / |free| such that every pinned need < share <= every free need."""
-    n = len(se)
-    need = [caps[i] / se[i] if se[i] > 0 else np.inf for i in range(n)]
-    for k in range(n):
-        for S in combinations(range(n), k):
-            used = sum(need[i] for i in S)
-            share = (cell_bw - used) / (n - k)
-            if all(need[i] < share for i in S) and \
-               all(need[j] >= share for j in range(n) if j not in S):
-                bw = np.array([need[i] if i in S else share for i in range(n)])
-                return bw
-    assert sum(need) <= cell_bw  # everyone pinned
-    return np.array(need)
 
 
 def test_water_filling_matches_subset_enumeration():

@@ -23,11 +23,12 @@ from cellpilot.simcore import (
     run_episodes,
     run_heuristic_reference,
     write_trajectory_csv,
-    write_updates_csv,
 )
 from cellpilot.topology import Cell, Topology, Tower, load_topology
 from cellpilot.traffic import TrafficConfig
 from cellpilot.trainer import _mean_action_controller
+
+from oracles import write_updates_csv
 
 
 def desk_topology():

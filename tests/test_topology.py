@@ -1,12 +1,15 @@
 """Topology loading, validation, geometry queries, and the generator."""
 
 import json
+import math
+import re
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import cellpilot
+from cellpilot.cli import main
 from cellpilot.topology import (
     GENERATOR_PRESETS,
     Cell,
@@ -16,15 +19,15 @@ from cellpilot.topology import (
     TopologyError,
     generate_topology,
     load_topology,
-    polyline_point_at,
     sample_placement,
     save_topology,
     topology_doc,
     topology_fingerprint,
     validate_topology,
-    wall_crossings,
     wall_crossings_to_cells,
 )
+
+from oracles import polyline_point_at, wall_crossings
 
 DATA = Path(cellpilot.__file__).parent / "data"
 
@@ -137,6 +140,45 @@ def test_out_of_bounds_tower_rejected(tmp_path):
     doc["towers"][0]["x"] = 500.0
     with pytest.raises(TopologyError, match="bounds"):
         load_topology(write_doc(tmp_path, doc))
+
+
+def _set(*path):
+    """An edit of minimal_doc(): doc[path[0]]...[path[-2]] = path[-1]."""
+    def edit(doc):
+        *keys, last, value = path
+        for k in keys:
+            doc = doc[k]
+        doc[last] = value
+    return edit
+
+
+@pytest.mark.parametrize("edit, message", [
+    (_set("streets", 0, 0, 0, math.inf), r"streets\[0\]: coordinates must be finite"),
+    (_set("cells", 0, "tx_power_dbm", math.nan),
+     r"cells\[0\] \(id=C1\): tx_power must be finite"),
+    (_set("buildings", [[1, 2, 3]]), r"buildings\[0\]: expected a list of \[x, y\] points"),
+    (_set("buildings", [[[20, 20], [30, 30, 1], [30, 20]]]),
+     r"buildings\[0\]: expected a list of \[x, y\] points"),
+    (_set("cells", []), "cells: at least one cell is required"),
+    (_set("buildings", [[[math.nan, 20], [30, 20], [30, 30], [20, 30]]]),
+     r"buildings\[0\]: coordinates must be finite"),
+    (_set("area_bounds", 2, math.inf), "area_bounds: must be finite"),
+    (_set("towers", 0, "x", math.inf), r"towers\[T1\]: x and y must be finite"),
+], ids=["street-infinity", "tx-power-nan", "building-flat", "building-ragged",
+        "no-cells", "building-nan-vertex", "bounds-infinity", "tower-infinity"])
+def test_malformed_topology_fails_early_naming_the_field(tmp_path, capsys, edit,
+                                                          message):
+    doc = minimal_doc()
+    edit(doc)
+    path = write_doc(tmp_path, doc)   # json writes NaN and Infinity, and reads them
+    with pytest.raises(TopologyError, match=message):
+        load_topology(path)
+    rc = main(["eval", "--topology", str(path), "--params", "config_a",
+               "--seeds", "1", "--ues", "2", "--length", "5",
+               "--cache", str(tmp_path / "cache")])
+    assert rc == 2
+    assert re.search(message, capsys.readouterr().err)
+    assert not (tmp_path / "cache").exists()
 
 
 # --- wall crossings ---------------------------------------------------------

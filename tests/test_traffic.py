@@ -5,8 +5,7 @@ import numpy as np
 import pytest
 
 import cellpilot
-from cellpilot.topology import (Cell, Topology, Tower, load_topology,
-                                polyline_point_at, sample_placement)
+from cellpilot.topology import Cell, Topology, Tower, load_topology, sample_placement
 from cellpilot.traffic import (
     ACTIVE,
     DWELL_BUFFER,
@@ -19,6 +18,8 @@ from cellpilot.traffic import (
     step_mobility,
     step_modes,
 )
+
+from oracles import polyline_point_at
 
 
 def street_topo():
@@ -53,7 +54,6 @@ def test_init_population_fields():
     assert ((lo <= pop.speed_mps) & (pop.speed_mps <= hi)).all()
     assert np.isin(pop.direction, (-1, 1)).all()
     assert (pop.serving == -1).all()
-    assert (pop.indoor == (pop.street_index < 0)).all()
     with pytest.raises(ValueError):
         init_population(0, topo, 7, cfg)
 
@@ -63,7 +63,7 @@ def test_init_population_deterministic_and_order_invariant():
     cfg = TrafficConfig()
 
     def snap(pop, n=None):
-        return [(tuple(pop.pos[i]), pop.indoor[i], pop.mode[i],
+        return [(tuple(pop.pos[i]), pop.mode[i],
                  pop.next_switch_time[i], pop.speed_mps[i], pop.street_index[i],
                  pop.arc_pos[i], pop.direction[i]) for i in range(n or len(pop))]
 
@@ -80,7 +80,7 @@ def test_init_population_deterministic_and_order_invariant():
 def element_init_population(n, topo, episode_seed, cfg):
     """init_population as it was, writing each UE's fields into preallocated
     arrays one element at a time."""
-    pos, indoor = np.empty((n, 2)), np.empty(n, dtype=bool)
+    pos = np.empty((n, 2))
     street_index, arc_pos = np.empty(n, dtype=int), np.empty(n)
     direction, speed_mps = np.empty(n, dtype=int), np.empty(n)
     mode, next_switch_time = np.empty(n, dtype=int), np.empty(n)
@@ -94,12 +94,11 @@ def element_init_population(n, topo, episode_seed, cfg):
         rate = cfg.lambda_idle if m == IDLE else cfg.lambda_active
         next_switch_time[i] = rng.exponential(1.0 / rate)
         pos[i] = placement.point
-        indoor[i] = placement.indoor
         street_index[i] = placement.street_index
         arc_pos[i] = placement.arc_pos
         speed_mps[i] = speed / 3.6
         rngs.append(rng)
-    return Population(pos, indoor, street_index, arc_pos, direction, speed_mps,
+    return Population(pos, street_index, arc_pos, direction, speed_mps,
                       mode, next_switch_time, np.full(n, -1), rngs,
                       np.empty((n, DWELL_BUFFER)), np.full(n, DWELL_BUFFER))
 
@@ -113,7 +112,7 @@ def test_init_population_matches_the_element_loop(topo_name):
                                         speed_kmh=12.0, building_weight=0.8))]:
         pop = init_population(60, topo, seed, cfg)
         ref = element_init_population(60, topo, seed, cfg)
-        for name in ("pos", "indoor", "street_index", "arc_pos", "direction",
+        for name in ("pos", "street_index", "arc_pos", "direction",
                      "speed_mps", "mode", "next_switch_time", "serving"):
             got, want = getattr(pop, name), getattr(ref, name)
             assert (got.dtype, got.shape, got.tobytes()) == \
@@ -162,9 +161,9 @@ def test_negative_episode_seed_fails():
 def test_building_weight_extremes():
     topo = street_topo()
     indoor = init_population(30, topo, 11, TrafficConfig(building_weight=1.0))
-    assert (indoor.indoor & (indoor.street_index == -1)).all()
+    assert (indoor.street_index == -1).all()
     street = init_population(30, topo, 11, TrafficConfig(building_weight=0.0))
-    assert (~street.indoor & (street.street_index == 0)).all()
+    assert (street.street_index == 0).all()
 
 
 def test_step_modes_flip_rate():
@@ -302,7 +301,7 @@ def test_step_mobility_returns_exactly_the_street_ues():
     topo = street_topo()
     cfg = TrafficConfig(mobility_enabled=True)
     pop = init_population(30, topo, 4, cfg)
-    street = np.flatnonzero(~pop.indoor).tolist()
+    street = np.flatnonzero(pop.street_index >= 0).tolist()
     assert 0 < len(street) < 30
     before = pop.pos.copy()
     moved = step_mobility(pop, topo, 1.0, cfg)
