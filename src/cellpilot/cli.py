@@ -67,13 +67,14 @@ def parse_weights(text: str) -> tuple[float, float, float]:
     return w
 
 
-def parse_pair(text: str, flag: str, form: str) -> tuple[float, float]:
-    """Two numbers written AxB or A,B; `form` shows the expected one."""
+def parse_pair(text: str, flag: str, form: str, kind=float) -> tuple:
+    """Two numbers of type `kind` written AxB or A,B; `form` shows the
+    expected one."""
     for sep in ("x", ","):
         if sep in text:
             a, b = text.split(sep, 1)
             try:
-                return float(a), float(b)
+                return kind(a), kind(b)
             except ValueError:
                 break
     raise CliError(f"{flag} expects {form}, got '{text}'")
@@ -94,8 +95,7 @@ def cmd_gen_topology(args) -> int:
     area = (None if args.area is None else
             parse_pair(args.area, "--area", "WxH (e.g. 320x240)"))
     streets = (None if args.streets is None else
-               tuple(int(v) for v in parse_pair(args.streets, "--streets",
-                                                "NXxNY (e.g. 8x7)")))
+               parse_pair(args.streets, "--streets", "NXxNY (e.g. 8x7)", int))
     topo = generate_topology(args.preset, args.seed, towers=args.towers,
                              cells=args.cells, area=area,
                              buildings=args.buildings, streets=streets)

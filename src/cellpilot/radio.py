@@ -2,8 +2,12 @@
 antenna main lobe, per-wall penetration loss, thermal noise, and the
 SNR -> spectral-efficiency lookup used by the scheduler.
 
-No fading. Received power is a pure function of geometry, so identical
-inputs give bit-identical outputs across runs and platforms.
+No fading. Received power is a pure function of geometry: bit-identical
+across runs on one machine. Across machines it can differ in the last ulp,
+because numpy picks SIMD kernels for ``log10`` and friends by CPU. The
+simulator reads rx only through threshold comparisons and the nearest-entry
+SE lookup, so such an ulp changes a trajectory only where it carries rx
+across a threshold or an SE midpoint.
 """
 
 from __future__ import annotations

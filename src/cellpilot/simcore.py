@@ -6,11 +6,11 @@ Per step, in fixed order: mobility (from step 1 on) -> frozen rx snapshot
 arrays, and (re)selection is one `reselect.step_ues` call per step over
 all UEs, reading only the step's frozen snapshot.
 
-`run_episodes` advances several seeds of one configuration in lockstep:
-their populations are stacked on the UE axis and every layer runs once per
-step for all of them. At each PRI boundary one controller call sees all
-seeds' observation rows, (S, D), and returns one parameter set per seed.
-`run_episode` is the same loop for one seed.
+`run_episodes(cfg, seeds, controller)` runs one configuration once per
+seed in lockstep: the populations are stacked on the UE axis, every layer
+runs once per step for all seeds, and at each PRI boundary one controller
+call maps all seeds' observation rows, (S, D), to one parameter set per
+seed. `run_episode(cfg, controller)` runs the one seed `cfg.episode_seed`.
 
 Episodes are pure functions of (config, controller outputs). Constant-
 parameter reference episodes are cached on disk, keyed by a fingerprint
@@ -124,45 +124,22 @@ def run_episode(cfg: EpisodeConfig, controller) -> EpisodeResult:
     every PRI boundary with one observation row, (1, D), and returns a
     sequence of one ReselectionParams, applied network-wide (clamped into
     range if needed, with the clamp recorded)."""
-    return run_episodes([cfg], controller)[0]
+    return run_episodes(cfg, [cfg.episode_seed], controller)[0]
 
 
-def _check_lockstep(cfgs: list[EpisodeConfig]) -> None:
-    if not cfgs:
-        raise ValueError("run_episodes needs at least one episode config")
-    first = cfgs[0]
-    for cfg in cfgs[1:]:
-        for f in fields(EpisodeConfig):
-            if f.name == "episode_seed":
-                continue
-            a, b = getattr(first, f.name), getattr(cfg, f.name)
-            if a is b:
-                continue
-            if f.name == "topology":
-                same = topology_fingerprint(a) == topology_fingerprint(b)
-            else:
-                same = a == b
-            if not same:
-                raise ValueError(
-                    f"lockstep episodes must share every config field but "
-                    f"episode_seed; '{f.name}' differs (seed {first.episode_seed}: "
-                    f"{a!r}, seed {cfg.episode_seed}: {b!r})")
-    first.validate()
-
-
-def run_episodes(cfgs: list[EpisodeConfig], controller) -> list[EpisodeResult]:
-    """Run S episodes in lockstep, one per config.
-
-    The configs differ only in `episode_seed`. Their populations are stacked
-    on the UE axis, so each step makes one call per layer for all seeds. At
-    each PRI boundary `controller(obs, interval)` gets the observation rows
-    of all seeds, (S, D), and returns S ReselectionParams, row i's for seed
-    i. The result for each seed is exactly what a run on its own gives when
-    the controller's row i does not depend on the other rows.
-    """
-    _check_lockstep(cfgs)
-    cfg = cfgs[0]
-    n_seeds, n_ues = len(cfgs), cfg.n_ues
+def run_episodes(cfg: EpisodeConfig, seeds: list[int],
+                 controller) -> list[EpisodeResult]:
+    """Run `cfg` in lockstep once per seed in `seeds` (`cfg.episode_seed`
+    is not read). The populations are stacked on the UE axis, so each step
+    makes one call per layer for all seeds. At each PRI boundary
+    `controller(obs, interval)` gets the observation rows of all seeds,
+    (S, D), and returns S ReselectionParams, row i's for seed i. Each seed's
+    result is exactly that of its run alone when the controller's row i does
+    not depend on the other rows."""
+    if len(seeds) == 0:
+        raise ValueError("run_episodes needs at least one seed")
+    cfg.validate()
+    n_seeds, n_ues = len(seeds), cfg.n_ues
     topo = cfg.topology
     n_cells = topo.n_cells
     se_table = radio.default_se_table()
@@ -170,14 +147,13 @@ def run_episodes(cfgs: list[EpisodeConfig], controller) -> list[EpisodeResult]:
     cell_bw = np.tile(topo.cell_bandwidth, n_seeds)
     id_rank = reselect.cell_id_rank([c.id for c in topo.cells])
     pop = traffic.Population.stack([
-        traffic.init_population(n_ues, topo, c.episode_seed, cfg.traffic)
-        for c in cfgs])
+        traffic.init_population(n_ues, topo, seed, cfg.traffic) for seed in seeds])
     # a UE's (seed, cell) slot is slot_base + its cell; seed i owns UE rows
     # i * n_ues onwards and cell slots i * n_cells onwards
     slot_base = np.repeat(np.arange(n_seeds) * n_cells, n_ues)
     n_steps = step_count(cfg.length)
     traj = Trajectory.zeros(n_steps, n_cells, n_seeds)
-    updates: list[list[UpdateRecord]] = [[] for _ in cfgs]
+    updates: list[list[UpdateRecord]] = [[] for _ in seeds]
     params: ReselectionParams | None = None
 
     for s in range(n_steps):
@@ -266,7 +242,7 @@ def reference_fingerprint(cfg: EpisodeConfig, params: ReselectionParams) -> str:
         "topology": topology_fingerprint(cfg.topology),
         "episode_seed": cfg.episode_seed,
         "n_ues": cfg.n_ues,
-        "length": cfg.length,
+        "length": float(cfg.length),
         "dt": DT,
         "obstruction": cfg.obstruction_enabled,
         "traffic": [cfg.traffic.lambda_idle, cfg.traffic.lambda_active,
@@ -304,7 +280,7 @@ def run_heuristic_reference(cfg: EpisodeConfig, params: ReselectionParams,
         cdir.mkdir(parents=True, exist_ok=True)
         # "preset" is always empty; it stays so fills keep their bytes
         meta = {"fingerprint": fp, "n_ues": cfg.n_ues, "preset": "",
-                "length": cfg.length}
+                "length": float(cfg.length)}
         save_container(path, meta, vars(result.steps))
     except OSError as exc:
         raise SimError(f"cannot write reference cache {path}: {exc}") from exc

@@ -56,13 +56,11 @@ class Cell:
 
 class _Zones(NamedTuple):
     """Python-float copies of the placement tables :func:`sample_placement`
-    reads: streets and buildings with their running sums and totals as the
-    numpy code computes them (``cumsum``, pairwise ``sum``)."""
+    reads: street lengths and buildings with their running sums and totals
+    as the numpy code computes them (``cumsum``, pairwise ``sum``)."""
     street_cum: list[float]            # running sum of the street lengths
     street_len: list[float]            # each street's segment-length sum
     street_total: float
-    street_seg: list[list[float]]      # segment lengths per street
-    street_pts: list[list[tuple[float, float]]]
     area_cum: list[float]              # running sum of the building areas
     area_total: float
     polys: list[list[tuple[float, float]]]
@@ -123,7 +121,7 @@ class Topology:
     def _street_table(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         """Streets padded to the longest one: segment counts (S,), segment
         lengths (S, M), arc length at each segment start (S, M; the running
-        sum :func:`_walk_arc` accumulates) and vertices (S, M+1, 2)."""
+        sum of the lengths before it) and vertices (S, M+1, 2)."""
         n = np.array([len(seg) for seg in self.street_segment_lengths], dtype=int)
         m = int(n.max(initial=0))
         seg = np.zeros((len(n), m))
@@ -219,8 +217,6 @@ class Topology:
     def _zones(self) -> _Zones:
         lengths, areas = self.street_lengths, self.building_areas
         return _Zones(np.cumsum(lengths).tolist(), lengths.tolist(), float(lengths.sum()),
-                      [seg.tolist() for seg in self.street_segment_lengths],
-                      [list(map(tuple, s.tolist())) for s in self.streets],
                       np.cumsum(areas).tolist(), float(areas.sum()),
                       [list(map(tuple, b.tolist())) for b in self.buildings],
                       [(*b.min(axis=0).tolist(), *b.max(axis=0).tolist())
@@ -291,10 +287,11 @@ def validate_topology(topo: Topology) -> None:
         seen_towers.add(t.id)
     if not topo.cells:
         raise TopologyError("cells: at least one cell is required")
-    bad = np.flatnonzero(~np.isfinite(topo.cell_tx_power))
-    if bad.size:
-        raise TopologyError(f"cells[{bad[0]}] (id={topo.cells[bad[0]].id}): "
-                            "tx_power must be finite")
+    for name in ("frequency", "bandwidth", "tx_power"):
+        bad = np.flatnonzero(~np.isfinite(getattr(topo, f"cell_{name}")))
+        if bad.size:
+            raise TopologyError(f"cells[{bad[0]}] (id={topo.cells[bad[0]].id}): "
+                                f"{name} must be finite")
     _check_finite("buildings", topo.buildings, topo._wall_edges)
     _check_finite("streets", topo.streets,
                   np.concatenate(topo.streets) if topo.streets else np.zeros(0))
@@ -335,6 +332,14 @@ def validate_topology(topo: Topology) -> None:
             raise TopologyError(f"streets[{i}]: polyline does not intersect area_bounds")
 
 
+def _integer(value) -> int:
+    """`value` as an int; a fractional part is an error, not truncated."""
+    i = int(value)
+    if i != float(value):
+        raise ValueError(f"expected an integer, got {value!r}")
+    return i
+
+
 def load_topology(path) -> Topology:
     """Load and validate a ``.topo`` file."""
     try:
@@ -356,15 +361,31 @@ def load_topology(path) -> Topology:
             raise TopologyError(f"{path}: {ctx}: missing field '{key}'")
         return obj[key]
 
+    def bad_field(obj, ctx, converts):
+        """The error naming the first field of `obj` that its conversion in
+        `converts` (key -> type) refuses; looked for only once a record's
+        conversion has failed, so a valid file never pays for it."""
+        for key, convert in converts.items():
+            try:
+                convert(obj.get(key, 0))
+            except (TypeError, ValueError, OverflowError) as exc:
+                return TopologyError(f"{path}: {ctx}: {key}: {exc}")
+
     bounds = need(doc, "area_bounds", "top level")
     if not (isinstance(bounds, list) and len(bounds) == 4):
         raise TopologyError(f"{path}: area_bounds: expected [xmin, ymin, xmax, ymax]")
-    towers = [
-        Tower(str(need(t, "id", f"towers[{i}]")),
-              float(need(t, "x", f"towers[{i}]")),
-              float(need(t, "y", f"towers[{i}]")))
-        for i, t in enumerate(need(doc, "towers", "top level"))
-    ]
+    try:
+        bounds = tuple(map(float, bounds))
+    except (TypeError, ValueError) as exc:
+        raise TopologyError(f"{path}: area_bounds: {exc}") from None
+    towers = []
+    for i, t in enumerate(need(doc, "towers", "top level")):
+        ctx = f"towers[{i}]"
+        try:
+            towers.append(Tower(str(need(t, "id", ctx)), float(need(t, "x", ctx)),
+                                float(need(t, "y", ctx))))
+        except (TypeError, ValueError, OverflowError):
+            raise bad_field(t, ctx, {"x": float, "y": float}) from None
     tower_xy = {t.id: (t.x, t.y) for t in towers}
     cells = []
     for i, c in enumerate(need(doc, "cells", "top level")):
@@ -372,8 +393,8 @@ def load_topology(path) -> Topology:
         tower_id = str(need(c, "tower", ctx))
         if tower_id not in tower_xy:
             raise TopologyError(f"{path}: {ctx}: unknown tower '{tower_id}'")
-        cells.append(
-            Cell(
+        try:
+            cells.append(Cell(
                 id=str(need(c, "id", ctx)),
                 tower_id=tower_id,
                 position=tower_xy[tower_id],
@@ -381,10 +402,13 @@ def load_topology(path) -> Topology:
                 beamwidth=float(c.get("beamwidth_deg", DEFAULT_BEAMWIDTH_DEG)),
                 frequency=float(need(c, "frequency_hz", ctx)),
                 bandwidth=float(need(c, "bandwidth_hz", ctx)),
-                priority=int(need(c, "priority", ctx)),
+                priority=_integer(need(c, "priority", ctx)),
                 tx_power=float(c.get("tx_power_dbm", DEFAULT_TX_POWER_DBM)),
-            )
-        )
+            ))
+        except (TypeError, ValueError, OverflowError):
+            raise bad_field(c, ctx, {"azimuth_deg": float, "beamwidth_deg": float,
+                                     "frequency_hz": float, "bandwidth_hz": float,
+                                     "priority": _integer, "tx_power_dbm": float}) from None
     def points(key):
         """doc[key] as one (P, 2) float array per entry."""
         out = []
@@ -398,7 +422,7 @@ def load_topology(path) -> Topology:
             out.append(a)
         return out
 
-    topo = Topology(tuple(float(v) for v in bounds), towers, cells,
+    topo = Topology(bounds, towers, cells,
                     points("buildings"), points("streets"))
     validate_topology(topo)
     return topo
@@ -530,29 +554,12 @@ def _polyline_lengths(line: np.ndarray) -> np.ndarray:
     return np.hypot(np.diff(line[:, 0]), np.diff(line[:, 1]))
 
 
-def _walk_arc(pts: list, seg: list[float], total: float,
-              arc: float) -> tuple[float, float]:
-    """Point at arc length `arc` along a polyline (clamped to its ends), on
-    Python floats: vertices `pts`, segment lengths `seg` and their pairwise
-    sum `total`. The walk takes the first segment whose end the arc does
-    not pass (else the last one) and interpolates along it."""
-    arc = min(max(arc, 0.0), total)
-    acc = 0.0
-    for i, s in enumerate(seg):
-        if arc <= acc + s or i == len(seg) - 1:
-            t = 0.0 if s == 0 else (arc - acc) / s
-            (x0, y0), (x1, y1) = pts[i], pts[i + 1]
-            return (x0 + t * (x1 - x0), y0 + t * (y1 - y0))
-        acc += s
-    x, y = pts[-1]
-    return (x, y)
-
-
 def street_points_at(topo: Topology, street: np.ndarray,
                      arc: np.ndarray) -> np.ndarray:
-    """(P, 2) points at arc lengths `arc` along streets `street`: row j is
-    the point :func:`_walk_arc` gives on ``topo.streets[street[j]]``, bit
-    for bit, for all rows in one array pass over ``Topology._street_table``."""
+    """(P, 2) points at arc lengths `arc` along streets `street`, in one
+    array pass over ``Topology._street_table``: each arc is clamped to its
+    street's ends and placed on the first segment whose end it does not pass
+    (else the last). Placement and mobility both place street UEs here."""
     n, seg, start, pts = topo._street_table
     total = topo.street_lengths[street]
     arc = np.where(arc < 0.0, 0.0, arc)          # max(arc, 0.0)
@@ -571,10 +578,10 @@ def street_points_at(topo: Topology, street: np.ndarray,
 
 @dataclass
 class Placement:
-    point: tuple[float, float]
-    indoor: bool
-    street_index: int = -1   # valid when not indoor
-    arc_pos: float = 0.0     # arc-length along the street polyline
+    """A street and an arc length along it, or a point indoors."""
+    street_index: int = -1                     # -1 indoors
+    arc_pos: float = 0.0
+    point: tuple[float, float] | None = None   # indoors only
 
 
 def sample_placement(topo: Topology, rng: np.random.Generator,
@@ -599,8 +606,7 @@ def sample_placement(topo: Topology, rng: np.random.Generator,
         target = rng.random() * z.street_total
         idx = min(bisect_right(z.street_cum, target), len(z.street_len) - 1)
         arc = target - (z.street_cum[idx] - z.street_len[idx])
-        point = _walk_arc(z.street_pts[idx], z.street_seg[idx], z.street_len[idx], arc)
-        return Placement(point, indoor=False, street_index=idx, arc_pos=arc)
+        return Placement(street_index=idx, arc_pos=arc)
     target = rng.random() * z.area_total
     idx = min(bisect_right(z.area_cum, target), len(z.polys) - 1)
     poly = z.polys[idx]
@@ -609,7 +615,7 @@ def sample_placement(topo: Topology, rng: np.random.Generator,
         x = xmin + rng.random() * (xmax - xmin)
         y = ymin + rng.random() * (ymax - ymin)
         if _point_in_polygon(x, y, poly):
-            return Placement((x, y), indoor=True)
+            return Placement(point=(x, y))
 
 
 # ---------------------------------------------------------------------------

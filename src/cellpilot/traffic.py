@@ -159,14 +159,14 @@ class _SeedWords:
 
 def init_population(n: int, topo: Topology, episode_seed: int,
                     cfg: TrafficConfig) -> Population:
-    """n UEs with positions, speeds, modes, first switch times and full
+    """n UEs with placements, speeds, modes, first switch times and full
     dwell buffers drawn from their own streams; bit-identical for the same
-    episode_seed."""
+    episode_seed. One :func:`street_points_at` call places the street UEs."""
     if n <= 0:
         raise ValueError("population size must be > 0")
     cfg.validate()
     words = _seed_words(episode_seed, n)
-    pos, street_index, arc_pos = [], [], []
+    indoor_pos, street_index, arc_pos = [], [], []
     direction, speed_mps, mode, rngs = [], [], [], []
     draws = np.empty((n, 1 + DWELL_BUFFER))
     for i in range(n):
@@ -176,15 +176,20 @@ def init_population(n: int, topo: Topology, episode_seed: int,
         direction.append(1 if rng.random() < 0.5 else -1)
         mode.append(ACTIVE if rng.random() < 0.5 else IDLE)
         rng.standard_exponential(out=draws[i])
-        pos.append(placement.point)
+        if placement.point is not None:
+            indoor_pos.append(placement.point)
         street_index.append(placement.street_index)
         arc_pos.append(placement.arc_pos)
         speed_mps.append(speed / 3.6)
         rngs.append(rng)
+    street_index = np.array(street_index, dtype=int)
+    arc_pos = np.array(arc_pos, dtype=float)
+    street = street_index >= 0
+    pos = np.empty((n, 2))
+    pos[~street] = np.array(indoor_pos, dtype=float).reshape(-1, 2)
+    pos[street] = street_points_at(topo, street_index[street], arc_pos[street])
     mode = np.array(mode, dtype=int)
-    return Population(np.array(pos, dtype=float).reshape(n, 2),
-                      np.array(street_index, dtype=int),
-                      np.array(arc_pos, dtype=float), np.array(direction, dtype=int),
+    return Population(pos, street_index, arc_pos, np.array(direction, dtype=int),
                       np.array(speed_mps, dtype=float), mode,
                       _dwell_scale(cfg)[mode] * draws[:, 0], np.full(n, -1), rngs,
                       draws[:, 1:].copy(), np.zeros(n, dtype=int))

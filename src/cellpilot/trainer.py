@@ -231,8 +231,7 @@ def _reference(ep: EpisodeConfig, params: ReselectionParams,
                max_length: float, cache) -> simcore.Trajectory:
     """The heuristic reference of `ep`: one cached run at `max_length` cut
     to `ep.length`, so every curriculum round of a training seed shares one
-    cache entry. On a tie the length keeps `ep.length`'s type, which the
-    cache key spells out (50 and 50.0 are two keys)."""
+    cache entry."""
     full = simcore.run_heuristic_reference(
         replace(ep, length=max(ep.length, max_length)), params, cache).steps
     n = simcore.step_count(ep.length)
@@ -458,23 +457,24 @@ def _gain_ratio(agent: float, ref: float) -> float:
 
 
 def _eval_rows(args) -> list[EvalRow]:
-    """Gain rows for a run of eval seeds, in the order of the episode
-    configs. The seeds go in batches of at most LOCKSTEP_UES UEs: each
-    seed's reference is looked up (or filled) on its own, then the agent
-    episodes of the batch advance in lockstep."""
-    (net_or_params, eps, baseline_params, cache) = args
+    """Gain rows for a run of eval seeds of one episode config, in seed
+    order. The seeds go in batches of at most LOCKSTEP_UES UEs: each seed's
+    reference is looked up (or filled) on its own, then the agent episodes
+    of the batch advance in lockstep."""
+    (net_or_params, ep, seeds, baseline_params, cache) = args
     if isinstance(net_or_params, ReselectionParams):
         controller = simcore.constant_controller(net_or_params)
     else:
         controller = _mean_action_controller(net_or_params)
-    per_batch = max(1, LOCKSTEP_UES // eps[0].n_ues)
+    per_batch = max(1, LOCKSTEP_UES // ep.n_ues)
     rows = []
-    for b in range(0, len(eps), per_batch):
-        batch = eps[b:b + per_batch]
-        refs = [simcore.run_heuristic_reference(ep, baseline_params, cache).steps
-                for ep in batch]
-        results = simcore.run_episodes(batch, controller)
-        for ep, r, res in zip(batch, refs, results):
+    for b in range(0, len(seeds), per_batch):
+        batch = seeds[b:b + per_batch]
+        refs = [simcore.run_heuristic_reference(
+                    replace(ep, episode_seed=s), baseline_params, cache).steps
+                for s in batch]
+        results = simcore.run_episodes(ep, batch, controller)
+        for seed, r, res in zip(batch, refs, results):
             a = res.steps
             tput_gain = _gain_ratio(float(a.total_tput.mean()),
                                     float(r.total_tput.mean()))
@@ -483,7 +483,7 @@ def _eval_rows(args) -> list[EvalRow]:
             bal_gain = _gain_ratio(sig_r, sig_a)  # lower spread is better
             ue_gain = _gain_ratio(float(a.per_ue_mean_tput.mean()),
                                   float(r.per_ue_mean_tput.mean()))
-            rows.append(EvalRow(ep.episode_seed, tput_gain, bal_gain, ue_gain))
+            rows.append(EvalRow(seed, tput_gain, bal_gain, ue_gain))
     return rows
 
 
@@ -510,10 +510,12 @@ def evaluate(net_or_params, cfg: TrainRunConfig, eval_seeds: list[int],
             + ("..." if len(overlap) > 5 else ""))
     if jobs < 1:
         raise ValueError(f"jobs must be >= 1, got {jobs}")
-    eps = [cfg.episode_cfg(seed=s, length=length, train=False) for s in eval_seeds]
-    eps[0].validate()  # before a worker starts or a reference is written
-    shards = [(net_or_params, [eps[i] for i in idx], PRESETS[cfg.preset], cache)
-              for idx in np.array_split(np.arange(len(eps)), min(jobs, len(eps)))]
+    ep = cfg.episode_cfg(seed=eval_seeds[0], length=length, train=False)
+    ep.validate()  # before a worker starts or a reference is written
+    shards = [(net_or_params, ep, [eval_seeds[i] for i in idx],
+               PRESETS[cfg.preset], cache)
+              for idx in np.array_split(np.arange(len(eval_seeds)),
+                                        min(jobs, len(eval_seeds)))]
     if len(shards) > 1:
         with ProcessPoolExecutor(max_workers=len(shards)) as ex:
             rows = [row for part in ex.map(_eval_rows, shards) for row in part]
@@ -532,9 +534,9 @@ def validation_score(net, cfg: TrainRunConfig, val_seeds: list[int],
     """
     total = 0.0
     w1, w2, w3 = cfg.weights
+    ep = cfg.episode_cfg(seed=val_seeds[0], length=length, train=False)
     for s in val_seeds:
-        ep = cfg.episode_cfg(seed=s, length=length, train=False)
-        [row] = _eval_rows((net, [ep], PRESETS[cfg.preset], cache))
+        [row] = _eval_rows((net, ep, [s], PRESETS[cfg.preset], cache))
         total += w1 * row.tput_gain + w2 * row.bal_gain + w3 * row.ue_gain
     return total / len(val_seeds)
 

@@ -12,13 +12,19 @@ check, and import nothing from it but data types and constants:
 * :func:`oracle_water_fill` — water-filling by subset enumeration
   (check 10);
 * :func:`wall_crossings` — the wall count of one segment, the reference
-  for ``topology.wall_crossings_to_cells``.
+  for ``topology.wall_crossings_to_cells``;
+* :func:`polyline_point_at` — the walk along one street polyline in Python
+  floats, the reference for ``topology.street_points_at``.
 
 Test-only helpers run program code in the shape a check needs and are not
 independent of it: :func:`run_traces` and :func:`run_ue_trace` drive
 ``reselect.step_ues`` over rx traces (what check 1 holds to the oracle),
-:func:`polyline_point_at` is ``topology._walk_arc`` on one polyline, and
-:func:`write_updates_csv` writes an episode's parameter updates (check 9).
+:func:`placement_point` places a ``topology.sample_placement`` draw with
+:func:`polyline_point_at`, and :func:`write_updates_csv` writes an
+episode's parameter updates (check 9).
+
+No name with a leading underscore is imported from the program
+(``test_imports.py`` checks this).
 """
 
 import math
@@ -30,8 +36,6 @@ from cellpilot.container import write_atomic
 from cellpilot.policy import N_PARAMS, effective_sigma, forward
 from cellpilot.reselect import (PARAM_ORDER, S_INTER, S_INTRA, T_RESEL,
                                 ReselectionParams, step_ues)
-from cellpilot.simcore import _fmt
-from cellpilot.topology import _polyline_lengths, _walk_arc
 
 # names of the event codes of `reselect.step_ues`, indexed by code
 EVENT_NAMES = ("high", "equal", "low", "select", "outage")
@@ -198,11 +202,28 @@ def wall_crossings(a, b, topo) -> int:
 
 
 def polyline_point_at(line: np.ndarray, arc: float) -> tuple[float, float]:
-    """Point at arc-length `arc` along the polyline (clamped to its ends):
-    ``topology._walk_arc`` over the segment lengths and their sum as
-    ``Topology.street_segment_lengths`` and ``street_lengths`` take them."""
-    seg = _polyline_lengths(line)
-    return _walk_arc(line.tolist(), seg.tolist(), float(seg.sum()), float(arc))
+    """Point at arc-length `arc` along the polyline, clamped to its ends: on
+    the first segment whose end the running sum of the segment lengths does
+    not pass, else on the last one. The segment lengths are numpy's
+    ``hypot`` and the polyline's length their pairwise ``sum``, as the
+    program's street tables take them."""
+    seg = np.hypot(np.diff(line[:, 0]), np.diff(line[:, 1]))
+    arc = min(max(float(arc), 0.0), float(seg.sum()))
+    start = 0.0
+    for i, s in enumerate(seg.tolist()):
+        if arc <= start + s or i == len(seg) - 1:
+            t = (arc - start) / s if s else 0.0
+            (x0, y0), (x1, y1) = line[i].tolist(), line[i + 1].tolist()
+            return (x0 + t * (x1 - x0), y0 + t * (y1 - y0))
+        start += s
+
+
+def placement_point(topo, p) -> tuple[float, float]:
+    """Where the ``topology.sample_placement`` draw `p` puts its UE: the
+    drawn point indoors, :func:`polyline_point_at` on a street."""
+    if p.point is not None:
+        return p.point
+    return polyline_point_at(topo.streets[p.street_index], p.arc_pos)
 
 
 # ---------------------------------------------------------------------------
@@ -252,17 +273,20 @@ def oracle_water_fill(cell_bw, se, caps):
 def write_updates_csv(result, path, rewards: list | None = None) -> None:
     """Per-update record: parameters applied, clamped fields, and (when
     provided by the caller) the reward breakdown per interval."""
+    def fmt(v):
+        return f"{float(v):.17g}"
+
     cols = ["interval", "step", *PARAM_ORDER, "clamped"]
     if rewards is not None:
         cols += ["r_tput", "r_bal", "r_ue_eff", "r_total"]
     lines = [",".join(cols)]
     for i, u in enumerate(result.updates):
         row = [str(u.interval), str(u.step)]
-        row += [_fmt(getattr(u.params, f)) for f in PARAM_ORDER]
+        row += [fmt(getattr(u.params, f)) for f in PARAM_ORDER]
         row.append("|".join(u.clamped))
         if rewards is not None:
             r = rewards[i]
-            row += [_fmt(r.r_tput), _fmt(r.r_bal), _fmt(r.r_ue_eff),
-                    _fmt(r.r_total)]
+            row += [fmt(r.r_tput), fmt(r.r_bal), fmt(r.r_ue_eff),
+                    fmt(r.r_total)]
         lines.append(",".join(row))
     write_atomic(path, ("\n".join(lines) + "\n").encode())

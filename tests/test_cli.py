@@ -63,7 +63,8 @@ def test_gen_topology_overrides_and_errors(tmp_path, capsys):
     assert rc == 2
     assert "expects WxH" in capsys.readouterr().err
     for flag, value, form in (("--area", "10xfoo", "WxH"),
-                              ("--streets", "4xq", "NXxNY")):
+                              ("--streets", "4xq", "NXxNY"),
+                              ("--streets", "4.5x3", "NXxNY")):
         rc = main(["gen-topology", "--preset", "desk", flag, value,
                    "-o", str(tmp_path / "x.topo")])
         assert rc == 2

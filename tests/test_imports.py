@@ -123,3 +123,14 @@ def test_unreachable_follows_names_from_the_roots():
     bench = ["wrap(m, 'traced')\n"]
     assert unreachable(src, bench) == ["m.py:8 dead", "m.py:10 orphan",
                                        "m.py:17 Box.has"]
+
+
+def test_oracles_import_no_private_program_names():
+    # an oracle that imports the program's internals checks the program
+    # against itself
+    tree = ast.parse((ROOT / "tests" / "oracles.py").read_text())
+    private = [f"{node.module}.{alias.name}" for node in ast.walk(tree)
+               if isinstance(node, ast.ImportFrom)
+               and (node.module or "").split(".")[0] == "cellpilot"
+               for alias in node.names if alias.name.startswith("_")]
+    assert not private, "tests/oracles.py imports " + ", ".join(private)

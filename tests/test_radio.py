@@ -25,7 +25,7 @@ from cellpilot.radio import (
 from cellpilot.topology import (Cell, Topology, Tower, generate_topology,
                                 load_topology, sample_placement)
 
-from oracles import wall_crossings
+from oracles import placement_point, wall_crossings
 
 DATA = Path(cellpilot.__file__).parent / "data"
 
@@ -170,7 +170,7 @@ def test_rx_per_site_matches_per_cell_terms(name, obstruction):
     rng = np.random.default_rng(12)
     xmin, ymin, xmax, ymax = topo.area_bounds
     pts = np.vstack([rng.uniform((xmin, ymin), (xmax, ymax), (40, 2)),
-                     [sample_placement(topo, rng).point for _ in range(40)],
+                     [placement_point(topo, sample_placement(topo, rng)) for _ in range(40)],
                      topo.cell_xy[:3], topo.cell_xy[:3] + (0.25, 0.0)])
     rx = received_power_matrix(pts, topo, obstruction_enabled=obstruction)
     assert rx.shape == (len(pts), topo.n_cells)

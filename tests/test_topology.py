@@ -21,13 +21,14 @@ from cellpilot.topology import (
     load_topology,
     sample_placement,
     save_topology,
+    street_points_at,
     topology_doc,
     topology_fingerprint,
     validate_topology,
     wall_crossings_to_cells,
 )
 
-from oracles import polyline_point_at, wall_crossings
+from oracles import placement_point, polyline_point_at, wall_crossings
 
 DATA = Path(cellpilot.__file__).parent / "data"
 
@@ -164,8 +165,17 @@ def _set(*path):
      r"buildings\[0\]: coordinates must be finite"),
     (_set("area_bounds", 2, math.inf), "area_bounds: must be finite"),
     (_set("towers", 0, "x", math.inf), r"towers\[T1\]: x and y must be finite"),
+    (_set("cells", 0, "frequency_hz", math.inf),
+     r"cells\[0\] \(id=C1\): frequency must be finite"),
+    (_set("cells", 0, "bandwidth_hz", math.inf),
+     r"cells\[0\] \(id=C1\): bandwidth must be finite"),
+    (_set("towers", 0, "x", "a"), r"towers\[0\]: x: could not convert"),
+    (_set("cells", 0, "priority", 2.7), r"cells\[0\]: priority: expected an integer, got 2.7"),
+    (_set("area_bounds", 1, "a"), "area_bounds: could not convert"),
 ], ids=["street-infinity", "tx-power-nan", "building-flat", "building-ragged",
-        "no-cells", "building-nan-vertex", "bounds-infinity", "tower-infinity"])
+        "no-cells", "building-nan-vertex", "bounds-infinity", "tower-infinity",
+        "frequency-infinity", "bandwidth-infinity", "tower-x-string", "priority-fraction",
+        "bounds-string"])
 def test_malformed_topology_fails_early_naming_the_field(tmp_path, capsys, edit,
                                                           message):
     doc = minimal_doc()
@@ -256,7 +266,7 @@ def test_vectorized_matches_scalar_on_large_shared_sites():
     rng = np.random.default_rng(11)
     xmin, ymin, xmax, ymax = topo.area_bounds
     pts = [(x, y) for x, y in rng.uniform((xmin, ymin), (xmax, ymax), size=(30, 2))]
-    pts += [sample_placement(topo, rng).point for _ in range(12)]
+    pts += [placement_point(topo, sample_placement(topo, rng)) for _ in range(12)]
     # segments parallel to the axis-aligned building walls
     pts += [(tx, ymin + 0.3 * (ymax - ymin)) for tx, _ in topo.cell_xy[::16]]
     pts += [(xmin + 0.6 * (xmax - xmin), ty) for _, ty in topo.cell_xy[::16]]
@@ -462,7 +472,7 @@ def test_pruned_matches_dense_for_sites_on_and_near_padded_boxes():
              for i, t in enumerate(towers)]
     topo = Topology(base.area_bounds, towers, cells, base.buildings, [])
     rng = np.random.default_rng(8)
-    pts = [sample_placement(base, rng).point for _ in range(150)]
+    pts = [placement_point(base, sample_placement(base, rng)) for _ in range(150)]
     # on the corners of every seventh building, and beyond each corner as
     # seen from the first building's padded corners and edges
     for b in range(0, len(bx0), 7):
@@ -481,7 +491,8 @@ def test_pruned_matches_dense_on_bundled_topologies(name):
     rng = np.random.default_rng(17)
     xmin, ymin, xmax, ymax = topo.area_bounds
     pts = rng.uniform((xmin - 50, ymin - 50), (xmax + 50, ymax + 50), (400, 2))
-    pts = np.vstack([pts, [sample_placement(topo, rng).point for _ in range(200)],
+    placed = [placement_point(topo, sample_placement(topo, rng)) for _ in range(200)]
+    pts = np.vstack([pts, placed,
                      topo.cell_xy, topo.cell_xy + (0.0, 250.0), topo.cell_xy - (250.0, 0.0)])
     assert wall_crossings_to_cells(pts, topo).tolist() == dense_counts(pts, topo).tolist()
 
@@ -500,21 +511,18 @@ def test_sample_placement_lands_in_zones():
     topo = generate_topology("desk", seed=2)
     rng = np.random.default_rng(0)
     x0, y0, x1, y1 = topo.area_bounds
-    indoor_seen = street_seen = False
+    streets_seen = set()
     for _ in range(200):
         p = sample_placement(topo, rng, building_weight=0.5)
         assert isinstance(p, Placement)
-        assert x0 <= p.point[0] <= x1 and y0 <= p.point[1] <= y1
-        indoor_seen |= p.indoor
-        street_seen |= not p.indoor
-        if p.indoor:
-            assert p.street_index == -1
+        streets_seen.add(p.street_index)
+        if p.street_index < 0:
+            assert p.street_index == -1 and p.arc_pos == 0.0
+            assert x0 <= p.point[0] <= x1 and y0 <= p.point[1] <= y1
         else:
-            assert 0 <= p.street_index < len(topo.streets)
-            line = topo.streets[p.street_index]
-            pt = polyline_point_at(line, p.arc_pos)
-            assert np.allclose(pt, p.point)
-    assert indoor_seen and street_seen
+            assert 0 <= p.street_index < len(topo.streets) and p.point is None
+            assert 0.0 <= p.arc_pos <= topo.street_lengths[p.street_index]
+    assert -1 in streets_seen and len(streets_seen) > 1
 
 
 def test_sample_placement_deterministic():
@@ -526,12 +534,13 @@ def test_sample_placement_deterministic():
                      rng.bit_generator.state))
     (a, state_a), (b, state_b) = runs
     assert a == b and state_a == state_b
-    assert {p.indoor for p in a} == {True, False}
+    assert {p.street_index >= 0 for p in a} == {True, False}
 
 
 def old_sample_placement(topo, rng, building_weight=0.5):
     """sample_placement as it was on numpy scalars, kept to check the
-    table-driven one bit for bit."""
+    table-driven one bit for bit; a street draw comes with the point the
+    numpy-scalar walk gave it."""
     def point_in_polygon(x, y, poly):
         inside, j = False, len(poly) - 1
         for i in range(len(poly)):
@@ -566,7 +575,7 @@ def old_sample_placement(topo, rng, building_weight=0.5):
         idx = min(int(np.searchsorted(cum, target, side="right")), len(topo.streets) - 1)
         arc = target - (cum[idx] - lengths[idx])
         point = point_at(topo.streets[idx], arc, topo.street_segment_lengths[idx])
-        return Placement(point, indoor=False, street_index=idx, arc_pos=float(arc))
+        return Placement(idx, float(arc), point)
     areas = topo.building_areas
     target = rng.random() * areas.sum()
     idx = min(int(np.searchsorted(np.cumsum(areas), target, side="right")),
@@ -578,12 +587,18 @@ def old_sample_placement(topo, rng, building_weight=0.5):
         x = xmin + rng.random() * (xmax - xmin)
         y = ymin + rng.random() * (ymax - ymin)
         if point_in_polygon(x, y, poly):
-            return Placement((float(x), float(y)), indoor=True)
+            return Placement(point=(float(x), float(y)))
 
 
-def placement_fields(p):
-    return (p.point, type(p.point[0]), type(p.point[1]), p.indoor,
-            p.street_index, p.arc_pos, type(p.arc_pos))
+def placement_fields(p, topo=None):
+    """The draw and the point it places the UE at; with `topo`, a street
+    draw is placed by ``street_points_at``."""
+    point = p.point
+    if topo is not None and p.street_index >= 0:
+        point = tuple(street_points_at(topo, np.array([p.street_index]),
+                                       np.array([p.arc_pos]))[0].tolist())
+    return (p.street_index, p.arc_pos, type(p.arc_pos), point, type(point[0]),
+            type(point[1]))
 
 
 @pytest.mark.parametrize("name", ["desk", "baseline", "alt", "large", "generated-desk"])
@@ -593,7 +608,7 @@ def test_sample_placement_matches_the_numpy_scalar_code(name):
     for weight in (0.0, 0.35, 1.0):
         new, old = np.random.default_rng(41), np.random.default_rng(41)
         for _ in range(300):
-            assert placement_fields(sample_placement(topo, new, weight)) == \
+            assert placement_fields(sample_placement(topo, new, weight), topo) == \
                 placement_fields(old_sample_placement(topo, old, weight))
         assert new.random() == old.random()
 
@@ -610,7 +625,7 @@ def test_sample_placement_on_streets_only_and_buildings_only():
     for topo in (streets_only, buildings_only):
         new, old = np.random.default_rng(3), np.random.default_rng(3)
         for _ in range(500):
-            assert placement_fields(sample_placement(topo, new)) == \
+            assert placement_fields(sample_placement(topo, new), topo) == \
                 placement_fields(old_sample_placement(topo, old))
         assert new.random() == old.random()
     with pytest.raises(TopologyError, match="no placement zones"):

@@ -19,7 +19,7 @@ from cellpilot.traffic import (
     step_modes,
 )
 
-from oracles import polyline_point_at
+from oracles import placement_point, polyline_point_at
 
 
 def street_topo():
@@ -93,7 +93,7 @@ def element_init_population(n, topo, episode_seed, cfg):
         mode[i] = m = ACTIVE if rng.random() < 0.5 else IDLE
         rate = cfg.lambda_idle if m == IDLE else cfg.lambda_active
         next_switch_time[i] = rng.exponential(1.0 / rate)
-        pos[i] = placement.point
+        pos[i] = placement_point(topo, placement)
         street_index[i] = placement.street_index
         arc_pos[i] = placement.arc_pos
         speed_mps[i] = speed / 3.6
@@ -103,10 +103,11 @@ def element_init_population(n, topo, episode_seed, cfg):
                       np.empty((n, DWELL_BUFFER)), np.full(n, DWELL_BUFFER))
 
 
-@pytest.mark.parametrize("topo_name", ["street", "large"])
+@pytest.mark.parametrize("topo_name", ["street", "large", "multi-segment"])
 def test_init_population_matches_the_element_loop(topo_name):
-    topo = (street_topo() if topo_name == "street" else
-            load_topology(Path(cellpilot.__file__).parent / "data" / "large.topo"))
+    topo = {"street": street_topo, "multi-segment": multi_segment_topo,
+            "large": lambda: load_topology(Path(cellpilot.__file__).parent
+                                           / "data" / "large.topo")}[topo_name]()
     for seed, cfg in [(5, TrafficConfig()),
                       (6, TrafficConfig(lambda_idle=3.0, lambda_active=0.5,
                                         speed_kmh=12.0, building_weight=0.8))]:
@@ -311,20 +312,24 @@ def test_step_mobility_returns_exactly_the_street_ues():
     assert step_mobility(pop, topo, 1.0, off) == []
 
 
-def test_step_mobility_places_ues_where_polyline_point_at_does():
-    # multi-segment streets, two with a zero-length segment; on the last,
-    # the street length (a pairwise sum) exceeds the running sum of its
-    # segments by 7e-15, so an arc at its end falls back to the last segment
+def multi_segment_topo():
+    """Multi-segment streets, two with a zero-length segment; on the last,
+    the street length (a pairwise sum) exceeds the running sum of its
+    segments by 7e-15, so an arc at its end falls back to the last segment."""
     streets = [np.array([[0.0, 0.0], [3.0, 4.0], [3.0, 4.0], [10.3, 4.1], [10.7, 9.9]]),
                np.array([[50.0, 0.1], [50.0, 0.1 + 1e-3], [51.7, 2.9]]),
                np.array([[0.0, 30.0], [100.0, 30.0]]),
                np.array([[60.0, 60.0], [60.0, 60.0], [70.0, 65.0]]),
                np.cumsum(np.random.default_rng(20).uniform(0.1, 7.0, (14, 2)), axis=0)]
-    rng = np.random.default_rng(17)
     tower = Tower("T1", 50.0, 10.0)
     cell = Cell(id="C1", tower_id="T1", position=(50.0, 10.0), azimuth=0.0,
                 beamwidth=120.0, frequency=1.0e9, bandwidth=10e6, priority=1)
-    topo = Topology((0.0, 0.0, 120.0, 120.0), [tower], [cell], [], streets)
+    return Topology((0.0, 0.0, 120.0, 120.0), [tower], [cell], [], streets)
+
+
+def test_step_mobility_places_ues_where_polyline_point_at_does():
+    topo = multi_segment_topo()
+    rng = np.random.default_rng(17)
     k, arc, speed = [], [], []
     for s, (lens, total) in enumerate(zip(topo.street_segment_lengths,
                                           topo.street_lengths)):

@@ -259,7 +259,7 @@ def test_lockstep_eval_rows_match_seeds_run_alone(tmp_path):
     seeds = list(range(300, 300 + BLOCK_ROWS + 2))
     together = evaluate(net, cfg, seeds, [1], length=8.0, cache=tmp_path, jobs=1)
     alone = [row for s in seeds
-             for row in _eval_rows((net, [cfg.episode_cfg(s, 8.0, train=False)],
+             for row in _eval_rows((net, cfg.episode_cfg(s, 8.0, train=False), [s],
                                     PRESETS[cfg.preset], tmp_path))]
     assert together.rows == alone
     assert any(r.tput_gain != 0.0 for r in alone)
@@ -276,9 +276,9 @@ def test_evaluate_caps_the_ues_of_a_lockstep_batch(tmp_path, monkeypatch):
     widths = []
     run_episodes = trainer.simcore.run_episodes
 
-    def counted(cfgs, controller):
-        widths.append(len(cfgs))
-        return run_episodes(cfgs, controller)
+    def counted(cfg, seeds, controller):
+        widths.append(len(seeds))
+        return run_episodes(cfg, seeds, controller)
 
     monkeypatch.setattr(trainer.simcore, "run_episodes", counted)
     monkeypatch.setattr(trainer, "LOCKSTEP_UES", 9)
