@@ -168,7 +168,7 @@ def reinforce_backward(net: PolicyNet, records) -> dict[str, np.ndarray]:
     a1, a2, out = _forward_batch(net, x)
     mu = out[:, :N_PARAMS]
     sr = out[:, N_PARAMS:]
-    sigma = np.maximum(SIGMA_CAP * sr, SIGMA_MIN)
+    sigma = effective_sigma(sr)
     diff = act - mu
     dlogp_dmu = diff / sigma ** 2
     dlogp_dsigma = diff ** 2 / sigma ** 3 - 1.0 / sigma

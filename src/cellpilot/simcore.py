@@ -7,10 +7,10 @@ arrays, and (re)selection is one `reselect.step_ues` call per step over
 all UEs, reading only the step's frozen snapshot.
 
 `run_episodes(cfg, seeds, controller)` runs one configuration once per
-seed in lockstep: the populations are stacked on the UE axis, every layer
-runs once per step for all seeds, and at each PRI boundary one controller
-call maps all seeds' observation rows, (S, D), to one parameter set per
-seed. `run_episode(cfg, controller)` runs the one seed `cfg.episode_seed`.
+seed in lockstep: one population holds every seed's UEs, seed by seed on
+the UE axis, every layer runs once per step for all seeds, and at each PRI
+boundary one controller call maps all seeds' observation rows, (S, D), to
+one parameter set per seed. `run_episode(cfg, controller)` runs the one seed `cfg.episode_seed`.
 
 Episodes are pure functions of (config, controller outputs). Constant-
 parameter reference episodes are cached on disk, keyed by a fingerprint
@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import os
 from dataclasses import dataclass, field, fields
 from pathlib import Path
@@ -64,9 +65,9 @@ class EpisodeConfig:
     history_k: int = 10           # observation frames
 
     def validate(self) -> None:
-        if step_count(self.length) < 1:
-            raise ValueError(f"length must give at least one {DT:g} s step, "
-                             f"got {self.length}")
+        if not math.isfinite(self.length) or step_count(self.length) < 1:
+            raise ValueError(f"length must be finite and give at least one "
+                             f"{DT:g} s step, got {self.length}")
         if self.pri < 1:
             raise ValueError("pri must be >= 1")
         if self.n_ues < 1:
@@ -130,8 +131,8 @@ def run_episode(cfg: EpisodeConfig, controller) -> EpisodeResult:
 def run_episodes(cfg: EpisodeConfig, seeds: list[int],
                  controller) -> list[EpisodeResult]:
     """Run `cfg` in lockstep once per seed in `seeds` (`cfg.episode_seed`
-    is not read). The populations are stacked on the UE axis, so each step
-    makes one call per layer for all seeds. At each PRI boundary
+    is not read). One population holds all seeds' UEs, seed by seed on the
+    UE axis, so each step makes one call per layer for all seeds. At each PRI boundary
     `controller(obs, interval)` gets the observation rows of all seeds,
     (S, D), and returns S ReselectionParams, row i's for seed i. Each seed's
     result is exactly that of its run alone when the controller's row i does
@@ -146,8 +147,7 @@ def run_episodes(cfg: EpisodeConfig, seeds: list[int],
     noise_floor = radio.noise_floor_dbm(topo.cell_bandwidth)
     cell_bw = np.tile(topo.cell_bandwidth, n_seeds)
     id_rank = reselect.cell_id_rank([c.id for c in topo.cells])
-    pop = traffic.Population.stack([
-        traffic.init_population(n_ues, topo, seed, cfg.traffic) for seed in seeds])
+    pop = traffic.init_population(n_ues, topo, seeds, cfg.traffic)
     # a UE's (seed, cell) slot is slot_base + its cell; seed i owns UE rows
     # i * n_ues onwards and cell slots i * n_cells onwards
     slot_base = np.repeat(np.arange(n_seeds) * n_cells, n_ues)
@@ -258,8 +258,10 @@ def reference_fingerprint(cfg: EpisodeConfig, params: ReselectionParams) -> str:
 
 
 def run_heuristic_reference(cfg: EpisodeConfig, params: ReselectionParams,
-                            cache: str | os.PathLike | None = None) -> EpisodeResult:
-    """Constant-parameter episode, cached on disk per content fingerprint.
+                            cache: str | os.PathLike | None = None) -> Trajectory:
+    """Constant-parameter episode trajectory, cached on disk by fingerprint.
+    A cache hit and a fill return the same `Trajectory`; no update records
+    are kept, as the parameters never change.
 
     Its prefix does not depend on the configured length (per-UE streams are
     consumed identically), so callers cache one run at the longest length
@@ -271,20 +273,19 @@ def run_heuristic_reference(cfg: EpisodeConfig, params: ReselectionParams,
     if path.exists():
         try:
             _, arrays = load_container(path)
-            traj = Trajectory(**arrays)
+            return Trajectory(**arrays)
         except Exception as exc:
             raise SimError(f"corrupt reference cache {path}: {exc}") from exc
-        return EpisodeResult(traj, [])
-    result = run_episode(cfg, constant_controller(params))
+    traj = run_episode(cfg, constant_controller(params)).steps
     try:
         cdir.mkdir(parents=True, exist_ok=True)
         # "preset" is always empty; it stays so fills keep their bytes
         meta = {"fingerprint": fp, "n_ues": cfg.n_ues, "preset": "",
                 "length": float(cfg.length)}
-        save_container(path, meta, vars(result.steps))
+        save_container(path, meta, vars(traj))
     except OSError as exc:
         raise SimError(f"cannot write reference cache {path}: {exc}") from exc
-    return result
+    return traj
 
 
 # ---------------------------------------------------------------------------

@@ -287,6 +287,9 @@ def validate_topology(topo: Topology) -> None:
         seen_towers.add(t.id)
     if not topo.cells:
         raise TopologyError("cells: at least one cell is required")
+    if not topo.buildings and not topo.streets:
+        raise TopologyError("buildings, streets: at least one building or street "
+                            "is required to place UEs")
     for name in ("frequency", "bandwidth", "tx_power"):
         bad = np.flatnonzero(~np.isfinite(getattr(topo, f"cell_{name}")))
         if bad.size:
@@ -674,6 +677,10 @@ def generate_topology(preset: str | None = None, seed: int = 0, *,
             raise TopologyError(f"generator: missing parameter '{key}'")
     if params["towers"] < 1 or params["cells"] < 1:
         raise TopologyError("generator: towers and cells must be >= 1")
+    for key, counts in (("buildings", [params["buildings"]]),
+                        ("streets", params["streets"])):
+        if min(counts) < 0:
+            raise TopologyError(f"generator: {key} must be >= 0, got {params[key]}")
     w, h = params["area"]
     if w <= 0 or h <= 0:
         raise TopologyError("generator: area must be positive")

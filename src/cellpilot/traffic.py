@@ -17,7 +17,7 @@ as single draws would, and ``scale * standard_exponential`` is what
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 import numpy as np
 from numpy.random.bit_generator import ISeedSequence
@@ -72,16 +72,6 @@ class Population:
 
     def __len__(self) -> int:
         return len(self.mode)
-
-    @classmethod
-    def stack(cls, pops: list["Population"]) -> "Population":
-        """One population whose rows are those of `pops`, in order."""
-        if len(pops) == 1:
-            return pops[0]
-        return cls(**{f.name: ([rng for p in pops for rng in p.rngs]
-                               if f.name == "rngs" else
-                               np.concatenate([getattr(p, f.name) for p in pops]))
-                      for f in fields(cls)})
 
 
 def _dwell_scale(cfg: TrafficConfig) -> np.ndarray:
@@ -157,19 +147,21 @@ class _SeedWords:
         return self.words
 
 
-def init_population(n: int, topo: Topology, episode_seed: int,
+def init_population(n: int, topo: Topology, seeds: list[int],
                     cfg: TrafficConfig) -> Population:
-    """n UEs with placements, speeds, modes, first switch times and full
-    dwell buffers drawn from their own streams; bit-identical for the same
-    episode_seed. One :func:`street_points_at` call places the street UEs."""
+    """n UEs per seed in `seeds`, seed by seed on the UE axis; UE j of seed s
+    draws its placement, speed, mode, first switch time and full dwell buffer
+    from the stream SeedSequence([s, j]) seeds, whatever the other seeds.
+    One :func:`street_points_at` call places the street UEs."""
     if n <= 0:
         raise ValueError("population size must be > 0")
     cfg.validate()
-    words = _seed_words(episode_seed, n)
+    words = np.concatenate([_seed_words(seed, n) for seed in seeds])
+    total = len(words)
     indoor_pos, street_index, arc_pos = [], [], []
     direction, speed_mps, mode, rngs = [], [], [], []
-    draws = np.empty((n, 1 + DWELL_BUFFER))
-    for i in range(n):
+    draws = np.empty((total, 1 + DWELL_BUFFER))
+    for i in range(total):
         rng = np.random.Generator(np.random.PCG64(_SeedWords(words[i])))
         placement = sample_placement(topo, rng, cfg.building_weight)
         speed = cfg.speed_kmh * (1.0 + cfg.speed_spread * (2.0 * rng.random() - 1.0))
@@ -185,14 +177,14 @@ def init_population(n: int, topo: Topology, episode_seed: int,
     street_index = np.array(street_index, dtype=int)
     arc_pos = np.array(arc_pos, dtype=float)
     street = street_index >= 0
-    pos = np.empty((n, 2))
+    pos = np.empty((total, 2))
     pos[~street] = np.array(indoor_pos, dtype=float).reshape(-1, 2)
     pos[street] = street_points_at(topo, street_index[street], arc_pos[street])
     mode = np.array(mode, dtype=int)
     return Population(pos, street_index, arc_pos, np.array(direction, dtype=int),
                       np.array(speed_mps, dtype=float), mode,
-                      _dwell_scale(cfg)[mode] * draws[:, 0], np.full(n, -1), rngs,
-                      draws[:, 1:].copy(), np.zeros(n, dtype=int))
+                      _dwell_scale(cfg)[mode] * draws[:, 0], np.full(total, -1), rngs,
+                      draws[:, 1:].copy(), np.zeros(total, dtype=int))
 
 
 def _next_dwell_draws(pop: Population, ues: np.ndarray) -> np.ndarray:

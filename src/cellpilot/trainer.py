@@ -11,6 +11,7 @@ trajectory bit-exactly.
 
 from __future__ import annotations
 
+import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field, fields, replace
 from pathlib import Path
@@ -79,11 +80,15 @@ class CurriculumSchedule:
     def validate(self) -> None:
         if self.rounds < 1 or self.passes_per_round < 1:
             raise ValueError("rounds and passes_per_round must be >= 1")
-        if simcore.step_count(self.initial_length) < 1:
-            raise ValueError(f"initial_length must give at least one "
-                             f"{simcore.DT:g} s step, got {self.initial_length}")
-        if self.increment < 0:
-            raise ValueError(f"increment must be >= 0, got {self.increment}")
+        if (not math.isfinite(self.initial_length)
+                or simcore.step_count(self.initial_length) < 1):
+            raise ValueError(f"initial_length must be finite and give at least "
+                             f"one {simcore.DT:g} s step, got {self.initial_length}")
+        # a NaN or infinite increment makes the final length NaN or infinite
+        # (with one round too: inf * 0 is NaN)
+        if not (self.increment >= 0 and math.isfinite(self.final_length)):
+            raise ValueError(f"increment must be >= 0 and keep every length "
+                             f"finite, got {self.increment}")
 
 
 @dataclass
@@ -106,8 +111,12 @@ class TrainRunConfig:
     episode_cap: int | None = None
 
     def validate(self) -> None:
-        if abs(sum(self.weights) - 1.0) > 1e-9:
+        if not all(math.isfinite(w) for w in self.weights):
+            raise ValueError(f"weights must be finite, got {self.weights}")
+        if not abs(sum(self.weights) - 1.0) <= 1e-9:
             raise ValueError(f"reward weights must sum to 1, got {self.weights}")
+        if not 0 < self.lr < math.inf:
+            raise ValueError(f"lr must be finite and > 0, got {self.lr}")
         if self.preset not in PRESETS:
             raise ValueError(f"preset must be one of {', '.join(sorted(PRESETS))}, "
                              f"got '{self.preset}'")
@@ -233,7 +242,7 @@ def _reference(ep: EpisodeConfig, params: ReselectionParams,
     to `ep.length`, so every curriculum round of a training seed shares one
     cache entry."""
     full = simcore.run_heuristic_reference(
-        replace(ep, length=max(ep.length, max_length)), params, cache).steps
+        replace(ep, length=max(ep.length, max_length)), params, cache)
     n = simcore.step_count(ep.length)
     return simcore.Trajectory(**{k: v[:n] for k, v in vars(full).items()})
 
@@ -282,7 +291,10 @@ def train(cfg: TrainRunConfig, schedule: CurriculumSchedule,
     training seeds), that pass is ``divmod(e // n, passes_per_round)`` as
     (round, pass), and each pass draws its seed order from the trainer's
     generator when it starts. A checkpoint stores that position with the
-    pass's order.
+    pass's order, and the run's settings as one `config` document beside
+    its schedule; a resume refuses a checkpoint whose `config` keys,
+    schedule or network input width differ from this run's, naming the
+    first key that does.
     """
     cfg.validate()
     schedule.validate()
@@ -290,6 +302,14 @@ def train(cfg: TrainRunConfig, schedule: CurriculumSchedule,
     out_dir.mkdir(parents=True, exist_ok=True)
     topo = cfg.topology
     obs_dim = rlenv.observation_dim(topo.n_cells, cfg.history_k)
+    config = {"run_seed": cfg.run_seed, "seed_count": cfg.seed_count,
+              "n_ues": cfg.n_ues, "pri": cfg.pri,
+              "weights": list(cfg.weights),
+              "baseline_window": cfg.baseline_window,
+              "hidden": cfg.hidden, "history_k": cfg.history_k,
+              "lr": cfg.lr, "preset": cfg.preset,
+              # the one credit rule; kept so checkpoints keep their bytes
+              "return_mode": "immediate"}
     train_seeds = derive_seeds(cfg.run_seed, SEED_STREAM_TRAIN, cfg.seed_count)
     val_seeds = derive_seeds(cfg.run_seed, SEED_STREAM_VALIDATION,
                              cfg.validation_seed_count, exclude=train_seeds)
@@ -301,18 +321,15 @@ def train(cfg: TrainRunConfig, schedule: CurriculumSchedule,
     if resume_from is not None:
         ck = pol.load_checkpoint(resume_from)
         net, opt, baselines = ck.net, ck.opt, ck.baselines
-        if net.obs_dim != obs_dim or net.hidden != cfg.hidden:
-            raise TrainerError(
-                f"checkpoint network ({net.obs_dim}x{net.hidden}) does not match "
-                f"config ({obs_dim}x{cfg.hidden})")
-        # the position is read from `episode`, so the layout must be the same
-        for name, stored, want in (
-                ("run_seed", ck.meta["config"]["run_seed"], cfg.run_seed),
-                ("seed_count", ck.meta["config"]["seed_count"], cfg.seed_count),
-                ("schedule", ck.meta["schedule"], asdict(schedule))):
-            if stored != want:
-                raise TrainerError(f"checkpoint {name} {stored} differs from "
-                                   f"this run's {want}")
+        # a resume continues the run the checkpoint recorded, and reads its
+        # position from `episode`, so every recorded setting must be the same
+        stored = {**ck.meta["config"], "schedule": ck.meta["schedule"],
+                  "obs_dim": net.obs_dim}
+        for name, want in {**config, "schedule": asdict(schedule),
+                           "obs_dim": obs_dim}.items():
+            if stored.get(name) != want:
+                raise TrainerError(f"checkpoint {name} {stored.get(name)} "
+                                   f"differs from this run's {want}")
         rng = np.random.default_rng()
         rng.bit_generator.state = ck.rng_state
         loop = ck.meta["loop"]
@@ -356,17 +373,18 @@ def train(cfg: TrainRunConfig, schedule: CurriculumSchedule,
                 "monitor": monitor.state(), "best_score": best_score,
                 "converged_at": converged_at,
                 "train_seeds": train_seeds, "val_seeds": val_seeds}
-        config = {"run_seed": cfg.run_seed, "seed_count": cfg.seed_count,
-                  "n_ues": cfg.n_ues, "pri": cfg.pri,
-                  "weights": list(cfg.weights),
-                  "baseline_window": cfg.baseline_window,
-                  "hidden": cfg.hidden, "history_k": cfg.history_k,
-                  "lr": cfg.lr, "preset": cfg.preset,
-                  # the one credit rule; kept so checkpoints keep their bytes
-                  "return_mode": "immediate"}
         pol.save_checkpoint(path, net, opt, baselines, rng.bit_generator.state,
                             {"loop": loop, "schedule": asdict(schedule),
                              "config": config})
+
+    def keep_best(final: bool = False) -> None:
+        """Validate the net; a new best score saves the best checkpoint."""
+        nonlocal best_score
+        score = validation_score(net, cfg, val_seeds, schedule.final_length,
+                                 cache)
+        if best_score is None or score > best_score:
+            best_score = score
+            checkpoint(best_path, final)
 
     while episode < n * passes * schedule.rounds:
         round_idx, pass_idx = divmod(episode // n, passes)
@@ -388,29 +406,18 @@ def train(cfg: TrainRunConfig, schedule: CurriculumSchedule,
             converged_at = episode
         rows.append(TrainLogRow(
             episode=episode, seed=seed, round=round_idx, pass_index=pass_idx,
-            lr=opt.lr, length=length, r_total=stats["r_total"],
-            r_tput=stats["r_tput"], r_bal=stats["r_bal"],
-            r_ue_eff=stats["r_ue_eff"], grad_norm=stats["grad_norm"],
-            clamped=stats["clamped"], ewma=ewma, rolling_std=rstd))
+            lr=opt.lr, length=length, ewma=ewma, rolling_std=rstd, **stats))
         if episode % cfg.checkpoint_every == 0:
             ck_path = out_dir / f"ckpt_ep{episode:06d}.bin"
             checkpoint(ck_path)
             last_good = str(ck_path)
-            score = validation_score(net, cfg, val_seeds,
-                                     schedule.final_length, cache)
-            if best_score is None or score > best_score:
-                best_score = score
-                checkpoint(best_path)
+            keep_best()
         if cfg.episode_cap is not None and episode >= cfg.episode_cap:
             break
 
     final_path = out_dir / "ckpt_final.bin"
     checkpoint(final_path, final=True)
-    score = validation_score(net, cfg, val_seeds, schedule.final_length,
-                             cache)
-    if best_score is None or score > best_score:
-        best_score = score
-        checkpoint(best_path, final=True)
+    keep_best(final=True)
     write_training_log(rows, out_dir / "training_log.csv",
                        append=resume_from is not None)
     # a fresh run always scores a best; a resume copies or keeps its file
@@ -471,19 +478,16 @@ def _eval_rows(args) -> list[EvalRow]:
     for b in range(0, len(seeds), per_batch):
         batch = seeds[b:b + per_batch]
         refs = [simcore.run_heuristic_reference(
-                    replace(ep, episode_seed=s), baseline_params, cache).steps
+                    replace(ep, episode_seed=s), baseline_params, cache)
                 for s in batch]
         results = simcore.run_episodes(ep, batch, controller)
-        for seed, r, res in zip(batch, refs, results):
-            a = res.steps
-            tput_gain = _gain_ratio(float(a.total_tput.mean()),
-                                    float(r.total_tput.mean()))
-            sig_a = float(a.per_cell_tput.std(axis=1).mean())
-            sig_r = float(r.per_cell_tput.std(axis=1).mean())
-            bal_gain = _gain_ratio(sig_r, sig_a)  # lower spread is better
-            ue_gain = _gain_ratio(float(a.per_ue_mean_tput.mean()),
-                                  float(r.per_ue_mean_tput.mean()))
-            rows.append(EvalRow(seed, tput_gain, bal_gain, ue_gain))
+        for seed, ref, res in zip(batch, refs, results):
+            # an episode's figures are those of one interval spanning it
+            [r] = interval_aggregates(ref, len(ref))
+            [a] = interval_aggregates(res.steps, len(res.steps))
+            rows.append(EvalRow(seed, _gain_ratio(a.tput, r.tput),
+                                _gain_ratio(r.sigma, a.sigma),  # lower spread is better
+                                _gain_ratio(a.ue, r.ue)))
     return rows
 
 

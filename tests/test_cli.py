@@ -69,6 +69,15 @@ def test_gen_topology_overrides_and_errors(tmp_path, capsys):
                    "-o", str(tmp_path / "x.topo")])
         assert rc == 2
         assert f"error: {flag} expects {form}" in capsys.readouterr().err
+    # negative counts, and a topology with nowhere to place a UE
+    for args, message in ((["--buildings", "-2"], "buildings must be >= 0"),
+                          (["--streets=-1x3"], "streets must be >= 0"),
+                          (["--buildings", "0", "--streets", "0x0"],
+                           "at least one building or street")):
+        rc = main(["gen-topology", "--preset", "desk", *args,
+                   "-o", str(tmp_path / "x.topo")])
+        assert rc == 2
+        assert message in capsys.readouterr().err
     assert not (tmp_path / "x.topo").exists()
 
 
@@ -138,9 +147,22 @@ def test_train_cli_and_manifest_determinism(tmp_path, capsys):
     (["compare", "--params", "config_b", "--jobs", "0"], "jobs"),
     (["ablate", "--variant", "stress_test", "--jobs", "0"], "jobs"),
     (["train", "--weights", "a,b,c"], "--weights expects three comma-separated numbers"),
+    # non-finite and non-positive floats; each check must fail on NaN too
+    (["eval", "--params", "config_b", "--length", "inf"], "length"),
+    (["eval", "--params", "config_b", "--length", "nan"], "length"),
+    (["train", "--initial-length", "inf"], "initial_length"),
+    (["train", "--increment", "nan"], "increment"),
+    (["train", "--lr", "nan"], "lr must be"),
+    (["train", "--lr", "0"], "lr must be"),
+    (["train", "--lr", "-1"], "lr must be"),
+    (["train", "--weights", "nan,0.5,0.5"], "weights must be finite"),
+    (["train", "--weights", "inf,-inf,1"], "weights must be finite"),
 ], ids=["checkpoint-every", "train-seeds", "eval-seeds", "eval-baseline",
         "eval-ues", "train-hidden", "eval-length", "train-initial-length",
-        "eval-jobs", "compare-jobs", "ablate-jobs", "train-weights"])
+        "eval-jobs", "compare-jobs", "ablate-jobs", "train-weights",
+        "eval-length-inf", "eval-length-nan", "train-initial-length-inf",
+        "train-increment-nan", "train-lr-nan", "train-lr-zero",
+        "train-lr-negative", "train-weights-nan", "train-weights-inf"])
 def test_counts_below_one_fail_early(tmp_path, capsys, argv, field):
     command, *rest = argv
     trains = command in ("train", "ablate")

@@ -14,6 +14,7 @@ from cellpilot.reselect import CONFIG_A, CONFIG_B, ReselectionParams
 from cellpilot.rlenv import observation_dim
 from cellpilot.simcore import (
     EpisodeConfig,
+    EpisodeResult,
     SimError,
     Trajectory,
     cache_dir,
@@ -145,8 +146,8 @@ def test_degenerate_se_table_makes_tput_equal_bandwidth(monkeypatch):
     assert tr.total_tput[0] == pytest.approx(10e6, rel=1e-12)
 
 
-def arrays_bytes(res):
-    return {k: v.tobytes() for k, v in vars(res.steps).items()}
+def arrays_bytes(traj):
+    return {k: v.tobytes() for k, v in vars(traj).items()}
 
 
 def test_episode_determinism():
@@ -155,11 +156,11 @@ def test_episode_determinism():
                         obstruction_enabled=True)
     a = run_episode(cfg, constant_controller(CONFIG_B))
     b = run_episode(cfg, constant_controller(CONFIG_B))
-    assert arrays_bytes(a) == arrays_bytes(b)
+    assert arrays_bytes(a.steps) == arrays_bytes(b.steps)
     c = run_episode(EpisodeConfig(topo, 124, n_ues=25, length=8.0, pri=1,
                                   obstruction_enabled=True),
                     constant_controller(CONFIG_B))
-    assert arrays_bytes(c) != arrays_bytes(a)
+    assert arrays_bytes(c.steps) != arrays_bytes(a.steps)
 
 
 def test_prefix_property_under_mobility():
@@ -228,7 +229,7 @@ def test_lockstep_matches_serial_runs():
         alone = (constant_controller(fixed[i]) if i in fixed
                  else policy_controller)
         want = run_episode(replace(cfg, episode_seed=seed), alone)
-        assert arrays_bytes(got) == arrays_bytes(want)
+        assert arrays_bytes(got.steps) == arrays_bytes(want.steps)
         assert got.updates == want.updates
     params = {u.params for r in together for u in r.updates}
     assert len(params) > 2   # the seeds really ran under different parameters
@@ -262,8 +263,8 @@ def test_reference_cache_roundtrip(tmp_path):
     # the cache stores count columns as float; the CSV must still print ints
     ids = [c.id for c in topo.cells]
     fresh, hit = tmp_path / "fresh.csv", tmp_path / "hit.csv"
-    write_trajectory_csv(r1, fresh, ids)
-    write_trajectory_csv(r2, hit, ids)
+    write_trajectory_csv(EpisodeResult(r1, []), fresh, ids)
+    write_trajectory_csv(EpisodeResult(r2, []), hit, ids)
     assert hit.read_bytes() == fresh.read_bytes()
     rows = [line.split(",") for line in hit.read_text().splitlines()[1:]]
     assert all(v.isdigit() for row in rows for v in row[4:7] + row[-len(ids):])
@@ -309,7 +310,7 @@ def test_concurrent_reference_fill_leaves_one_whole_file(tmp_path):
     fp = reference_fingerprint(_fill_cfg(), CONFIG_B)
     assert [f.name for f in tmp_path.iterdir()] == [f"ref_{fp}.bin"]  # no temp file
     _, arrays = load_container(tmp_path / f"ref_{fp}.bin")
-    assert {k: v.tobytes() for k, v in vars(Trajectory(**arrays)).items()} == results[0]
+    assert arrays_bytes(Trajectory(**arrays)) == results[0]
 
 
 def test_corrupt_cache_raises(tmp_path):
@@ -334,12 +335,18 @@ def test_fingerprint_sensitivity(monkeypatch):
     assert reference_fingerprint(dataclasses.replace(cfg, length=6), CONFIG_B) == base
     assert reference_fingerprint(dataclasses.replace(cfg, obstruction_enabled=True),
                                  CONFIG_B) != base
-    assert reference_fingerprint(
-        dataclasses.replace(cfg, traffic=TrafficConfig(lambda_idle=0.3)), CONFIG_B) != base
+    # every traffic setting shapes the trajectory, so each is in the key
+    for f in dataclasses.fields(TrafficConfig):
+        value = getattr(cfg.traffic, f.name)
+        other = (not value) if isinstance(value, bool) else value + 0.125
+        changed = dataclasses.replace(
+            cfg, traffic=dataclasses.replace(cfg.traffic, **{f.name: other}))
+        assert reference_fingerprint(changed, CONFIG_B) != base, f.name
     other = ReselectionParams(-56.0, -58.0, -54.0, 3.0, 14.0, -61.0)
     assert reference_fingerprint(cfg, other) != base
-    # a constant controller cannot act differently at another PRI
+    # a constant controller reads neither the PRI nor the observation history
     assert reference_fingerprint(dataclasses.replace(cfg, pri=7), CONFIG_B) == base
+    assert reference_fingerprint(dataclasses.replace(cfg, history_k=3), CONFIG_B) == base
     # a new simulator version never serves an older version's references
     monkeypatch.setattr(simcore, "SIM_VERSION", simcore.SIM_VERSION + 1)
     assert reference_fingerprint(cfg, CONFIG_B) != base

@@ -172,10 +172,12 @@ def _set(*path):
     (_set("towers", 0, "x", "a"), r"towers\[0\]: x: could not convert"),
     (_set("cells", 0, "priority", 2.7), r"cells\[0\]: priority: expected an integer, got 2.7"),
     (_set("area_bounds", 1, "a"), "area_bounds: could not convert"),
+    # minimal_doc has no buildings: with no street either, no UE can be placed
+    (_set("streets", []), "buildings, streets: at least one building or street"),
 ], ids=["street-infinity", "tx-power-nan", "building-flat", "building-ragged",
         "no-cells", "building-nan-vertex", "bounds-infinity", "tower-infinity",
         "frequency-infinity", "bandwidth-infinity", "tower-x-string", "priority-fraction",
-        "bounds-string"])
+        "bounds-string", "no-placement-zone"])
 def test_malformed_topology_fails_early_naming_the_field(tmp_path, capsys, edit,
                                                           message):
     doc = minimal_doc()

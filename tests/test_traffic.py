@@ -46,7 +46,7 @@ def test_config_validation():
 def test_init_population_fields():
     topo = street_topo()
     cfg = TrafficConfig(speed_kmh=30.0, speed_spread=0.2)
-    pop = init_population(12, topo, 7, cfg)
+    pop = init_population(12, topo, [7], cfg)
     assert len(pop) == 12
     lo, hi = 30.0 * 0.8 / 3.6, 30.0 * 1.2 / 3.6
     assert np.isin(pop.mode, (IDLE, ACTIVE)).all()
@@ -55,7 +55,7 @@ def test_init_population_fields():
     assert np.isin(pop.direction, (-1, 1)).all()
     assert (pop.serving == -1).all()
     with pytest.raises(ValueError):
-        init_population(0, topo, 7, cfg)
+        init_population(0, topo, [7], cfg)
 
 
 def test_init_population_deterministic_and_order_invariant():
@@ -67,14 +67,16 @@ def test_init_population_deterministic_and_order_invariant():
                  pop.next_switch_time[i], pop.speed_mps[i], pop.street_index[i],
                  pop.arc_pos[i], pop.direction[i]) for i in range(n or len(pop))]
 
-    a = init_population(8, topo, 3, cfg)
-    b = init_population(8, topo, 3, cfg)
+    a = init_population(8, topo, [3], cfg)
+    b = init_population(8, topo, [3], cfg)
     assert snap(a) == snap(b)
     # per-UE seed streams: a smaller population is a prefix of a larger one
-    big = init_population(16, topo, 3, cfg)
+    big = init_population(16, topo, [3], cfg)
     assert snap(big, 8) == snap(a)
-    other = init_population(8, topo, 4, cfg)
+    other = init_population(8, topo, [4], cfg)
     assert snap(other) != snap(a)
+    # a batch holds each seed's UEs in turn, each UE on its own stream
+    assert snap(init_population(8, topo, [4, 3], cfg)) == snap(other) + snap(a)
 
 
 def element_init_population(n, topo, episode_seed, cfg):
@@ -111,7 +113,7 @@ def test_init_population_matches_the_element_loop(topo_name):
     for seed, cfg in [(5, TrafficConfig()),
                       (6, TrafficConfig(lambda_idle=3.0, lambda_active=0.5,
                                         speed_kmh=12.0, building_weight=0.8))]:
-        pop = init_population(60, topo, seed, cfg)
+        pop = init_population(60, topo, [seed], cfg)
         ref = element_init_population(60, topo, seed, cfg)
         for name in ("pos", "street_index", "arc_pos", "direction",
                      "speed_mps", "mode", "next_switch_time", "serving"):
@@ -156,14 +158,14 @@ def test_negative_episode_seed_fails():
     with pytest.raises(ValueError):
         np.random.SeedSequence([-1, 0])
     with pytest.raises(ValueError):
-        init_population(3, street_topo(), -1, TrafficConfig())
+        init_population(3, street_topo(), [-1], TrafficConfig())
 
 
 def test_building_weight_extremes():
     topo = street_topo()
-    indoor = init_population(30, topo, 11, TrafficConfig(building_weight=1.0))
+    indoor = init_population(30, topo, [11], TrafficConfig(building_weight=1.0))
     assert (indoor.street_index == -1).all()
-    street = init_population(30, topo, 11, TrafficConfig(building_weight=0.0))
+    street = init_population(30, topo, [11], TrafficConfig(building_weight=0.0))
     assert (street.street_index == 0).all()
 
 
@@ -171,7 +173,7 @@ def test_step_modes_flip_rate():
     # both rates 0.2/s -> expect ~n*T*0.2 flips; seeded, loose 3-sigma band
     topo = street_topo()
     cfg = TrafficConfig(lambda_idle=0.2, lambda_active=0.2)
-    pop = init_population(200, topo, 5, cfg)
+    pop = init_population(200, topo, [5], cfg)
     flips = sum(step_modes(pop, float(t), 1.0, cfg) for t in range(200))
     expect = 200 * 200 * 0.2
     assert abs(flips - expect) < 4.0 * np.sqrt(expect)
@@ -181,7 +183,7 @@ def test_step_modes_dwell_times_match_rates():
     # asymmetric rates: average observed dwell in each mode approaches 1/lambda
     topo = street_topo()
     cfg = TrafficConfig(lambda_idle=0.5, lambda_active=0.125)
-    pop = init_population(300, topo, 9, cfg)
+    pop = init_population(300, topo, [9], cfg)
     time_in = [0.0, 0.0]
     dt = 0.25
     for t in range(4000):
@@ -197,7 +199,7 @@ def test_step_modes_dwell_times_match_rates():
 def test_step_modes_multiple_flips_one_window():
     topo = street_topo()
     cfg = TrafficConfig(lambda_idle=50.0, lambda_active=50.0)
-    pop = init_population(20, topo, 1, cfg)
+    pop = init_population(20, topo, [1], cfg)
     flips = step_modes(pop, 0.0, 1.0, cfg)
     assert flips > 20 * 10  # mean dwell 20 ms -> ~50 flips per UE-second
     assert (pop.next_switch_time > 1.0).all()
@@ -206,7 +208,7 @@ def test_step_modes_multiple_flips_one_window():
 def test_step_modes_flips_only_due_ues():
     topo = street_topo()
     cfg = TrafficConfig(lambda_idle=0.2, lambda_active=0.2)
-    pop = init_population(2, topo, 2, cfg)
+    pop = init_population(2, topo, [2], cfg)
     pop.next_switch_time[0] = 0.5   # flips inside the window
     pop.next_switch_time[1] = 99.0  # does not
     before = pop.mode.tolist()
@@ -243,7 +245,7 @@ def test_step_modes_matches_the_scalar_loop(rates):
     # bit for bit, through buffer refills and windows with several flips
     topo = street_topo()
     cfg = TrafficConfig(lambda_idle=rates[0], lambda_active=rates[1])
-    pop = init_population(40, topo, 21, cfg)
+    pop = init_population(40, topo, [21], cfg)
     ref = element_init_population(40, topo, 21, cfg)
     most_flips, total = 0, 0
     for step in range(30):
@@ -261,12 +263,12 @@ def test_step_modes_matches_the_scalar_loop(rates):
 def test_mobility_disabled_and_indoor_stay_put():
     topo = street_topo()
     cfg = TrafficConfig(mobility_enabled=False)
-    pop = init_population(10, topo, 6, cfg)
+    pop = init_population(10, topo, [6], cfg)
     pos = pop.pos.copy()
     step_mobility(pop, topo, 1.0, cfg)
     assert (pop.pos == pos).all()
     cfg = TrafficConfig(mobility_enabled=True, building_weight=1.0)
-    pop = init_population(10, topo, 6, cfg)
+    pop = init_population(10, topo, [6], cfg)
     pos = pop.pos.copy()
     step_mobility(pop, topo, 1.0, cfg)
     assert (pop.pos == pos).all()
@@ -275,7 +277,7 @@ def test_mobility_disabled_and_indoor_stay_put():
 def test_mobility_advances_along_street():
     topo = street_topo()
     cfg = TrafficConfig(mobility_enabled=True, building_weight=0.0)
-    pop = init_population(1, topo, 8, cfg)
+    pop = init_population(1, topo, [8], cfg)
     pop.arc_pos[0], pop.direction[0], pop.speed_mps[0] = 10.0, 1, 4.0
     pop.pos[0] = polyline_point_at(topo.streets[0], 10.0)
     step_mobility(pop, topo, 2.0, cfg)
@@ -286,7 +288,7 @@ def test_mobility_advances_along_street():
 def test_mobility_reflects_at_both_ends():
     topo = street_topo()
     cfg = TrafficConfig(mobility_enabled=True, building_weight=0.0)
-    pop = init_population(2, topo, 8, cfg)
+    pop = init_population(2, topo, [8], cfg)
     far, near = 0, 1
     pop.arc_pos[far], pop.direction[far], pop.speed_mps[far] = 95.0, 1, 10.0
     step_mobility(pop, topo, 1.0, cfg)       # 105 -> reflect to 95
@@ -301,7 +303,7 @@ def test_mobility_reflects_at_both_ends():
 def test_step_mobility_returns_exactly_the_street_ues():
     topo = street_topo()
     cfg = TrafficConfig(mobility_enabled=True)
-    pop = init_population(30, topo, 4, cfg)
+    pop = init_population(30, topo, [4], cfg)
     street = np.flatnonzero(pop.street_index >= 0).tolist()
     assert 0 < len(street) < 30
     before = pop.pos.copy()
@@ -340,7 +342,7 @@ def test_step_mobility_places_ues_where_polyline_point_at_does():
         speed += [0.0] * len(joints) + list(rng.uniform(0.0, 3.0 * total, 40))
     n = len(k)
     cfg = TrafficConfig(mobility_enabled=True, building_weight=0.0)
-    pop = init_population(n, topo, 3, cfg)
+    pop = init_population(n, topo, [3], cfg)
     pop.street_index[:] = k
     pop.arc_pos[:] = arc
     pop.speed_mps[:] = speed

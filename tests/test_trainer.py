@@ -1,6 +1,5 @@
 from dataclasses import replace
 from pathlib import Path
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -159,9 +158,8 @@ def test_evaluate_fills_references_at_the_eval_length(tmp_path, monkeypatch):
     real = simcore.run_heuristic_reference
 
     def cut_from_50(ep, params, cache):
-        full = real(replace(ep, length=50.0), params, cache).steps
-        return SimpleNamespace(steps=simcore.Trajectory(
-            **{k: v[:5] for k, v in vars(full).items()}))
+        full = real(replace(ep, length=50.0), params, cache)
+        return simcore.Trajectory(**{k: v[:5] for k, v in vars(full).items()})
     monkeypatch.setattr(simcore, "run_heuristic_reference", cut_from_50)
     cut = evaluate(net, cfg, seeds, [1], length=5.0, cache=tmp_path / "long")
     assert cut.rows == rep.rows
@@ -472,14 +470,26 @@ def test_resume_into_a_fresh_directory_keeps_the_best_checkpoint(three_seed_run)
     ("seed_count", {"seed_count": 2}, PASSES_SCHED),
     ("schedule", {}, CurriculumSchedule(initial_length=3.0, increment=1.0,
                                         passes_per_round=1, rounds=2)),
-], ids=["run_seed", "seed_count", "schedule"])
+    ("n_ues", {"n_ues": 5}, PASSES_SCHED),
+    ("pri", {"pri": 2}, PASSES_SCHED),
+    ("weights", {"weights": (0.5, 0.3, 0.2)}, PASSES_SCHED),
+    ("lr", {"lr": 2e-3}, PASSES_SCHED),
+    ("hidden", {"hidden": 16}, PASSES_SCHED),
+    ("baseline_window", {"baseline_window": 3}, PASSES_SCHED),
+    ("preset", {"preset": "config_a"}, PASSES_SCHED),
+    # another cell count: the network's input width differs
+    ("obs_dim", {"topology": load_topology(DATA / "desk.topo")}, PASSES_SCHED),
+], ids=["run_seed", "seed_count", "schedule", "n_ues", "pri", "weights", "lr",
+        "hidden", "baseline_window", "preset", "topology"])
 def test_resume_rejects_another_run_layout(three_seed_run, tmp_path, field,
                                            cfg_over, sched):
-    # the position comes from the episode count, which means nothing under
-    # another seed set or schedule
+    # a resume continues the recorded run: its position comes from the
+    # episode count, which means nothing under another seed set or schedule,
+    # and any other setting would quietly train another run
     root, _ = three_seed_run
     cfg = tiny_cfg(tiny_topo(), **{"seed_count": 3, **cfg_over})
-    with pytest.raises(TrainerError, match=f"checkpoint {field} "):
+    with pytest.raises(TrainerError,
+                       match=f"checkpoint {field} .+ differs from this run's "):
         train(cfg, sched, tmp_path / "other", cache=root / "cache",
               resume_from=root / "full" / "ckpt_ep000004.bin")
     assert not list((tmp_path / "other").glob("*.bin"))
@@ -498,16 +508,6 @@ def test_evaluate_rejects_an_empty_seed_list(tmp_path):
     with pytest.raises(ValueError, match="eval_seeds is empty"):
         evaluate(CONFIG_B, tiny_cfg(tiny_topo()), [], [1], length=3.0,
                  cache=tmp_path)
-
-
-def test_resume_rejects_mismatched_network(tmp_path):
-    topo = tiny_topo()
-    cache = tmp_path / "cache"
-    part = train(tiny_cfg(topo, episode_cap=2), TINY_SCHED, tmp_path / "part",
-                 cache=cache)
-    with pytest.raises(TrainerError, match="does not match"):
-        train(tiny_cfg(topo, hidden=16), TINY_SCHED, tmp_path / "other",
-              cache=cache, resume_from=tmp_path / "part" / "ckpt_ep000002.bin")
 
 
 def test_write_training_log_append(tmp_path):
