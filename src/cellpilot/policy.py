@@ -62,12 +62,19 @@ class PolicyNet:
 
 
 def init_policy(obs_dim: int, hidden: int = 1024, seed: int = 0) -> PolicyNet:
-    """Scaled uniform fan-in init U(+/- 1/sqrt(fan_in)); biases zero."""
+    """Scaled uniform fan-in init U(+/- 1/sqrt(fan_in)); biases zero.
+
+    Each draw is ``uniform(-lim, lim)``'s ``low + (high - low) * d`` on the
+    same doubles d of the stream, scaled in place rather than by uniform's
+    broadcast loop."""
     rng = np.random.default_rng(np.random.SeedSequence([seed, 0]))
 
     def u(fan_in, shape):
         lim = 1.0 / math.sqrt(fan_in)
-        return rng.uniform(-lim, lim, size=shape)
+        x = rng.random(shape)
+        x *= lim - -lim
+        x += -lim
+        return x
     return PolicyNet(
         w1=u(obs_dim, (obs_dim, hidden)), b1=np.zeros(hidden),
         w2=u(hidden, (hidden, hidden)), b2=np.zeros(hidden),

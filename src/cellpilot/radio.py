@@ -38,9 +38,22 @@ def antenna_gain_db(bearing_deg, azimuth_deg, beamwidth_deg):
 
     The lobe spans azimuth +/- beamwidth/2, boundary inclusive; angles
     compare on the circle, so 359 deg is 2 deg away from 1 deg.
+
+    The angle off the azimuth is |(bearing - azimuth + 180) % 360 - 180|.
+    For x = bearing - azimuth + 180 in [-360, 720), which holds wherever
+    bearing is in [0, 360] and azimuth in [0, 360) as the simulator passes
+    them, ``x % 360`` is x + 360 below 0 (the addition numpy's floor mod
+    makes after its exact fmod), the exact x - 360 from 360 on, and x
+    otherwise; that form differs only in the sign of a zero, which the
+    - 180 removes. Two ``where``s take it several times faster than ``%``.
+    An x outside that range leaves an angle over 180, and then ``%`` is
+    taken.
     """
-    diff = np.abs((np.asarray(bearing_deg, dtype=float)
-                   - np.asarray(azimuth_deg, dtype=float) + 180.0) % 360.0 - 180.0)
+    x = (np.asarray(bearing_deg, dtype=float)
+         - np.asarray(azimuth_deg, dtype=float) + 180.0)
+    diff = np.abs(np.where(x < 0.0, x + 360.0, np.where(x >= 360.0, x - 360.0, x)) - 180.0)
+    if not diff.max(initial=0.0) <= 180.0:
+        diff = np.abs(x % 360.0 - 180.0)
     return np.where(diff <= np.asarray(beamwidth_deg, dtype=float) / 2.0,
                     MAIN_LOBE_GAIN_DB, 0.0)
 
@@ -51,14 +64,18 @@ def noise_floor_dbm(bandwidth_hz):
 
 
 def received_power_matrix(ue_xy: np.ndarray, topo: Topology, *,
-                          obstruction_enabled: bool = True) -> np.ndarray:
+                          obstruction_enabled: bool = True,
+                          street: np.ndarray | None = None,
+                          arc: np.ndarray | None = None) -> np.ndarray:
     """RSRP-like received power in dBm for every (UE, cell) pair; shape (N, C).
 
     rx = tx + antenna_gain - fspl - walls * 6 dB. Wall counts come from the
-    segment UE->cell against building polygons. With `obstruction_enabled`
-    False the wall term is 0. Distances and bearings are taken once per
-    (UE, cell site) and path losses once per (UE, site, frequency), then
-    gathered to the cells.
+    segment UE->cell against building polygons; `street` and `arc`, the
+    UEs' street (-1 indoors) and arc length, let street UEs read them from
+    the topology's street table (``topology.wall_crossings_to_cells``).
+    With `obstruction_enabled` False the wall term is 0. Distances and
+    bearings are taken once per (UE, cell site) and path losses once per
+    (UE, site, frequency), then gathered to the cells.
     """
     ue_xy = np.asarray(ue_xy, dtype=float).reshape(-1, 2)
     n = len(ue_xy)
@@ -74,7 +91,7 @@ def received_power_matrix(ue_xy: np.ndarray, topo: Topology, *,
                            topo.cell_beamwidth[None, :])
     rx = topo.cell_tx_power[None, :] + gain - loss
     if obstruction_enabled and len(topo.buildings) > 0 and n > 0:
-        walls = wall_crossings_to_cells(ue_xy, topo)
+        walls = wall_crossings_to_cells(ue_xy, topo, street, arc)
         rx = rx - WALL_LOSS_DB * walls
     return rx
 

@@ -167,7 +167,8 @@ def run_episodes(cfg: EpisodeConfig, seeds: list[int],
             if moved:
                 rx[moved] = radio.received_power_matrix(
                     pop.pos[moved], topo,
-                    obstruction_enabled=cfg.obstruction_enabled)
+                    obstruction_enabled=cfg.obstruction_enabled,
+                    street=pop.street_index[moved], arc=pop.arc_pos[moved])
         if s % cfg.pri == 0:
             obs = build_observation(traj, s, topo.cell_bandwidth, n_ues,
                                     cfg.history_k)

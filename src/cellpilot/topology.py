@@ -67,6 +67,17 @@ class _Zones(NamedTuple):
     boxes: list[tuple[float, float, float, float]]   # xmin, ymin, xmax, ymax
 
 
+class _StreetWalls(NamedTuple):
+    """The safe arc intervals of every street, in (street, arc) order, and
+    the per-site wall counts on each (see :func:`_build_street_walls`)."""
+    offset: np.ndarray    # (streets,) key of each street's arc 0
+    key: np.ndarray       # (K,) offset[street] + lo, nondecreasing
+    street: np.ndarray    # (K,)
+    lo: np.ndarray        # (K,) open arc interval (lo, hi)
+    hi: np.ndarray
+    counts: np.ndarray    # (K, sites), the smallest uint that holds the edge count
+
+
 @dataclass
 class Topology:
     """Immutable after load; safe for concurrent read by parallel episodes."""
@@ -214,6 +225,10 @@ class Topology:
         return out
 
     @functools.cached_property
+    def _street_walls(self) -> _StreetWalls:
+        return _build_street_walls(self)
+
+    @functools.cached_property
     def _zones(self) -> _Zones:
         lengths, areas = self.street_lengths, self.building_areas
         return _Zones(np.cumsum(lengths).tolist(), lengths.tolist(), float(lengths.sum()),
@@ -335,11 +350,15 @@ def validate_topology(topo: Topology) -> None:
             raise TopologyError(f"streets[{i}]: polyline does not intersect area_bounds")
 
 
-def _integer(value) -> int:
-    """`value` as an int; a fractional part is an error, not truncated."""
+def _priority(value) -> int:
+    """`value` as a cell priority, an int in 0..7; a fractional part is an
+    error, not truncated, and the range is checked before the Topology
+    builds its int arrays, which a value like 1e300 would overflow."""
     i = int(value)
     if i != float(value):
         raise ValueError(f"expected an integer, got {value!r}")
+    if not 0 <= i <= 7:
+        raise ValueError(f"must be in 0..7, got {value!r}")
     return i
 
 
@@ -405,13 +424,13 @@ def load_topology(path) -> Topology:
                 beamwidth=float(c.get("beamwidth_deg", DEFAULT_BEAMWIDTH_DEG)),
                 frequency=float(need(c, "frequency_hz", ctx)),
                 bandwidth=float(need(c, "bandwidth_hz", ctx)),
-                priority=_integer(need(c, "priority", ctx)),
+                priority=_priority(need(c, "priority", ctx)),
                 tx_power=float(c.get("tx_power_dbm", DEFAULT_TX_POWER_DBM)),
             ))
         except (TypeError, ValueError, OverflowError):
             raise bad_field(c, ctx, {"azimuth_deg": float, "beamwidth_deg": float,
                                      "frequency_hz": float, "bandwidth_hz": float,
-                                     "priority": _integer, "tx_power_dbm": float}) from None
+                                     "priority": _priority, "tx_power_dbm": float}) from None
     def points(key):
         """doc[key] as one (P, 2) float array per entry."""
         out = []
@@ -474,7 +493,9 @@ def save_topology(topo: Topology, path) -> None:
 # Geometric queries
 # ---------------------------------------------------------------------------
 
-def wall_crossings_to_cells(ue_xy: np.ndarray, topo: Topology) -> np.ndarray:
+def wall_crossings_to_cells(ue_xy: np.ndarray, topo: Topology,
+                            street: np.ndarray | None = None,
+                            arc: np.ndarray | None = None) -> np.ndarray:
     """Crossing counts for every (UE, cell) pair; shape (N, C).
 
     A pair counts the building edges whose interior its open segment
@@ -483,19 +504,46 @@ def wall_crossings_to_cells(ue_xy: np.ndarray, topo: Topology) -> np.ndarray:
     edge), so collinear overlap with an edge counts only through that
     edge's vertices. The segment UE->cell depends only on the cell's site,
     so counts are taken once per distinct cell position and shared by its
-    co-located cells. Per site, only the edges of buildings whose padded
-    box overlaps the segment's box are tested; every other building is too
-    far from it to count. That box test runs only on the UEs whose direction
-    from the site lies in one of the building's angle intervals
+    co-located cells.
+
+    With `street` and `arc` (the UEs' street, -1 indoors, and arc length;
+    ``ue_xy`` must be where :func:`street_points_at` places them), a street
+    UE whose arc lies in one of the street's safe intervals
+    (``Topology._street_walls``, built at first use) reads its counts from
+    that table: they are the per-site test's counts, which are constant
+    there. Every other row (indoor UEs, arcs near a wall root, segment
+    joints, street ends) goes through the per-site test,
+    :func:`_site_wall_counts`.
+    """
+    n, c = len(ue_xy), topo.n_cells
+    if not topo.buildings or n == 0 or c == 0:
+        return np.zeros((n, c), dtype=int)
+    _, site_of = topo._cell_sites
+    if street is None:
+        return _site_wall_counts(ue_xy, topo)[:, site_of]
+    row = _street_wall_rows(topo, np.asarray(street), np.asarray(arc, dtype=float))
+    per_site = topo._street_walls.counts[row].astype(int)
+    miss = row < 0
+    if miss.any():
+        per_site[miss] = _site_wall_counts(ue_xy[miss], topo)
+    return per_site[:, site_of]
+
+
+def _site_wall_counts(ue_xy: np.ndarray, topo: Topology) -> np.ndarray:
+    """The per-site wall test: counts (N, sites) for UEs at `ue_xy`, as
+    :func:`wall_crossings_to_cells` defines them, taken site by site.
+
+    Per site, only the edges of buildings whose padded box overlaps the
+    segment's box are tested; every other building is too far from it to
+    count. That box test runs only on the UEs whose direction from the site
+    lies in one of the building's angle intervals
     (``Topology._site_sectors``), found by a binary search in the sorted UE
     directions: a segment that touches the box points into its angular
     extent, so no UE that counts is left out. The pair math is exact, so a
     pair these tests keep that cannot cross only costs its arithmetic.
     """
-    n, c = len(ue_xy), topo.n_cells
-    if not topo.buildings or n == 0 or c == 0:
-        return np.zeros((n, c), dtype=int)
-    sites, site_of = topo._cell_sites
+    n = len(ue_xy)
+    sites, _ = topo._cell_sites
     per_site = np.empty((n, len(sites)), dtype=int)
     x1, y1, x2, y2 = topo._wall_edges                     # (E,) each
     ex, ey = x2 - x1, y2 - y1
@@ -539,7 +587,7 @@ def wall_crossings_to_cells(ue_xy: np.ndarray, topo: Topology) -> np.ndarray:
         dot = dx * p1x + dy * p1y
         on_open = (d1 == 0) & (dot > 0) & (dot < dx * dx + dy * dy)
         per_site[:, k] = np.bincount(ue[proper | on_open], minlength=n)
-    return per_site[:, site_of]
+    return per_site
 
 
 def _point_in_polygon(x: float, y: float, poly) -> bool:
@@ -577,6 +625,111 @@ def street_points_at(topo: Topology, street: np.ndarray,
     t = np.divide(arc - acc, s, out=np.zeros_like(arc), where=s != 0)
     p0, p1 = pts[street, i], pts[street, i + 1]
     return p0 + t[:, None] * (p1 - p0)
+
+
+def _build_street_walls(topo: Topology) -> _StreetWalls:
+    """Per street, the open arc intervals on which every site's count of
+    :func:`_site_wall_counts` is constant, with those counts.
+
+    On a street segment (start arc S, length s, vertices p0, p1) a UE at
+    float arc a has the ideal point P(a) = p0 + (a - S) / s * (p1 - p0). The
+    wall test's UE-dependent determinants are affine in a at P(a): d1 (UE
+    vs the line site->vertex; d2 is the next vertex's d1, bit for bit) and
+    d4 (UE vs the edge's line). d3 (site vs the edge's line) is constant.
+    Let M be the largest absolute coordinate of the sites, wall vertices and
+    street vertices, and u = 2^-53. ``street_points_at`` returns a point
+    within 8uM of P(a) per coordinate, so the d1 and d4 the test computes
+    there are within 80uM^2 < 2^-46 M^2 of their values at P(a); so are
+    their values computed at p0 and p1, which fix the line below.
+
+    An arc is unsafe where, on the line through those vertex values, a
+    determinant is within e = 2^-36 M^2 of zero (half-width e/|slope|
+    around each root; the whole segment if the determinant is constant
+    there), widened by 2^-44 (S + s), above the rounding between arc and
+    segment fraction. Elsewhere each determinant at the UE is over e/2 from
+    zero and has the sign it has at P(a), which changes only at a root. So
+    the test's products keep their signs, no d1 is 0 (the vertex case), the
+    count is the exact one, and its pruning, being conservative, cannot
+    change it. The gaps between the unsafe intervals of all sites, strictly
+    inside a segment and inside [0, street length], are the safe intervals,
+    and each one's counts are the test's at its midpoint. An edge with
+    d3 = 0 never counts and adds no d4 root. e is at least 2^-510 and a
+    d4's at least 2^-1020 / |d3|, so no product of the test underflows to 0.
+    """
+    sites, _ = topo._cell_sites
+    x1, y1, x2, y2 = topo._wall_edges
+    n_seg, seg_len, seg_start, pts = topo._street_table
+    total = topo.street_lengths
+    m = max(np.abs(topo._wall_edges).max(initial=0.0), np.abs(sites).max(initial=0.0),
+            np.abs(pts).max(initial=0.0))
+    e = max(2.0 ** -36 * m * m, 2.0 ** -510)
+    cx, cy = sites[:, 0:1], sites[:, 1:2]                     # (sites, 1)
+    p1x, p1y = x1 - cx, y1 - cy                               # (sites, E)
+    ex, ey = x2 - x1, y2 - y1
+    d3 = ey * p1x - ex * p1y
+    line = d3 != 0
+    bound = np.concatenate([np.full(d3.size, e),
+                            np.maximum(e, 2.0 ** -1020 / np.abs(d3[line]))])
+
+    def dets(px, py):
+        """d1 of every (site, vertex), then d4 of every (site, edge) with
+        d3 != 0, for a UE at (px, py)."""
+        dx, dy = px - cx, py - cy
+        return np.concatenate([(dx * p1y - dy * p1x).ravel(),
+                               (dy * ex - dx * ey + d3)[line]])
+
+    street, lo, hi = [np.zeros(0, dtype=int)], [np.zeros(0)], [np.zeros(0)]
+    for k in range(len(topo.streets)):
+        for i in range(n_seg[k]):
+            s, start = seg_len[k, i], seg_start[k, i]
+            end = min(start + s, total[k])
+            if not start < end:
+                continue
+            a = dets(*pts[k, i])
+            slope = dets(*pts[k, i + 1]) - a
+            with np.errstate(divide="ignore", invalid="ignore"):
+                t0, t1 = (-bound - a) / slope, (bound - a) / slope
+            t_lo, t_hi = np.where(slope > 0, t0, t1), np.where(slope > 0, t1, t0)
+            flat = slope == 0
+            t_lo[flat] = np.where(np.abs(a[flat]) <= bound[flat], 0.0, np.inf)
+            t_hi[flat] = 1.0
+            cut = (t_hi >= 0.0) & (t_lo <= 1.0)
+            slack = 2.0 ** -44 * (start + s)
+            u_lo = start + np.maximum(t_lo[cut], 0.0) * s - slack
+            u_hi = start + np.minimum(t_hi[cut], 1.0) * s + slack
+            order = np.argsort(u_lo)
+            # the gaps of the unsafe intervals' union, within (start, end)
+            g_lo = np.maximum(np.concatenate([[start], np.maximum.accumulate(u_hi[order])]),
+                              start)
+            g_hi = np.minimum(np.concatenate([u_lo[order], [end]]), end)
+            keep = g_lo < g_hi
+            street.append(np.full(keep.sum(), k))
+            lo.append(g_lo[keep])
+            hi.append(g_hi[keep])
+    street, lo, hi = np.concatenate(street), np.concatenate(lo), np.concatenate(hi)
+    mid = (lo + hi) / 2
+    inside = (lo < mid) & (mid < hi)
+    street, lo, hi, mid = street[inside], lo[inside], hi[inside], mid[inside]
+    counts = np.empty((len(mid), len(sites)), dtype=np.min_scalar_type(x1.size))
+    for j in range(0, len(mid), 512):    # in chunks: the test's temporaries stay small
+        counts[j:j + 512] = _site_wall_counts(
+            street_points_at(topo, street[j:j + 512], mid[j:j + 512]), topo)
+    offset = np.zeros(len(total))
+    offset[1:] = np.cumsum(total + 1.0)[:-1]
+    return _StreetWalls(offset, offset[street] + lo, street, lo, hi, counts)
+
+
+def _street_wall_rows(topo: Topology, street: np.ndarray, arc: np.ndarray) -> np.ndarray:
+    """The row of ``Topology._street_walls`` whose open interval holds each
+    (street, arc), else -1: one binary search on the (street, arc) key finds
+    a candidate, and exact comparisons in arc units confirm it, so a rounded
+    key can only send a row to the per-site test."""
+    t = topo._street_walls
+    if not len(t.key):
+        return np.full(len(street), -1)
+    j = np.searchsorted(t.key, t.offset[street] + arc, side="right") - 1
+    ok = (j >= 0) & (t.street[j] == street) & (t.lo[j] < arc) & (arc < t.hi[j])
+    return np.where(ok, j, -1)
 
 
 @dataclass

@@ -16,6 +16,7 @@ as single draws would, and ``scale * standard_exponential`` is what
 
 from __future__ import annotations
 
+import math
 import operator
 from dataclasses import dataclass
 
@@ -46,8 +47,13 @@ class TrafficConfig:
     building_weight: float = 0.5  # probability a UE is placed indoors
 
     def validate(self) -> None:
-        if self.lambda_idle <= 0 or self.lambda_active <= 0:
-            raise ValueError("traffic rates must be > 0")
+        """Each check is written so that NaN fails it."""
+        if not (0.0 < self.lambda_idle < math.inf and 0.0 < self.lambda_active < math.inf):
+            raise ValueError("traffic rates must be finite and > 0")
+        if not 0.0 <= self.speed_kmh < math.inf:
+            raise ValueError(f"speed_kmh must be finite and >= 0, got {self.speed_kmh}")
+        if not 0.0 <= self.speed_spread <= 1.0:
+            raise ValueError(f"speed_spread must be in [0, 1], got {self.speed_spread}")
         if not (0.0 <= self.building_weight <= 1.0):
             raise ValueError("building_weight must be in [0, 1]")
 
@@ -227,7 +233,13 @@ def step_mobility(pop: Population, topo: Topology, dt: float,
                   cfg: TrafficConfig) -> list[int]:
     """Advance street UEs along their polyline by speed*dt, reflecting at
     the ends; indoor UEs do not move. Returns the indices of the UEs it
-    moved (none when mobility is off)."""
+    moved (none when mobility is off).
+
+    An arc more than one reflection away, outside [-L, 2L] for a street of
+    length L, is first reduced as the reflections would reduce it: mirrored
+    at 0 if negative, then cut by whole periods 2L (two reflections each)
+    into (0, 2L]. So every step ends after at most one more reflection,
+    whatever the speed."""
     if not cfg.mobility_enabled:
         return []
     moved = np.flatnonzero(pop.street_index >= 0)
@@ -235,6 +247,12 @@ def step_mobility(pop: Population, topo: Topology, dt: float,
     total = topo.street_lengths[k]
     direction = pop.direction[moved]
     arc = pop.arc_pos[moved] + direction * pop.speed_mps[moved] * dt
+    far = (arc < -total) | (arc > 2.0 * total)
+    if far.any():
+        direction = np.where(far & (arc < 0.0), -direction, direction)
+        period = 2.0 * total[far]
+        rest = np.mod(np.abs(arc[far]), period)
+        arc[far] = np.where(rest == 0.0, period, rest)
     while True:
         low, high = arc < 0.0, arc > total
         bounce = low | high

@@ -46,6 +46,20 @@ def test_init_shapes_and_determinism():
     assert not np.array_equal(net.w1, other.w1)
 
 
+def test_init_draws_what_uniform_draws():
+    # x = random(); x *= 2 lim; x -= lim is uniform(-lim, lim)'s
+    # low + (high - low) * d on the same doubles d
+    for seed in (0, 7):
+        for obs_dim, hidden in ((1, 1), (3, 17), (20, 16), (130, 64), (301, 300)):
+            rng = np.random.default_rng(np.random.SeedSequence([seed, 0]))
+            lims = [1.0 / math.sqrt(n) for n in (obs_dim, hidden, hidden)]
+            shapes = [(obs_dim, hidden), (hidden, hidden), (hidden, 12)]
+            want = [rng.uniform(-lim, lim, size=shape) for lim, shape in zip(lims, shapes)]
+            net = init_policy(obs_dim, hidden, seed=seed)
+            assert [net.w1.tobytes(), net.w2.tobytes(), net.w3.tobytes()] == \
+                [w.tobytes() for w in want]
+
+
 def test_forward_ranges_and_dim_check():
     net = init_policy(10, 8, seed=0)
     mu, sr = forward(net, np.linspace(0, 1, 20).reshape(2, 10))

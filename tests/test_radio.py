@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import cellpilot
-
+from cellpilot import radio
 from cellpilot.radio import (
     MAIN_LOBE_GAIN_DB,
     SE_MAX,
@@ -70,6 +70,49 @@ def test_antenna_gain_wraps_around_circle():
     assert antenna_gain_db(359.0, 1.0, 120.0) == MAIN_LOBE_GAIN_DB
     assert antenna_gain_db(181.0, 359.0, 120.0) == 0.0
     assert antenna_gain_db(300.0, 350.0, 120.0) == MAIN_LOBE_GAIN_DB
+
+
+def mod_gain_db(bearing_deg, azimuth_deg, beamwidth_deg):
+    """antenna_gain_db in its floor-mod form."""
+    diff = np.abs((np.asarray(bearing_deg, dtype=float)
+                   - np.asarray(azimuth_deg, dtype=float) + 180.0) % 360.0 - 180.0)
+    return np.where(diff <= np.asarray(beamwidth_deg, dtype=float) / 2.0,
+                    MAIN_LOBE_GAIN_DB, 0.0)
+
+
+def test_antenna_gain_equals_the_floor_mod_form():
+    # both zeros, the ends of [0, 360], lobe edges, and values outside the
+    # validated ranges (which take the floor-mod path)
+    ulp = np.nextafter
+    edges = [0.0, -0.0, 360.0, ulp(360.0, 0.0), ulp(0.0, 1.0), 1e-300, 1e-17, 180.0,
+             ulp(180.0, 0.0), 60.0, ulp(60.0, 0.0), ulp(60.0, 90.0), 300.0,
+             ulp(300.0, 0.0), 240.0, 120.0, 359.0, 1.0]
+    rng = np.random.default_rng(5)
+    bearing = np.array(edges + rng.uniform(0.0, 360.0, 300).tolist()
+                       + [-1e3, -360.0, 725.5, 1e6, -1e-20])
+    azimuth = np.array(edges[:4] + [ulp(360.0, 0.0) - 60.0, 59.0, 300.0]
+                       + rng.uniform(0.0, 360.0, 60).tolist() + [-400.0, 1e5])
+    b, a = np.meshgrid(bearing, azimuth, indexing="ij")
+    for width in (0.5, 90.0, 120.0, 359.0, 360.0):
+        assert antenna_gain_db(b, a, width).tobytes() == mod_gain_db(b, a, width).tobytes()
+
+
+@pytest.mark.parametrize("name", ["desk", "baseline", "large"])
+def test_rx_without_obstruction_equals_the_floor_mod_form(name, monkeypatch):
+    topo = load_topology(DATA / f"{name}.topo")
+    rng = np.random.default_rng(9)
+    xmin, ymin, xmax, ymax = topo.area_bounds
+    pts = [rng.uniform((xmin, ymin), (xmax, ymax), (200, 2))]
+    for (cx, cy), az, bw in zip(topo.cell_xy, topo.cell_azimuth, topo.cell_beamwidth):
+        for r in (3.0, 70.0, 900.0):
+            # the lobe edges, and due north: the 0/360 wrap of the bearing
+            theta = np.radians([az - bw / 2, az + bw / 2, 0.0])
+            pts.append(np.column_stack([cx + r * np.sin(theta), cy + r * np.cos(theta)]))
+            pts.append([(cx - 1e-12, cy + r), (cx + 1e-12, cy + r), (cx, cy - r)])
+    pts = np.vstack(pts)
+    rx = received_power_matrix(pts, topo, obstruction_enabled=False)
+    monkeypatch.setattr(radio, "antenna_gain_db", mod_gain_db)
+    assert rx.tobytes() == received_power_matrix(pts, topo, obstruction_enabled=False).tobytes()
 
 
 # --- noise --------------------------------------------------------------------

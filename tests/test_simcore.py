@@ -195,6 +195,64 @@ def test_mobility_with_obstruction_trajectory_digest():
         "9115109450dfa391b248dbe8655b9e8a764e331704f51bf27507a905d6f16e6c")
 
 
+def bundled_topology(name):
+    with importlib.resources.as_file(
+            importlib.resources.files("cellpilot.data") / f"{name}.topo") as p:
+        return load_topology(p)
+
+
+def test_large_lockstep_mobility_digest():
+    # two seeds of 30 street and indoor UEs on `large`, with mobility and
+    # obstruction: from step 1 on, the movers' wall counts come from the
+    # street table; the digest was taken when every count came from the
+    # per-site test
+    cfg = EpisodeConfig(bundled_topology("large"), 0, n_ues=30, length=10.0,
+                        traffic=TrafficConfig(mobility_enabled=True),
+                        obstruction_enabled=True)
+    res = run_episodes(cfg, [4, 5], constant_controller(CONFIG_A))
+    h = hashlib.sha256()
+    for r in res:
+        for name, arr in vars(r.steps).items():
+            h.update(name.encode())
+            h.update(arr.tobytes())
+    assert sum(r.steps.reselection_events.sum() for r in res) > 0
+    assert h.hexdigest() == (
+        "594e919d032f5cc0e293990b027f78c8c4c61a98dface1572b7bde6fc7ff2352")
+
+
+def test_only_a_run_with_mobility_builds_the_street_table():
+    # not at load, and not in an episode without mobility, whose wall
+    # counts all come from the per-site test; the first mover step builds it
+    topo = bundled_topology("large")
+    cfg = EpisodeConfig(topo, 1, n_ues=10, length=3.0, obstruction_enabled=True)
+    run_episode(cfg, constant_controller(CONFIG_B))
+    assert "_street_walls" not in vars(topo)
+    run_episode(replace(cfg, traffic=TrafficConfig(mobility_enabled=True)),
+                constant_controller(CONFIG_B))
+    assert "_street_walls" in vars(topo)
+
+
+@pytest.mark.parametrize("name, n_ues", [("desk", 15), ("large", 25)])
+@pytest.mark.parametrize("params", [CONFIG_A, CONFIG_B], ids=["config_a", "config_b"])
+def test_pri_and_history_leave_constant_controller_trajectories_unchanged(
+        name, n_ues, params):
+    # reference_fingerprint leaves pri and history_k out of the cache key
+    # on this claim: a constant controller's trajectory reads neither
+    cfg = EpisodeConfig(bundled_topology(name), 7, n_ues=n_ues, length=12.0, pri=1,
+                        traffic=TrafficConfig(mobility_enabled=True),
+                        obstruction_enabled=True)
+    seeds = [7, 8]
+    base = run_episodes(cfg, seeds, constant_controller(params))
+    assert sum(r.steps.reselection_events.sum() for r in base) > 0
+    want = [arrays_bytes(r.steps) for r in base]
+    for change in (dict(pri=3), dict(pri=5), dict(history_k=3), dict(pri=5, history_k=3)):
+        changed = replace(cfg, **change)
+        got = run_episodes(changed, seeds, constant_controller(params))
+        assert [arrays_bytes(r.steps) for r in got] == want, change
+        alone = run_episode(changed, constant_controller(params))   # seed 7 alone
+        assert arrays_bytes(alone.steps) == want[0], change
+
+
 def baseline_topology():
     with importlib.resources.as_file(
             importlib.resources.files("cellpilot.data") / "baseline.topo") as p:

@@ -27,6 +27,7 @@ from cellpilot.topology import (
     validate_topology,
     wall_crossings_to_cells,
 )
+from cellpilot.topology import _street_wall_rows
 
 from oracles import placement_point, polyline_point_at, wall_crossings
 
@@ -174,10 +175,12 @@ def _set(*path):
     (_set("area_bounds", 1, "a"), "area_bounds: could not convert"),
     # minimal_doc has no buildings: with no street either, no UE can be placed
     (_set("streets", []), "buildings, streets: at least one building or street"),
+    # an int too large for the Topology's arrays, refused before they are built
+    (_set("cells", 0, "priority", 1e300), r"cells\[0\]: priority: must be in 0..7, got 1e\+300"),
 ], ids=["street-infinity", "tx-power-nan", "building-flat", "building-ragged",
         "no-cells", "building-nan-vertex", "bounds-infinity", "tower-infinity",
         "frequency-infinity", "bandwidth-infinity", "tower-x-string", "priority-fraction",
-        "bounds-string", "no-placement-zone"])
+        "bounds-string", "no-placement-zone", "priority-huge"])
 def test_malformed_topology_fails_early_naming_the_field(tmp_path, capsys, edit,
                                                           message):
     doc = minimal_doc()
@@ -302,14 +305,15 @@ PENTAGON = np.array([(0, 0), (4, 0), (6, 3), (2, 6), (-2, 3)], dtype=float)
 RECT = box(0, 0, 6, 4)
 
 
-def lattice_topology(sites, buildings, offset):
+def lattice_topology(sites, buildings, offset, streets=()):
     towers = [Tower(f"T{i}", x + offset, y + offset)
               for i, (x, y) in enumerate(sites)]
     cells = [Cell(id=f"C{i}", tower_id=t.id, position=(t.x, t.y), azimuth=0.0,
                   beamwidth=120.0, frequency=1.0e9, bandwidth=10e6, priority=1)
              for i, t in enumerate(towers)]
     return Topology((offset - 20, offset - 20, offset + 70, offset + 70), towers,
-                    cells, [np.asarray(b, dtype=float) + offset for b in buildings], [])
+                    cells, [np.asarray(b, dtype=float) + offset for b in buildings],
+                    [np.asarray(s, dtype=float) + offset for s in streets])
 
 
 def degenerate_points(sites, buildings):
@@ -497,6 +501,84 @@ def test_pruned_matches_dense_on_bundled_topologies(name):
     pts = np.vstack([pts, placed,
                      topo.cell_xy, topo.cell_xy + (0.0, 250.0), topo.cell_xy - (250.0, 0.0)])
     assert wall_crossings_to_cells(pts, topo).tolist() == dense_counts(pts, topo).tolist()
+
+
+# --- the street table ---------------------------------------------------------
+
+STREET_SITES = [(4, 6), (24, 22), (44, 20), (20, 40)]
+STREET_BUILDINGS = [RECT + (10, 10), PENTAGON + (30, 10), TRIANGLE + (10, 30),
+                    RECT + (30, 30)]
+STREETS = [[(0, 0), (50, 50)],            # through the vertices (10, 10) and (30, 30)
+           [(-5, 10), (60, 10)],          # along two bottom edges' line
+           [(13, -5), (13, 50)],          # through two buildings
+           # joints at the vertices (10, 14), (28, 13) and (36, 34)
+           [(0, 20), (10, 14), (28, 13), (36, 34), (45, 40)],
+           [(0, 6), (60, 6)]]             # past the site (4, 6)
+ALONG_EDGES = 1
+
+
+def street_rows(topo, rng, n_random):
+    """(street, arc) rows: `n_random` random arcs, then every safe interval
+    end, at 0, 1 ulp, 1e-9, 1e-6 and 1e-3 either side of it, the segment
+    joints and the street ends."""
+    t = topo._street_walls
+    street = rng.integers(0, len(topo.streets), n_random)
+    arcs = [rng.random(n_random) * topo.street_lengths[street]]
+    ends, end_street = np.concatenate([t.lo, t.hi]), np.concatenate([t.street, t.street])
+    arcs += [np.nextafter(ends, -np.inf), np.nextafter(ends, np.inf)]
+    arcs += [ends + d for d in (0.0, 1e-9, -1e-9, 1e-6, -1e-6, 1e-3, -1e-3)]
+    streets = [street] + [end_street] * 9
+    for k, lens in enumerate(topo.street_segment_lengths):
+        joints = np.concatenate([[0.0], np.cumsum(lens), topo.street_lengths[k:k + 1]])
+        arcs.append(joints)
+        streets.append(np.full(len(joints), k))
+    return np.concatenate(streets), np.concatenate(arcs)
+
+
+def assert_table_matches(topo, street, arc):
+    """The table path gives the per-site test's counts and the unpruned
+    pair math's, on every row; returns the counts and which rows read the
+    table."""
+    pts = street_points_at(topo, street, arc)
+    got = wall_crossings_to_cells(pts, topo, street, arc)
+    assert got.tolist() == wall_crossings_to_cells(pts, topo).tolist()
+    assert got.tolist() == dense_counts(pts, topo).tolist()
+    return got, _street_wall_rows(topo, street, arc) >= 0
+
+
+@pytest.mark.parametrize("offset", [0.0, 1_000_000.25])
+def test_street_table_matches_the_per_site_test_on_lattice_streets(offset):
+    topo = lattice_topology(STREET_SITES, STREET_BUILDINGS, offset, STREETS)
+    t = topo._street_walls
+    assert (t.lo < t.hi).all() and (np.diff(t.key) >= 0).all()
+    # a street along an edge's line is unsafe everywhere: there the count
+    # depends on the rounding of the UE's side of that line
+    assert ALONG_EDGES not in t.street.tolist()
+    street, arc = street_rows(topo, np.random.default_rng(41), 600)
+    counts, table = assert_table_matches(topo, street, arc)
+    assert len(np.unique(counts, axis=0)) > 5    # the counts do change
+    assert table.any() and not table.all()       # rows near interval ends fall back
+    # at 1e6, e = 2^-36 M^2 is about 15: the unsafe intervals are wide, and
+    # street 2 is unsafe everywhere, as the vertical edges' constant d4 is 12
+    if offset == 0.0:
+        assert set(t.street.tolist()) == set(range(len(STREETS))) - {ALONG_EDGES}
+        assert table[:600][street[:600] != ALONG_EDGES].mean() > 0.9
+
+
+@pytest.mark.parametrize("name", ["desk", "baseline", "large"])
+def test_street_table_matches_the_per_site_test_on_bundled_topologies(name):
+    topo = load_topology(DATA / f"{name}.topo")
+    rng = np.random.default_rng(43)
+    street, arc = street_rows(topo, rng, 2000)
+    # the random rows, and 3000 of the rows at and near interval ends
+    keep = np.concatenate([np.arange(2000),
+                           2000 + rng.choice(len(street) - 2000, 3000, replace=False)])
+    _, table = assert_table_matches(topo, street[keep], arc[keep])
+    assert table[:2000].mean() > 0.99
+    # indoor UEs (street -1) go through the per-site test
+    pts = np.array([placement_point(topo, sample_placement(topo, rng)) for _ in range(50)])
+    counts = wall_crossings_to_cells(pts, topo, np.full(50, -1), np.zeros(50))
+    assert counts.tolist() == wall_crossings_to_cells(pts, topo).tolist()
 
 
 # --- placement / polyline ---------------------------------------------------

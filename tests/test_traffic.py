@@ -43,6 +43,27 @@ def test_config_validation():
         TrafficConfig(building_weight=1.5).validate()
 
 
+@pytest.mark.parametrize("field, value, message", [
+    ("lambda_idle", float("nan"), "rates must be finite and > 0"),
+    ("lambda_active", float("inf"), "rates must be finite and > 0"),
+    ("speed_kmh", float("nan"), "speed_kmh must be finite and >= 0"),
+    ("speed_kmh", float("inf"), "speed_kmh must be finite and >= 0"),
+    ("speed_kmh", -1.0, "speed_kmh must be finite and >= 0"),
+    ("speed_spread", -3.0, r"speed_spread must be in \[0, 1\]"),
+    ("speed_spread", 1.5, r"speed_spread must be in \[0, 1\]"),
+    ("speed_spread", float("nan"), r"speed_spread must be in \[0, 1\]"),
+])
+def test_config_validation_refuses_nan_and_unbounded_speeds(field, value, message):
+    # an infinite speed used to keep step_mobility's reflection loop going
+    # forever; init_population validates before it draws
+    with pytest.raises(ValueError, match=message):
+        TrafficConfig(mobility_enabled=True, **{field: value}).validate()
+    with pytest.raises(ValueError, match=message):
+        init_population(3, street_topo(), [0],
+                        TrafficConfig(mobility_enabled=True, **{field: value}))
+    TrafficConfig(speed_kmh=0.0, speed_spread=1.0).validate()
+
+
 def test_init_population_fields():
     topo = street_topo()
     cfg = TrafficConfig(speed_kmh=30.0, speed_spread=0.2)
@@ -298,6 +319,36 @@ def test_mobility_reflects_at_both_ends():
     step_mobility(pop, topo, 1.0, cfg)       # -7 -> reflect to 7
     assert pop.arc_pos[near] == pytest.approx(7.0) and pop.direction[near] == 1
     assert pop.pos[near] == pytest.approx((7.0, 0.0))
+
+
+def reflected(arc, direction, total):
+    """The reflection walk one bounce at a time, in Python floats."""
+    while not 0.0 <= arc <= total:
+        arc, direction = (-arc if arc < 0.0 else 2.0 * total - arc), -direction
+    return arc, direction
+
+
+def test_mobility_folds_many_reflections_into_one_period():
+    # integer arcs and speeds on a 100 m street: every path is exact, so the
+    # fold by the period 200 m must land where bounce-by-bounce reflection
+    # does; a finite speed of 1e300 km/h now ends the step at once
+    topo = street_topo()
+    cfg = TrafficConfig(mobility_enabled=True, building_weight=0.0)
+    rng = np.random.default_rng(23)
+    n = 200
+    pop = init_population(n, topo, [9], cfg)
+    pop.arc_pos[:] = rng.integers(0, 101, n)
+    pop.speed_mps[:] = rng.integers(0, 1000, n)
+    pop.direction[:] = rng.choice([-1, 1], n)
+    want = [reflected(a + d * v, d, 100.0) for a, d, v in
+            zip(pop.arc_pos.tolist(), pop.direction.tolist(), pop.speed_mps.tolist())]
+    step_mobility(pop, topo, 1.0, cfg)
+    assert list(zip(pop.arc_pos.tolist(), pop.direction.tolist())) == want
+    assert (pop.speed_mps > 200.0).sum() > n // 2        # most bounced several times
+    fast = TrafficConfig(mobility_enabled=True, building_weight=0.0, speed_kmh=1e300)
+    pop = init_population(20, topo, [9], fast)
+    step_mobility(pop, topo, 1.0, fast)
+    assert ((0.0 <= pop.arc_pos) & (pop.arc_pos <= 100.0)).all()
 
 
 def test_step_mobility_returns_exactly_the_street_ues():
