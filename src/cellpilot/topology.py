@@ -25,6 +25,7 @@ TOPOLOGY_VERSION = 1
 
 DEFAULT_TX_POWER_DBM = 43.0
 DEFAULT_BEAMWIDTH_DEG = 120.0
+MAX_PRIORITY = 7           # cell priorities are 0..MAX_PRIORITY
 # Angle (rad) by which a building's extent seen from a cell site is widened
 # before UEs are matched against it: far above the rounding of the angles.
 SECTOR_PAD_RAD = 1e-6
@@ -50,7 +51,7 @@ class Cell:
     beamwidth: float        # degrees (0, 360]
     frequency: float        # Hz
     bandwidth: float        # Hz
-    priority: int           # 0..7, higher = preferred layer
+    priority: int           # 0..MAX_PRIORITY, higher = preferred layer
     tx_power: float = DEFAULT_TX_POWER_DBM  # dBm
 
 
@@ -332,8 +333,8 @@ def validate_topology(topo: Topology) -> None:
             raise TopologyError(f"{ctx}: beamwidth must be in (0, 360]")
         if not (0 <= c.azimuth < 360):
             raise TopologyError(f"{ctx}: azimuth must be in [0, 360)")
-        if not (0 <= c.priority <= 7):
-            raise TopologyError(f"{ctx}: priority must be in 0..7")
+        if not (0 <= c.priority <= MAX_PRIORITY):
+            raise TopologyError(f"{ctx}: priority: must be in 0..{MAX_PRIORITY}")
     for i, poly in enumerate(topo.buildings):
         if len(poly) < 3:
             raise TopologyError(f"buildings[{i}]: polygon needs >= 3 vertices")
@@ -351,14 +352,14 @@ def validate_topology(topo: Topology) -> None:
 
 
 def _priority(value) -> int:
-    """`value` as a cell priority, an int in 0..7; a fractional part is an
+    """`value` as a cell priority, an int in 0..MAX_PRIORITY; a fractional part is an
     error, not truncated, and the range is checked before the Topology
     builds its int arrays, which a value like 1e300 would overflow."""
     i = int(value)
     if i != float(value):
         raise ValueError(f"expected an integer, got {value!r}")
-    if not 0 <= i <= 7:
-        raise ValueError(f"must be in 0..7, got {value!r}")
+    if not 0 <= i <= MAX_PRIORITY:
+        raise ValueError(f"must be in 0..{MAX_PRIORITY}, got {value!r}")
     return i
 
 
@@ -522,8 +523,10 @@ def wall_crossings_to_cells(ue_xy: np.ndarray, topo: Topology,
     if street is None:
         return _site_wall_counts(ue_xy, topo)[:, site_of]
     row = _street_wall_rows(topo, np.asarray(street), np.asarray(arc, dtype=float))
-    per_site = topo._street_walls.counts[row].astype(int)
     miss = row < 0
+    if miss.all():    # the table may be empty: then no row can index it
+        return _site_wall_counts(ue_xy, topo)[:, site_of]
+    per_site = topo._street_walls.counts[row].astype(int)
     if miss.any():
         per_site[miss] = _site_wall_counts(ue_xy[miss], topo)
     return per_site[:, site_of]

@@ -32,9 +32,9 @@ from cellpilot.trainer import _mean_action_controller
 from oracles import write_updates_csv
 
 
-def desk_topology():
+def bundled_topology(name):
     with importlib.resources.as_file(
-            importlib.resources.files("cellpilot.data") / "desk.topo") as p:
+            importlib.resources.files("cellpilot.data") / f"{name}.topo") as p:
         return load_topology(p)
 
 
@@ -151,7 +151,7 @@ def arrays_bytes(traj):
 
 
 def test_episode_determinism():
-    topo = desk_topology()
+    topo = bundled_topology("desk")
     cfg = EpisodeConfig(topo, 123, n_ues=25, length=8.0, pri=1,
                         obstruction_enabled=True)
     a = run_episode(cfg, constant_controller(CONFIG_B))
@@ -165,7 +165,7 @@ def test_episode_determinism():
 
 def test_prefix_property_under_mobility():
     # per-UE RNG streams make a shorter run a bitwise prefix of a longer one
-    topo = desk_topology()
+    topo = bundled_topology("desk")
     mob = TrafficConfig(mobility_enabled=True)
     long_cfg = EpisodeConfig(topo, 9, n_ues=15, length=30.0, pri=1, traffic=mob)
     short_cfg = EpisodeConfig(topo, 9, n_ues=15, length=12.0, pri=1, traffic=mob)
@@ -179,10 +179,7 @@ def test_prefix_property_under_mobility():
 def test_mobility_with_obstruction_trajectory_digest():
     # moving UEs get fresh rx rows (walls included) while indoor rows are
     # kept; the digest pins the trajectory of the full per-step recompute
-    with importlib.resources.as_file(
-            importlib.resources.files("cellpilot.data") / "baseline.topo") as p:
-        topo = load_topology(p)
-    cfg = EpisodeConfig(topo, 3, n_ues=40, length=10.0,
+    cfg = EpisodeConfig(bundled_topology("baseline"), 3, n_ues=40, length=10.0,
                         traffic=TrafficConfig(mobility_enabled=True),
                         obstruction_enabled=True)
     res = run_episode(cfg, constant_controller(CONFIG_B))
@@ -193,12 +190,6 @@ def test_mobility_with_obstruction_trajectory_digest():
     assert res.steps.reselection_events.sum() > 0
     assert h.hexdigest() == (
         "9115109450dfa391b248dbe8655b9e8a764e331704f51bf27507a905d6f16e6c")
-
-
-def bundled_topology(name):
-    with importlib.resources.as_file(
-            importlib.resources.files("cellpilot.data") / f"{name}.topo") as p:
-        return load_topology(p)
 
 
 def test_large_lockstep_mobility_digest():
@@ -253,12 +244,6 @@ def test_pri_and_history_leave_constant_controller_trajectories_unchanged(
         assert arrays_bytes(alone.steps) == want[0], change
 
 
-def baseline_topology():
-    with importlib.resources.as_file(
-            importlib.resources.files("cellpilot.data") / "baseline.topo") as p:
-        return load_topology(p)
-
-
 def test_lockstep_matches_serial_runs():
     # ten seeds in one lockstep run, with mobility, obstruction and pri=2:
     # two under constant parameters and eight under the mean action of one
@@ -266,7 +251,7 @@ def test_lockstep_matches_serial_runs():
     # (BLOCK_ROWS of them, so the weights are read block by block). Per-seed
     # parameters reach the kernel as columns. Each seed's trajectory and
     # updates are those of its own run, bit for bit
-    topo = baseline_topology()
+    topo = bundled_topology("baseline")
     policy_controller = _mean_action_controller(
         init_policy(observation_dim(topo.n_cells, 10), 300, seed=3))
     fixed = {0: CONFIG_B, 5: CONFIG_A}   # seed slot -> constant parameters
@@ -342,7 +327,7 @@ def test_an_int_length_shares_the_float_lengths_cache_entry(tmp_path):
 
 
 def _fill_cfg():
-    return EpisodeConfig(desk_topology(), 5, n_ues=30, length=30.0, pri=1)
+    return EpisodeConfig(bundled_topology("desk"), 5, n_ues=30, length=30.0, pri=1)
 
 
 def _fill_reference(cache, barrier, out):

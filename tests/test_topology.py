@@ -28,6 +28,9 @@ from cellpilot.topology import (
     wall_crossings_to_cells,
 )
 from cellpilot.topology import _street_wall_rows
+from cellpilot.reselect import CONFIG_B
+from cellpilot.simcore import EpisodeConfig, constant_controller, run_episode
+from cellpilot.traffic import TrafficConfig
 
 from oracles import placement_point, polyline_point_at, wall_crossings
 
@@ -563,6 +566,24 @@ def test_street_table_matches_the_per_site_test_on_lattice_streets(offset):
     if offset == 0.0:
         assert set(t.street.tolist()) == set(range(len(STREETS))) - {ALONG_EDGES}
         assert table[:600][street[:600] != ALONG_EDGES].mean() > 0.9
+
+
+@pytest.mark.parametrize("street, offset", [(ALONG_EDGES, 0.0), (2, 1_000_000.25)])
+def test_a_street_unsafe_everywhere_leaves_the_table_empty(street, offset):
+    # the only street runs along an edge's line, or, at 1e6, through
+    # buildings whose vertical edges' d4 stays within e of zero: no arc is
+    # safe, every row takes the per-site test, and an episode with moving
+    # UEs runs on
+    topo = lattice_topology(STREET_SITES, STREET_BUILDINGS, offset, [STREETS[street]])
+    assert len(topo._street_walls.key) == 0
+    rows, arc = street_rows(topo, np.random.default_rng(47), 200)
+    _, table = assert_table_matches(topo, rows, arc)
+    assert not table.any()
+    cfg = EpisodeConfig(topo, 2, n_ues=20, length=5.0,
+                        traffic=TrafficConfig(mobility_enabled=True),
+                        obstruction_enabled=True)
+    res = run_episode(cfg, constant_controller(CONFIG_B))
+    assert len(res.steps.reselection_events) == 5
 
 
 @pytest.mark.parametrize("name", ["desk", "baseline", "large"])
