@@ -10,10 +10,12 @@ bundled under ``cellpilot/data`` and can be regenerated with
 from __future__ import annotations
 
 import functools
+import hashlib
 import json
 import math
 from bisect import bisect_right
 from dataclasses import dataclass, field
+from itertools import chain
 from typing import NamedTuple
 
 import numpy as np
@@ -107,10 +109,12 @@ class Topology:
         self.cell_bandwidth = np.array([c.bandwidth for c in self.cells], dtype=float)
         self.cell_priority = np.array([c.priority for c in self.cells], dtype=int)
         self.cell_tx_power = np.array([c.tx_power for c in self.cells], dtype=float)
-        edges = [np.hstack([poly, np.roll(poly, -1, axis=0)]) for poly in self.buildings]
-        self._wall_edges = (
-            np.vstack(edges).T.copy() if edges else np.zeros((4, 0), dtype=float)
-        )
+        # each vertex with the next one of its polygon, the last with the first
+        pts = np.concatenate(self.buildings) if self.buildings else np.zeros((0, 2))
+        first, counts = self._wall_ranges
+        nxt = np.arange(1, len(pts) + 1)
+        nxt[first + counts - 1] = first
+        self._wall_edges = np.hstack([pts, pts[nxt]]).T.copy()
 
     @property
     def n_cells(self) -> int:
@@ -181,8 +185,7 @@ class Topology:
         touch that building's walls."""
         if not self.buildings:
             return np.zeros((4, 0))
-        lo = np.array([b.min(axis=0) for b in self.buildings])
-        hi = np.array([b.max(axis=0) for b in self.buildings])
+        lo, hi = _shape_boxes(self.buildings)
         return np.vstack([(lo - self._wall_pad).T, (hi + self._wall_pad).T])
 
     @functools.cached_property
@@ -243,128 +246,124 @@ class Topology:
 # Loading / validation
 # ---------------------------------------------------------------------------
 
-def _polygon_area(poly: np.ndarray) -> float:
-    x, y = poly[:, 0], poly[:, 1]
-    return 0.5 * abs(np.dot(x, np.roll(y, -1)) - np.dot(y, np.roll(x, -1)))
+_REQUIRED = object()        # the default of a field that has none
+_POSITIVE = 5e-324          # the least positive float: a range from it excludes 0
 
 
-def _segments_properly_intersect(p1, p2, q1, q2) -> bool:
-    d = lambda a, b, c: (b[0] - a[0]) * (c[1] - a[1]) - (b[1] - a[1]) * (c[0] - a[0])
-    d1, d2 = d(q1, q2, p1), d(q1, q2, p2)
-    d3, d4 = d(p1, p2, q1), d(p1, p2, q2)
-    return d1 * d2 < 0 and d3 * d4 < 0
+class _Field(NamedTuple):
+    """One value of a ``.topo`` record: its JSON key, its kind (``str``, or
+    ``float`` or ``int`` for a JSON number, which true, false and numeric
+    strings are not), a number's closed range and a missing key's value."""
+    key: str
+    kind: type
+    lo: float = 0.0
+    hi: float = 0.0
+    default: object = _REQUIRED
 
 
-def _polygon_is_simple(poly: np.ndarray) -> bool:
-    n = len(poly)
-    for i in range(n):
-        a1, a2 = poly[i], poly[(i + 1) % n]
-        for j in range(i + 1, n):
-            if j == i or (j + 1) % n == i or (i + 1) % n == j:
-                continue  # shared-vertex neighbors
-            b1, b2 = poly[j], poly[(j + 1) % n]
-            if _segments_properly_intersect(a1, a2, b1, b2):
-                return False
-    return True
+_X = _Field("x", float, -1e7, 1e7)
+_Y = _X._replace(key="y")
+
+# Every field of each record kind, in file order (reasons for the ranges in
+# load_topology): area_bounds is one list [xmin, ymin, xmax, ymax], towers
+# and cells are lists of objects, buildings and streets lists of [x, y] lists.
+FIELDS = {
+    "area_bounds": tuple(_X._replace(key=k) for k in ("xmin", "ymin", "xmax", "ymax")),
+    "towers": (_Field("id", str), _X, _Y),
+    "cells": (
+        _Field("id", str),
+        _Field("tower", str),
+        _Field("azimuth_deg", float, -360.0, 360.0),
+        _Field("beamwidth_deg", float, _POSITIVE, 360.0, DEFAULT_BEAMWIDTH_DEG),
+        _Field("frequency_hz", float, 3.0, 3e12),
+        _Field("bandwidth_hz", float, _POSITIVE, 3e12),
+        _Field("priority", int, 0, MAX_PRIORITY),
+        _Field("tx_power_dbm", float, -300.0, 100.0, DEFAULT_TX_POWER_DBM),
+    ),
+    "buildings": (_X, _Y),
+    "streets": (_X, _Y),
+}
 
 
-def _bbox_overlaps(points: np.ndarray, bounds) -> bool:
-    xmin, ymin, xmax, ymax = bounds
-    return (
-        points[:, 0].max() >= xmin
-        and points[:, 0].min() <= xmax
-        and points[:, 1].max() >= ymin
-        and points[:, 1].min() <= ymax
-    )
+def _value(f: _Field, v, ctx: str):
+    """`v` as field `f` declares it: a str, or a float or int in range."""
+    if f.kind is str:
+        if type(v) is str:
+            return v
+    elif (type(v) is float or type(v) is int) and f.lo <= v <= f.hi:   # NaN fails
+        if f.kind is float:
+            return float(v)
+        if v == int(v):
+            return int(v)
+    if v is _REQUIRED:
+        raise TopologyError(f"{ctx}: missing field '{f.key}'")
+    want = ("a string" if f.kind is str else f"an integer in [{f.lo}, {f.hi}]"
+            if f.kind is int else f"a number in [{f.lo!r}, {f.hi!r}]")
+    raise TopologyError(f"{ctx}: {f.key}: expected {want}, got {v!r}")
 
 
-def _check_finite(name: str, shapes: list[np.ndarray], points: np.ndarray) -> None:
-    """Raise TopologyError naming the first of `shapes` (polygons or
-    polylines) with a NaN or infinite coordinate; `points` holds all their
-    coordinates, so a valid topology costs one array test."""
-    if not np.isfinite(points).all():
-        i = next(i for i, s in enumerate(shapes) if not np.isfinite(s).all())
-        raise TopologyError(f"{name}[{i}]: coordinates must be finite")
+def _list(doc: dict, key: str, where: str, default=_REQUIRED) -> list:
+    v = doc.get(key, default)
+    if type(v) is not list:
+        raise TopologyError(f"{where}: missing field '{key}'" if v is _REQUIRED
+                            else f"{where}: {key}: expected a list, got {v!r}")
+    return v
 
 
-def validate_topology(topo: Topology) -> None:
-    """Raise TopologyError naming the first violated invariant."""
-    if not all(math.isfinite(v) for v in topo.area_bounds):
-        raise TopologyError("area_bounds: must be finite")
-    xmin, ymin, xmax, ymax = topo.area_bounds
-    if not (xmax > xmin and ymax > ymin):
-        raise TopologyError("area_bounds: degenerate rectangle")
-    seen_towers = set()
-    for t in topo.towers:
-        if t.id in seen_towers:
-            raise TopologyError(f"towers[{t.id}]: duplicate tower id")
-        if not (math.isfinite(t.x) and math.isfinite(t.y)):
-            raise TopologyError(f"towers[{t.id}]: x and y must be finite")
-        seen_towers.add(t.id)
-    if not topo.cells:
-        raise TopologyError("cells: at least one cell is required")
-    if not topo.buildings and not topo.streets:
-        raise TopologyError("buildings, streets: at least one building or street "
-                            "is required to place UEs")
-    for name in ("frequency", "bandwidth", "tx_power"):
-        bad = np.flatnonzero(~np.isfinite(getattr(topo, f"cell_{name}")))
-        if bad.size:
-            raise TopologyError(f"cells[{bad[0]}] (id={topo.cells[bad[0]].id}): "
-                                f"{name} must be finite")
-    _check_finite("buildings", topo.buildings, topo._wall_edges)
-    _check_finite("streets", topo.streets,
-                  np.concatenate(topo.streets) if topo.streets else np.zeros(0))
-    seen_cells = set()
-    for i, c in enumerate(topo.cells):
-        ctx = f"cells[{i}] (id={c.id})"
-        if c.id in seen_cells:
-            raise TopologyError(f"{ctx}: duplicate cell id")
-        seen_cells.add(c.id)
-        if c.tower_id not in seen_towers:
-            raise TopologyError(f"{ctx}: unknown tower '{c.tower_id}'")
-        x, y = c.position
-        if not (xmin <= x <= xmax and ymin <= y <= ymax):
-            raise TopologyError(f"{ctx}: position outside area_bounds")
-        if not c.bandwidth > 0:
-            raise TopologyError(f"{ctx}: bandwidth must be > 0")
-        if not c.frequency > 0:
-            raise TopologyError(f"{ctx}: frequency must be > 0")
-        if not (0 < c.beamwidth <= 360):
-            raise TopologyError(f"{ctx}: beamwidth must be in (0, 360]")
-        if not (0 <= c.azimuth < 360):
-            raise TopologyError(f"{ctx}: azimuth must be in [0, 360)")
-        if not (0 <= c.priority <= MAX_PRIORITY):
-            raise TopologyError(f"{ctx}: priority: must be in 0..{MAX_PRIORITY}")
-    for i, poly in enumerate(topo.buildings):
-        if len(poly) < 3:
-            raise TopologyError(f"buildings[{i}]: polygon needs >= 3 vertices")
-        if not _polygon_is_simple(poly):
-            raise TopologyError(f"buildings[{i}]: polygon is self-intersecting")
-        if not _bbox_overlaps(poly, topo.area_bounds):
-            raise TopologyError(f"buildings[{i}]: polygon does not intersect area_bounds")
-    for i, line in enumerate(topo.streets):
-        if len(line) < 2:
-            raise TopologyError(f"streets[{i}]: polyline needs >= 2 vertices")
-        if (line == line[0]).all():   # every vertex the same: length 0
-            raise TopologyError(f"streets[{i}]: polyline has zero length")
-        if not _bbox_overlaps(line, topo.area_bounds):
-            raise TopologyError(f"streets[{i}]: polyline does not intersect area_bounds")
+def _records(doc: dict, kind: str, where: str) -> list[list]:
+    """doc[kind], a list of objects, as the declared values of each."""
+    out = []
+    for i, rec in enumerate(_list(doc, kind, where)):
+        ctx = f"{where}: {kind}[{i}]"
+        if type(rec) is not dict:
+            raise TopologyError(f"{ctx}: expected an object, got {rec!r}")
+        out.append([_value(f, rec.get(f.key, f.default), ctx) for f in FIELDS[kind]])
+    return out
 
 
-def _priority(value) -> int:
-    """`value` as a cell priority, an int in 0..MAX_PRIORITY; a fractional part is an
-    error, not truncated, and the range is checked before the Topology
-    builds its int arrays, which a value like 1e300 would overflow."""
-    i = int(value)
-    if i != float(value):
-        raise ValueError(f"expected an integer, got {value!r}")
-    if not 0 <= i <= MAX_PRIORITY:
-        raise ValueError(f"must be in 0..{MAX_PRIORITY}, got {value!r}")
-    return i
+def _point_lists(doc: dict, kind: str, where: str) -> list[np.ndarray]:
+    """doc[kind] as one (P, 2) float array per entry, all tested at once; only
+    a failed test walks them value by value to name the one at fault."""
+    shapes = _list(doc, kind, where, [])
+    fx, fy = FIELDS[kind]
+    try:
+        out = [np.array(p, dtype=float) for p in shapes]
+        xy = np.concatenate(out) if out else np.zeros((0, 2))
+    except (TypeError, ValueError, OverflowError):
+        out = None
+    if (out is not None and all(a.ndim == 2 and a.shape[1] == 2 for a in out)
+            and set(map(type, chain.from_iterable(chain.from_iterable(shapes)))) <= {float, int}
+            and ((fx.lo <= xy[:, 0]) & (xy[:, 0] <= fx.hi)
+                 & (fy.lo <= xy[:, 1]) & (xy[:, 1] <= fy.hi)).all()):
+        return out
+    for i, p in enumerate(shapes):
+        ctx = f"{where}: {kind}[{i}]"
+        if type(p) is not list or not p or any(type(q) is not list or len(q) != 2 for q in p):
+            raise TopologyError(f"{ctx}: expected a list of [x, y] points")
+        for j, (x, y) in enumerate(p):
+            _value(fx, x, f"{ctx}[{j}]")
+            _value(fy, y, f"{ctx}[{j}]")
+    raise AssertionError(f"{where}: {kind}: refused but not named")
 
 
 def load_topology(path) -> Topology:
-    """Load and validate a ``.topo`` file."""
+    """Load a ``.topo`` file: each field is read as :data:`FIELDS` declares
+    it, then the rules between fields are checked (:func:`validate_topology`).
+    The reasons of the declared ranges:
+
+    - coordinates (area_bounds, tower x/y, building and street vertices),
+      within 1e7 m of the origin: a quarter of the Earth's circumference, so
+      no planar scene is larger; the wall test's error bounds grow with the
+      square of the largest coordinate;
+    - azimuth_deg, [-360, 360]: one turn either way, taken mod 360;
+    - beamwidth_deg, (0, 360]: at most the full circle;
+    - frequency_hz, [3, 3e12]: the radio spectrum, 3 Hz to 3000 GHz;
+    - bandwidth_hz, (0, 3e12]: no channel is wider than that spectrum;
+    - priority, an integer in 0..MAX_PRIORITY: the reselection priorities,
+      checked before the Topology builds its int arrays (1e300 overflows);
+    - tx_power_dbm, [-300, 100]: 100 dBm (10 MW) is above any transmitter;
+      -300 dBm, far below thermal noise, is a cell no UE hears.
+    """
     try:
         with open(path) as fh:
             doc = json.load(fh)
@@ -372,105 +371,125 @@ def load_topology(path) -> Topology:
         raise TopologyError(
             f"{path}: parse error at line {exc.lineno}, column {exc.colno}: {exc.msg}"
         ) from exc
+    return _topology_from_doc(doc, str(path))
+
+
+def _topology_from_doc(doc, where: str) -> Topology:
+    """The validated Topology of a ``.topo`` document; messages start with
+    `where`."""
+    if type(doc) is not dict:
+        raise TopologyError(f"{where}: expected a JSON object, got {type(doc).__name__}")
     if doc.get("format") != TOPOLOGY_FORMAT:
-        raise TopologyError(f"{path}: format: expected '{TOPOLOGY_FORMAT}'")
-    if doc.get("version") != TOPOLOGY_VERSION:
-        raise TopologyError(
-            f"{path}: version: expected {TOPOLOGY_VERSION}, got {doc.get('version')}"
-        )
-
-    def need(obj, key, ctx):
-        if key not in obj:
-            raise TopologyError(f"{path}: {ctx}: missing field '{key}'")
-        return obj[key]
-
-    def bad_field(obj, ctx, converts):
-        """The error naming the first field of `obj` that its conversion in
-        `converts` (key -> type) refuses; looked for only once a record's
-        conversion has failed, so a valid file never pays for it."""
-        for key, convert in converts.items():
-            try:
-                convert(obj.get(key, 0))
-            except (TypeError, ValueError, OverflowError) as exc:
-                return TopologyError(f"{path}: {ctx}: {key}: {exc}")
-
-    bounds = need(doc, "area_bounds", "top level")
-    if not (isinstance(bounds, list) and len(bounds) == 4):
-        raise TopologyError(f"{path}: area_bounds: expected [xmin, ymin, xmax, ymax]")
-    try:
-        bounds = tuple(map(float, bounds))
-    except (TypeError, ValueError) as exc:
-        raise TopologyError(f"{path}: area_bounds: {exc}") from None
-    towers = []
-    for i, t in enumerate(need(doc, "towers", "top level")):
-        ctx = f"towers[{i}]"
-        try:
-            towers.append(Tower(str(need(t, "id", ctx)), float(need(t, "x", ctx)),
-                                float(need(t, "y", ctx))))
-        except (TypeError, ValueError, OverflowError):
-            raise bad_field(t, ctx, {"x": float, "y": float}) from None
+        raise TopologyError(f"{where}: format: expected '{TOPOLOGY_FORMAT}'")
+    if type(doc.get("version")) is not int or doc["version"] != TOPOLOGY_VERSION:
+        raise TopologyError(f"{where}: version: expected {TOPOLOGY_VERSION}, "
+                            f"got {doc.get('version')!r}")
+    bounds = _list(doc, "area_bounds", where)
+    if len(bounds) != 4:
+        raise TopologyError(f"{where}: area_bounds: expected [xmin, ymin, xmax, ymax]")
+    bounds = tuple(_value(f, v, f"{where}: area_bounds")
+                   for f, v in zip(FIELDS["area_bounds"], bounds))
+    towers = [Tower(*values) for values in _records(doc, "towers", where)]
     tower_xy = {t.id: (t.x, t.y) for t in towers}
     cells = []
-    for i, c in enumerate(need(doc, "cells", "top level")):
-        ctx = f"cells[{i}]"
-        tower_id = str(need(c, "tower", ctx))
-        if tower_id not in tower_xy:
-            raise TopologyError(f"{path}: {ctx}: unknown tower '{tower_id}'")
-        try:
-            cells.append(Cell(
-                id=str(need(c, "id", ctx)),
-                tower_id=tower_id,
-                position=tower_xy[tower_id],
-                azimuth=float(need(c, "azimuth_deg", ctx)) % 360.0,
-                beamwidth=float(c.get("beamwidth_deg", DEFAULT_BEAMWIDTH_DEG)),
-                frequency=float(need(c, "frequency_hz", ctx)),
-                bandwidth=float(need(c, "bandwidth_hz", ctx)),
-                priority=_priority(need(c, "priority", ctx)),
-                tx_power=float(c.get("tx_power_dbm", DEFAULT_TX_POWER_DBM)),
-            ))
-        except (TypeError, ValueError, OverflowError):
-            raise bad_field(c, ctx, {"azimuth_deg": float, "beamwidth_deg": float,
-                                     "frequency_hz": float, "bandwidth_hz": float,
-                                     "priority": _priority, "tx_power_dbm": float}) from None
-    def points(key):
-        """doc[key] as one (P, 2) float array per entry."""
-        out = []
-        for i, p in enumerate(doc.get(key, [])):
-            try:
-                a = np.array(p, dtype=float)
-            except (TypeError, ValueError):
-                a = None
-            if a is None or a.shape[1:] != (2,):
-                raise TopologyError(f"{path}: {key}[{i}]: expected a list of [x, y] points")
-            out.append(a)
-        return out
-
-    topo = Topology(bounds, towers, cells,
-                    points("buildings"), points("streets"))
+    for i, (cell_id, tower, azimuth, *rest) in enumerate(_records(doc, "cells", where)):
+        if tower not in tower_xy:
+            raise TopologyError(f"{where}: cells[{i}]: unknown tower '{tower}'")
+        # twice: the first remainder of a tiny negative azimuth rounds to 360.0
+        cells.append(Cell(cell_id, tower, tower_xy[tower], azimuth % 360.0 % 360.0, *rest))
+    topo = Topology(bounds, towers, cells, _point_lists(doc, "buildings", where),
+                    _point_lists(doc, "streets", where))
     validate_topology(topo)
     return topo
 
 
+def _polygon_area(poly: np.ndarray) -> float:
+    x, y = poly[:, 0], poly[:, 1]
+    return 0.5 * abs(np.dot(x, np.roll(y, -1)) - np.dot(y, np.roll(x, -1)))
+
+
+def _cross(a, b, c) -> float:
+    return (b[0] - a[0]) * (c[1] - a[1]) - (b[1] - a[1]) * (c[0] - a[0])
+
+
+def _polygon_is_simple(poly: np.ndarray) -> bool:
+    """No two edges without a shared vertex cross properly (on Python floats:
+    the products numpy scalars give, at a fraction of the cost)."""
+    pts = poly.tolist()
+    n = len(pts)
+    edges = list(zip(pts, pts[1:] + pts[:1]))
+    for i in range(n - 2):
+        p1, p2 = edges[i]
+        for q1, q2 in edges[i + 2:n - (i == 0)]:
+            if (_cross(q1, q2, p1) * _cross(q1, q2, p2) < 0
+                    and _cross(p1, p2, q1) * _cross(p1, p2, q2) < 0):
+                return False
+    return True
+
+
+def _shape_boxes(shapes: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
+    """(S, 2) lower and upper corners of the boxes of S nonempty point arrays."""
+    starts = np.cumsum([0] + [len(s) for s in shapes[:-1]])
+    pts = np.concatenate(shapes)
+    return np.minimum.reduceat(pts, starts), np.maximum.reduceat(pts, starts)
+
+
+def validate_topology(topo: Topology) -> None:
+    """Raise TopologyError naming the first violated rule between fields
+    (each field's own kind and range are checked as it is read): unique ids,
+    a non-degenerate area_bounds holding every cell, at least one cell and
+    one building or street, simple polygons of 3 or more vertices, polylines
+    of 2 or more and non-zero length, and every shape's box meeting the area."""
+    xmin, ymin, xmax, ymax = topo.area_bounds
+    if not (xmax > xmin and ymax > ymin):
+        raise TopologyError("area_bounds: degenerate rectangle")
+    if not topo.cells:
+        raise TopologyError("cells: at least one cell is required")
+    if not topo.buildings and not topo.streets:
+        raise TopologyError("buildings, streets: at least one building or street "
+                            "is required to place UEs")
+    for kind, records in (("towers", topo.towers), ("cells", topo.cells)):
+        seen = set()
+        for i, r in enumerate(records):
+            if r.id in seen:
+                raise TopologyError(f"{kind}[{i}] (id={r.id}): duplicate id")
+            seen.add(r.id)
+    for i, c in enumerate(topo.cells):
+        x, y = c.position
+        if not (xmin <= x <= xmax and ymin <= y <= ymax):
+            raise TopologyError(f"cells[{i}] (id={c.id}): position outside area_bounds")
+    for kind, noun, least in (("buildings", "polygon", 3), ("streets", "polyline", 2)):
+        shapes = getattr(topo, kind)
+        for i, s in enumerate(shapes):
+            if len(s) < least:
+                raise TopologyError(f"{kind}[{i}]: {noun} needs >= {least} vertices")
+            if kind == "buildings" and not _polygon_is_simple(s):
+                raise TopologyError(f"{kind}[{i}]: polygon is self-intersecting")
+        if not shapes:
+            continue
+        lo, hi = _shape_boxes(shapes)
+        bad = np.flatnonzero((lo > (xmax, ymax)).any(axis=1) | (hi < (xmin, ymin)).any(axis=1))
+        if bad.size:
+            raise TopologyError(f"{kind}[{bad[0]}]: {noun} does not intersect area_bounds")
+        bad = np.flatnonzero((lo == hi).all(axis=1))    # every vertex the same
+        if kind == "streets" and bad.size:
+            raise TopologyError(f"{kind}[{bad[0]}]: polyline has zero length")
+
+
 def topology_doc(topo: Topology) -> dict:
     """Canonical JSON-ready document; also the basis for content hashing."""
+    def records(kind, rows):
+        """Objects with the keys of FIELDS[kind], in order, from `rows`."""
+        keys = [f.key for f in FIELDS[kind]]
+        return [dict(zip(keys, row)) for row in rows]
+
     return {
         "format": TOPOLOGY_FORMAT,
         "version": TOPOLOGY_VERSION,
         "area_bounds": list(topo.area_bounds),
-        "towers": [{"id": t.id, "x": t.x, "y": t.y} for t in topo.towers],
-        "cells": [
-            {
-                "id": c.id,
-                "tower": c.tower_id,
-                "azimuth_deg": c.azimuth,
-                "beamwidth_deg": c.beamwidth,
-                "frequency_hz": c.frequency,
-                "bandwidth_hz": c.bandwidth,
-                "priority": c.priority,
-                "tx_power_dbm": c.tx_power,
-            }
-            for c in topo.cells
-        ],
+        "towers": records("towers", [(t.id, t.x, t.y) for t in topo.towers]),
+        "cells": records("cells", [(c.id, c.tower_id, c.azimuth, c.beamwidth, c.frequency,
+                                    c.bandwidth, c.priority, c.tx_power) for c in topo.cells]),
         "buildings": [p.tolist() for p in topo.buildings],
         "streets": [p.tolist() for p in topo.streets],
     }
@@ -478,8 +497,6 @@ def topology_doc(topo: Topology) -> dict:
 
 def topology_fingerprint(topo: Topology) -> str:
     """sha256 over the canonical document; identifies topology content."""
-    import hashlib
-
     blob = json.dumps(topology_doc(topo), sort_keys=True,
                       separators=(",", ":")).encode()
     return hashlib.sha256(blob).hexdigest()
@@ -819,7 +836,9 @@ def generate_topology(preset: str | None = None, seed: int = 0, *,
 
     Cells are assigned round-robin over (band, sector azimuth, tower)
     unless the preset pins per-tower band lists; the band plan fixes
-    frequency, bandwidth, priority, and tx power per band.
+    frequency, bandwidth, priority, and tx power per band. The scenario is
+    built as a ``.topo`` document and read as :func:`load_topology` reads
+    a file, so what ``gen-topology`` writes always loads.
     """
     params = dict(GENERATOR_PRESETS.get(preset or "", {}))
     if not params and preset is not None and preset not in GENERATOR_PRESETS:
@@ -840,32 +859,20 @@ def generate_topology(preset: str | None = None, seed: int = 0, *,
     w, h = params["area"]
     if w <= 0 or h <= 0:
         raise TopologyError("generator: area must be positive")
-    tx_override = params.get("tx", {})
-
-    def band(i):
-        f, bw_, pr, tx = BAND_PLAN[i]
-        return f, bw_, pr, tx_override.get(i, tx)
 
     rng = np.random.default_rng(seed)
     n_towers = params["towers"]
+    grid = math.ceil(math.sqrt(n_towers))
     tower_list = []
-    if n_towers == 2:
-        # the two-tower study layout: towers at thirds of the width, mid-height
-        for k, fx in enumerate((1.0 / 3.0, 2.0 / 3.0)):
-            cx = fx * w + (rng.random() - 0.5) * 0.06 * w
+    for k in range(n_towers):
+        if n_towers == 2:   # the two-tower study layout: thirds of the width, mid-height
+            cx = (k + 1) / 3.0 * w + (rng.random() - 0.5) * 0.06 * w
             cy = 0.5 * h + (rng.random() - 0.5) * 0.06 * h
-            tower_list.append(Tower(f"T{k + 1}", round(cx, 1), round(cy, 1)))
-    else:
-        grid = math.ceil(math.sqrt(n_towers))
-        k = 0
-        for gy in range(grid):
-            for gx in range(grid):
-                if k >= n_towers:
-                    break
-                cx = (gx + 0.5) / grid * w + (rng.random() - 0.5) * 0.3 * w / grid
-                cy = (gy + 0.5) / grid * h + (rng.random() - 0.5) * 0.3 * h / grid
-                tower_list.append(Tower(f"T{k + 1}", round(cx, 1), round(cy, 1)))
-                k += 1
+        else:               # a square grid, filled row by row
+            gy, gx = divmod(k, grid)
+            cx = (gx + 0.5) / grid * w + (rng.random() - 0.5) * 0.3 * w / grid
+            cy = (gy + 0.5) / grid * h + (rng.random() - 0.5) * 0.3 * h / grid
+        tower_list.append({"id": f"T{k + 1}", "x": round(cx, 1), "y": round(cy, 1)})
 
     n_cells = params["cells"]
     offsets = [float(rng.integers(0, 120)) for _ in range(n_towers)]
@@ -889,32 +896,27 @@ def generate_topology(preset: str | None = None, seed: int = 0, *,
         raise TopologyError("generator: per_tower_bands yields fewer slots than cells")
     cell_list = []
     for slot, (t_i, s_i, b_i) in enumerate(slots[:n_cells]):
-        freq, bw_, pr, tx = band(b_i)
-        tower = tower_list[t_i]
-        az = (offsets[t_i] + 120.0 * s_i) % 360.0
-        cell_list.append(
-            Cell(
-                id=f"C{slot + 1:02d}",
-                tower_id=tower.id,
-                position=(tower.x, tower.y),
-                azimuth=az,
-                beamwidth=DEFAULT_BEAMWIDTH_DEG,
-                frequency=freq,
-                bandwidth=bw_,
-                priority=pr,
-                tx_power=tx,
-            )
-        )
+        freq, bw_, pr, tx = BAND_PLAN[b_i]
+        cell_list.append({
+            "id": f"C{slot + 1:02d}",
+            "tower": tower_list[t_i]["id"],
+            "azimuth_deg": (offsets[t_i] + 120.0 * s_i) % 360.0,
+            "beamwidth_deg": DEFAULT_BEAMWIDTH_DEG,
+            "frequency_hz": freq,
+            "bandwidth_hz": bw_,
+            "priority": pr,
+            "tx_power_dbm": params.get("tx", {}).get(b_i, tx),
+        })
 
     # street grid: full-span horizontal and vertical polylines
     nx, ny = params["streets"]
     street_list = []
     for i in range(ny):
         y = (i + 0.5) / ny * h
-        street_list.append(np.array([[0.0, y], [w, y]]))
+        street_list.append([[0.0, y], [w, y]])
     for i in range(nx):
         x = (i + 0.5) / nx * w
-        street_list.append(np.array([[x, 0.0], [x, h]]))
+        street_list.append([[x, 0.0], [x, h]])
 
     # rectangular buildings scattered between streets
     building_list = []
@@ -923,11 +925,10 @@ def generate_topology(preset: str | None = None, seed: int = 0, *,
         bh_ = 20.0 + rng.random() * 40.0
         x0 = rng.random() * (w - bw_)
         y0 = rng.random() * (h - bh_)
-        building_list.append(
-            np.array([[x0, y0], [x0 + bw_, y0], [x0 + bw_, y0 + bh_], [x0, y0 + bh_]])
-        )
+        building_list.append([[x0, y0], [x0 + bw_, y0], [x0 + bw_, y0 + bh_], [x0, y0 + bh_]])
 
-    topo = Topology((0.0, 0.0, float(w), float(h)), tower_list, cell_list,
-                    building_list, street_list)
-    validate_topology(topo)
-    return topo
+    return _topology_from_doc({
+        "format": TOPOLOGY_FORMAT, "version": TOPOLOGY_VERSION,
+        "area_bounds": [0.0, 0.0, w, h], "towers": tower_list, "cells": cell_list,
+        "buildings": building_list, "streets": street_list,
+    }, "generator")

@@ -128,6 +128,16 @@ class TrainRunConfig:
         if self.episode_cap is not None and self.episode_cap < 1:
             raise ValueError(f"episode_cap must be >= 1 when set, got {self.episode_cap}")
 
+    def document(self) -> dict:
+        """The run's recorded settings: the `config` document its checkpoints
+        store, a resume compares key by key, and the manifests copy."""
+        return {"run_seed": self.run_seed, "seed_count": self.seed_count,
+                "n_ues": self.n_ues, "pri": self.pri, "weights": list(self.weights),
+                "baseline_window": self.baseline_window, "hidden": self.hidden,
+                "history_k": self.history_k, "lr": self.lr, "preset": self.preset,
+                # the one credit rule; kept so checkpoints keep their bytes
+                "return_mode": "immediate"}
+
     def episode_cfg(self, seed: int, length: float, *,
                     train: bool) -> EpisodeConfig:
         """Training episodes run static and unobstructed; eval episodes run
@@ -226,6 +236,7 @@ class TrainResult:
     log_rows: list[TrainLogRow]
     converged_episode: int | None
     train_seeds: list[int]
+    settings: dict     # the config document and the schedule, as checkpoints record them
 
 
 def _mean_action_controller(net: pol.PolicyNet):
@@ -302,14 +313,7 @@ def train(cfg: TrainRunConfig, schedule: CurriculumSchedule,
     out_dir.mkdir(parents=True, exist_ok=True)
     topo = cfg.topology
     obs_dim = rlenv.observation_dim(topo.n_cells, cfg.history_k)
-    config = {"run_seed": cfg.run_seed, "seed_count": cfg.seed_count,
-              "n_ues": cfg.n_ues, "pri": cfg.pri,
-              "weights": list(cfg.weights),
-              "baseline_window": cfg.baseline_window,
-              "hidden": cfg.hidden, "history_k": cfg.history_k,
-              "lr": cfg.lr, "preset": cfg.preset,
-              # the one credit rule; kept so checkpoints keep their bytes
-              "return_mode": "immediate"}
+    config = cfg.document()
     train_seeds = derive_seeds(cfg.run_seed, SEED_STREAM_TRAIN, cfg.seed_count)
     val_seeds = derive_seeds(cfg.run_seed, SEED_STREAM_VALIDATION,
                              cfg.validation_seed_count, exclude=train_seeds)
@@ -422,7 +426,8 @@ def train(cfg: TrainRunConfig, schedule: CurriculumSchedule,
                        append=resume_from is not None)
     # a fresh run always scores a best; a resume copies or keeps its file
     return TrainResult(final_path, best_path if best_path.exists() else None,
-                       rows, converged_at, train_seeds)
+                       rows, converged_at, train_seeds,
+                       {**config, "schedule": asdict(schedule)})
 
 
 # ---------------------------------------------------------------------------
@@ -597,6 +602,7 @@ class AblationResult:
 
 def ablate(cfg: TrainRunConfig, schedule: CurriculumSchedule, variant: str,
            out_dir, cache=None, jobs: int = 1) -> AblationResult:
+    cfg.validate()    # the settings given, before a variant replaces any
     if jobs < 1:  # before the training run, not after it
         raise ValueError(f"jobs must be >= 1, got {jobs}")
     cfg2, schedule2, eval_cfg = ablation_config(cfg, schedule, variant)

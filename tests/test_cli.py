@@ -9,8 +9,8 @@ import pytest
 from cellpilot.cli import main, write_manifest
 from cellpilot.policy import load_checkpoint
 from cellpilot.topology import load_topology
-from cellpilot.trainer import (SEED_STREAM_EVAL, TrainLogRow, derive_seeds,
-                               write_training_log)
+from cellpilot.trainer import (SEED_STREAM_EVAL, TrainLogRow, TrainRunConfig,
+                               derive_seeds, write_training_log)
 
 
 def test_version_and_missing_command():
@@ -107,6 +107,24 @@ def test_eval_argument_errors(tmp_path, capsys):
     assert "neither a bundled preset" in capsys.readouterr().err
 
 
+def test_a_directory_is_not_a_topology_file(tmp_path, capsys):
+    rc = main(["eval", "--topology", str(tmp_path), "--params", "config_a",
+               "--cache", str(tmp_path / "cache")])
+    assert rc == 2
+    assert "nor an existing file" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("area, key", [("1e300x100", "xmax"), ("infx100", "xmax"),
+                                       ("nanx100", "xmax"), ("100x2e7", "ymax")])
+def test_gen_topology_checks_what_it_writes_against_the_declaration(tmp_path, capsys,
+                                                                    area, key):
+    out = tmp_path / "x.topo"
+    assert main(["gen-topology", "--preset", "desk", "--area", area, "-o", str(out)]) == 2
+    assert f"generator: area_bounds: {key}: expected a number" in capsys.readouterr().err
+    assert not out.exists()
+
+
 TRAIN_ARGS = ["--seeds", "2", "--ues", "4", "--hidden", "8",
               "--passes", "1", "--rounds", "2", "--initial-length", "3",
               "--increment", "1", "--checkpoint-every", "2", "--lr", "1e-3"]
@@ -133,6 +151,21 @@ def test_train_cli_and_manifest_determinism(tmp_path, capsys):
         assert p.tobytes() == b.net.params()[n].tobytes(), n
 
 
+def test_train_manifest_copies_the_recorded_settings(tmp_path, monkeypatch):
+    # a key added to the config document reaches the checkpoints and the
+    # manifest with no other edit
+    document = TrainRunConfig.document
+    monkeypatch.setattr(TrainRunConfig, "document",
+                        lambda cfg: {**document(cfg), "added_setting": 17})
+    assert main(["train", "--topology", "desk", "--out", str(tmp_path / "r"),
+                 "--cache", str(tmp_path / "cache"), *TRAIN_ARGS]) == 0
+    manifest = json.loads((tmp_path / "r" / "manifest.json").read_text())
+    meta = load_checkpoint(tmp_path / "r" / "ckpt_final.bin").meta
+    assert meta["config"]["added_setting"] == 17
+    for key, value in {**meta["config"], "schedule": meta["schedule"]}.items():
+        assert manifest[key] == value, key
+
+
 @pytest.mark.parametrize("argv, field", [
     (["train", "--checkpoint-every", "0"], "checkpoint_every"),
     (["train", "--seeds", "0"], "seed_count"),
@@ -157,12 +190,18 @@ def test_train_cli_and_manifest_determinism(tmp_path, capsys):
     (["train", "--lr", "-1"], "lr must be"),
     (["train", "--weights", "nan,0.5,0.5"], "weights must be finite"),
     (["train", "--weights", "inf,-inf,1"], "weights must be finite"),
+    # TrainRunConfig.validate is the one sum check; ablate applies it to the
+    # weights given before a variant replaces them
+    (["train", "--weights", "0.5,0.4,0.2"], "sum to 1"),
+    (["ablate", "--variant", "synchronous_updates", "--weights", "0.5,0.4,0.2"],
+     "sum to 1"),
 ], ids=["checkpoint-every", "train-seeds", "eval-seeds", "eval-baseline",
         "eval-ues", "train-hidden", "eval-length", "train-initial-length",
         "eval-jobs", "compare-jobs", "ablate-jobs", "train-weights",
         "eval-length-inf", "eval-length-nan", "train-initial-length-inf",
         "train-increment-nan", "train-lr-nan", "train-lr-zero",
-        "train-lr-negative", "train-weights-nan", "train-weights-inf"])
+        "train-lr-negative", "train-weights-nan", "train-weights-inf",
+        "train-weights-sum", "ablate-weights-sum"])
 def test_counts_below_one_fail_early(tmp_path, capsys, argv, field):
     command, *rest = argv
     trains = command in ("train", "ablate")

@@ -237,8 +237,6 @@ def test_reward_guards():
     t = seeded_table(sigma=0.2)
     r = compute_reward(agg(sigma=0.9), t, 0, (0.4, 0.4, 0.2), ue_max=50)
     assert r.r_bal == 0.0
-    with pytest.raises(RlenvError, match="sum to 1"):
-        compute_reward(agg(), seeded_table(), 0, (0.5, 0.4, 0.2), ue_max=50)
 
 
 def test_reward_scale_invariance():

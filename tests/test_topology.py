@@ -1,5 +1,6 @@
 """Topology loading, validation, geometry queries, and the generator."""
 
+import functools
 import json
 import math
 import re
@@ -11,6 +12,7 @@ import pytest
 import cellpilot
 from cellpilot.cli import main
 from cellpilot.topology import (
+    FIELDS,
     GENERATOR_PRESETS,
     Cell,
     Placement,
@@ -27,7 +29,7 @@ from cellpilot.topology import (
     validate_topology,
     wall_crossings_to_cells,
 )
-from cellpilot.topology import _street_wall_rows
+from cellpilot.topology import _REQUIRED, _street_wall_rows
 from cellpilot.reselect import CONFIG_B
 from cellpilot.simcore import EpisodeConfig, constant_controller, run_episode
 from cellpilot.traffic import TrafficConfig
@@ -158,28 +160,31 @@ def _set(*path):
 
 
 @pytest.mark.parametrize("edit, message", [
-    (_set("streets", 0, 0, 0, math.inf), r"streets\[0\]: coordinates must be finite"),
+    (_set("streets", 0, 0, 0, math.inf),
+     r"streets\[0\]\[0\]: x: expected a number in .*, got inf"),
     (_set("cells", 0, "tx_power_dbm", math.nan),
-     r"cells\[0\] \(id=C1\): tx_power must be finite"),
+     r"cells\[0\]: tx_power_dbm: expected a number in .*, got nan"),
     (_set("buildings", [[1, 2, 3]]), r"buildings\[0\]: expected a list of \[x, y\] points"),
     (_set("buildings", [[[20, 20], [30, 30, 1], [30, 20]]]),
      r"buildings\[0\]: expected a list of \[x, y\] points"),
     (_set("cells", []), "cells: at least one cell is required"),
     (_set("buildings", [[[math.nan, 20], [30, 20], [30, 30], [20, 30]]]),
-     r"buildings\[0\]: coordinates must be finite"),
-    (_set("area_bounds", 2, math.inf), "area_bounds: must be finite"),
-    (_set("towers", 0, "x", math.inf), r"towers\[T1\]: x and y must be finite"),
+     r"buildings\[0\]\[0\]: x: expected a number in .*, got nan"),
+    (_set("area_bounds", 2, math.inf), "area_bounds: xmax: expected a number in .*, got inf"),
+    (_set("towers", 0, "x", math.inf), r"towers\[0\]: x: expected a number in .*, got inf"),
     (_set("cells", 0, "frequency_hz", math.inf),
-     r"cells\[0\] \(id=C1\): frequency must be finite"),
+     r"cells\[0\]: frequency_hz: expected a number in .*, got inf"),
     (_set("cells", 0, "bandwidth_hz", math.inf),
-     r"cells\[0\] \(id=C1\): bandwidth must be finite"),
-    (_set("towers", 0, "x", "a"), r"towers\[0\]: x: could not convert"),
-    (_set("cells", 0, "priority", 2.7), r"cells\[0\]: priority: expected an integer, got 2.7"),
-    (_set("area_bounds", 1, "a"), "area_bounds: could not convert"),
+     r"cells\[0\]: bandwidth_hz: expected a number in .*, got inf"),
+    (_set("towers", 0, "x", "a"), r"towers\[0\]: x: expected a number in .*, got 'a'"),
+    (_set("cells", 0, "priority", 2.7),
+     r"cells\[0\]: priority: expected an integer in \[0, 7\], got 2.7"),
+    (_set("area_bounds", 1, "a"), "area_bounds: ymin: expected a number in .*, got 'a'"),
     # minimal_doc has no buildings: with no street either, no UE can be placed
     (_set("streets", []), "buildings, streets: at least one building or street"),
     # an int too large for the Topology's arrays, refused before they are built
-    (_set("cells", 0, "priority", 1e300), r"cells\[0\]: priority: must be in 0..7, got 1e\+300"),
+    (_set("cells", 0, "priority", 1e300),
+     r"cells\[0\]: priority: expected an integer in \[0, 7\], got 1e\+300"),
 ], ids=["street-infinity", "tx-power-nan", "building-flat", "building-ragged",
         "no-cells", "building-nan-vertex", "bounds-infinity", "tower-infinity",
         "frequency-infinity", "bandwidth-infinity", "tower-x-string", "priority-fraction",
@@ -197,6 +202,75 @@ def test_malformed_topology_fails_early_naming_the_field(tmp_path, capsys, edit,
     assert rc == 2
     assert re.search(message, capsys.readouterr().err)
     assert not (tmp_path / "cache").exists()
+
+
+def declared_fields():
+    """(field, path, record) for every field of topology.FIELDS: the path
+    to its value in a minimal_doc() with one building, and the record that
+    a message about it names."""
+    for kind, fields in FIELDS.items():
+        for i, f in enumerate(fields):
+            if kind == "area_bounds":
+                yield f, (kind, i), kind
+            elif kind in ("buildings", "streets"):
+                yield f, (kind, 0, 0, i), f"{kind}[0][0]"
+            else:
+                yield f, (kind, 0, f.key), f"{kind}[0]"
+
+
+def field_mutants(f):
+    """Values that field `f` refuses: NaN, infinities, the wrong JSON types
+    (a number where a string belongs; a string, a numeric string and a bool
+    where a number does), values just outside its range, and a fraction for
+    an integer."""
+    values = [math.nan, math.inf, -math.inf, None, [1], {}, True, False]
+    if f.kind is str:
+        return values + [1, 2.5]
+    values += ["a", "1", str(f.lo), f.lo - 1, f.hi + 1,
+               float(np.nextafter(f.lo, -math.inf)), float(np.nextafter(f.hi, math.inf))]
+    return values + ([f.lo + 0.5] if f.kind is int else [])
+
+
+def mutated(doc, path, value):
+    """A copy of `doc` with the value at `path` set to `value`, or deleted
+    when `value` is _REQUIRED."""
+    doc = json.loads(json.dumps(doc))
+    *keys, last = path
+    holder = functools.reduce(lambda d, k: d[k], keys, doc)
+    if value is _REQUIRED:
+        del holder[last]
+    else:
+        holder[last] = value
+    return doc
+
+
+def test_every_declared_field_refuses_its_mutants(tmp_path, capsys):
+    # generated from the declaration: a field added to FIELDS is tried too
+    base = minimal_doc()
+    base["buildings"] = [[[20.0, 20.0], [30.0, 20.0], [30.0, 30.0], [20.0, 30.0]]]
+    load_topology(write_doc(tmp_path, base))
+    cache = tmp_path / "cache"
+    tried = []
+    for f, path, record in declared_fields():
+        mutants = [(v, f"{f.key}: expected") for v in field_mutants(f)]
+        if f.default is _REQUIRED and path[-1] == f.key:
+            mutants.append((_REQUIRED, f"missing field '{f.key}'"))
+        for value, says in mutants:
+            p = write_doc(tmp_path, mutated(base, path, value))
+            with pytest.raises(TopologyError, match=re.escape(f"{p}: {record}: {says}")):
+                load_topology(p)
+            rc = main(["eval", "--topology", str(p), "--params", "config_a", "--seeds", "1",
+                       "--ues", "2", "--length", "5", "--cache", str(cache)])
+            assert rc == 2 and f"{record}: {says}" in capsys.readouterr().err
+            assert not cache.exists()
+        tried.append((record, f.key))
+        # the range is closed: its ends are not refused as this field's
+        for end in ((f.lo, f.hi) if f.kind is not str else ()):
+            try:
+                load_topology(write_doc(tmp_path, mutated(base, path, end)))
+            except TopologyError as exc:
+                assert f"{f.key}: expected" not in str(exc)
+    assert len(set(tried)) == sum(len(fields) for fields in FIELDS.values())
 
 
 # --- wall crossings ---------------------------------------------------------
