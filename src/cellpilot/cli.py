@@ -15,8 +15,10 @@ from __future__ import annotations
 
 import argparse
 import csv
+import inspect
 import json
 import sys
+from dataclasses import fields
 from importlib import resources
 from pathlib import Path
 
@@ -29,11 +31,16 @@ from .container import ContainerError, write_atomic
 from .reselect import PRESETS
 from .simcore import SimError
 from .topology import (TopologyError, generate_topology, load_topology,
-                       save_topology, topology_fingerprint)
+                       save_topology)
 from .trainer import (ABLATION_VARIANTS, CurriculumSchedule, TrainRunConfig,
                       TrainerError, derive_seeds, evaluate)
 
 BUNDLED = ("desk", "baseline", "alt", "large")
+# The config fields' defaults. A flag of train, eval, compare or ablate
+# parses into the name of the field it sets, with that field's default;
+# --length and --jobs take those of `evaluate`'s or `ablate`'s arguments.
+DEFAULTS = {f.name: f.default for cls in (TrainRunConfig, CurriculumSchedule)
+            for f in fields(cls)}
 
 
 class CliError(Exception):
@@ -78,6 +85,16 @@ def parse_pair(text: str, flag: str, form: str, kind=float) -> tuple:
     raise CliError(f"{flag} expects {form}, got '{text}'")
 
 
+def arg_default(fn, name: str):
+    return inspect.signature(fn).parameters[name].default
+
+
+def from_args(cls, args, **given):
+    """A `cls` from `given` and the parsed arguments named after its fields."""
+    names = {f.name for f in fields(cls)}
+    return cls(**{**{k: v for k, v in vars(args).items() if k in names}, **given})
+
+
 def write_manifest(path: Path, command: str, payload: dict) -> None:
     doc = {"tool": "cellpilot", "version": __version__, "command": command}
     doc.update(payload)
@@ -98,34 +115,15 @@ def cmd_gen_topology(args) -> int:
                              cells=args.cells, area=area,
                              buildings=args.buildings, streets=streets)
     save_topology(topo, args.output)
-    fp = topology_fingerprint(topo)
     print(f"wrote {args.output}: {len(topo.towers)} towers, "
-          f"{topo.n_cells} cells, fingerprint {fp[:16]}")
+          f"{topo.n_cells} cells, fingerprint {topo.fingerprint[:16]}")
     return 0
 
 
 def build_train_config(args) -> tuple[TrainRunConfig, CurriculumSchedule]:
-    topo = resolve_topology(args.topology)
-    cfg = TrainRunConfig(
-        topology=topo,
-        run_seed=args.run_seed,
-        seed_count=args.seeds,
-        n_ues=args.ues,
-        pri=args.pri,
-        weights=parse_weights(args.weights),
-        hidden=args.hidden,
-        lr=args.lr,
-        checkpoint_every=args.checkpoint_every,
-        episode_cap=args.episodes,
-    )
-    schedule = CurriculumSchedule(
-        initial_length=args.initial_length,
-        increment=args.increment,
-        passes_per_round=args.passes,
-        rounds=args.rounds,
-        lr_halving=not args.no_lr_halving,
-    )
-    return cfg, schedule
+    cfg = from_args(TrainRunConfig, args, topology=resolve_topology(args.topology),
+                    weights=parse_weights(args.weights))
+    return cfg, from_args(CurriculumSchedule, args)
 
 
 def cmd_train(args) -> int:
@@ -135,7 +133,7 @@ def cmd_train(args) -> int:
                            resume_from=args.resume)
     write_manifest(out_dir / "manifest.json", "train", {
         **result.settings,
-        "topology_fingerprint": topology_fingerprint(cfg.topology),
+        "topology_fingerprint": cfg.topology.fingerprint,
         "episodes": len(result.log_rows),
         "final_checkpoint": result.final_checkpoint.name,
         "best_checkpoint": result.best_checkpoint.name
@@ -173,18 +171,16 @@ def run_eval(args, command: str) -> trainer.EvalReport:
     """Evaluate the candidate of `args` on unseen seeds; with --out, write
     the per-seed CSV and its <out>.manifest.json."""
     candidate, train_seeds = load_candidate(args)
-    cfg = TrainRunConfig(topology=resolve_topology(args.topology),
-                         run_seed=args.run_seed, n_ues=args.ues, pri=args.pri,
-                         mobility_eval=args.mobility, preset=args.baseline)
+    cfg = from_args(TrainRunConfig, args, topology=resolve_topology(args.topology))
     eval_seeds = derive_seeds(cfg.run_seed, trainer.SEED_STREAM_EVAL,
-                              args.seeds, exclude=train_seeds)
+                              cfg.eval_seed_count, exclude=train_seeds)
     report = evaluate(candidate, cfg, eval_seeds, train_seeds,
                       length=args.length, cache=args.cache, jobs=args.jobs)
     if args.out:
         trainer.write_eval_csv(report, args.out)
         write_manifest(Path(args.out).with_suffix(".manifest.json"), command, {
-            "topology_fingerprint": topology_fingerprint(cfg.topology),
-            "baseline": args.baseline,
+            "topology_fingerprint": cfg.topology.fingerprint,
+            "baseline": cfg.preset,
             "seeds": [r.seed for r in report.rows],
             "n_ues": report.n_ues, "pri": report.pri,
             "length": report.length,
@@ -198,7 +194,7 @@ def cmd_eval(args) -> int:
     med = report.medians
     print(f"evaluated {len(report.rows)} seeds "
           f"(n_ues={report.n_ues}, pri={report.pri}, length={report.length:g}s)")
-    print(f"median gains vs {args.baseline}: throughput {med['tput_gain']:+.4f}, "
+    print(f"median gains vs {args.preset}: throughput {med['tput_gain']:+.4f}, "
           f"balance {med['bal_gain']:+.4f}, per-UE {med['ue_gain']:+.4f}")
     if args.out:
         print(f"wrote {args.out}")
@@ -216,7 +212,7 @@ def cmd_ablate(args) -> int:
     write_manifest(out_dir / "manifest.json", "ablate", {
         **result.train.settings,
         "variant": args.variant,
-        "topology_fingerprint": topology_fingerprint(cfg.topology),
+        "topology_fingerprint": cfg.topology.fingerprint,
         "medians": med,
     })
     print(f"variant {args.variant}: median gains throughput "
@@ -230,7 +226,7 @@ def cmd_compare(args) -> int:
     report = run_eval(args, "compare")
     med = report.medians
     name = args.checkpoint or args.params
-    print(f"{name} vs {args.baseline} on {len(report.rows)} seeds:")
+    print(f"{name} vs {args.preset} on {len(report.rows)} seeds:")
     for r in report.rows:
         print(f"  seed {r.seed}: throughput {r.tput_gain:+.4f}, "
               f"balance {r.bal_gain:+.4f}, per-UE {r.ue_gain:+.4f}")
@@ -301,55 +297,63 @@ def _report_eval(header, rows) -> int:
 # Parser
 # ---------------------------------------------------------------------------
 
+def add_setting(p, flag: str, name: str, kind, **kw) -> None:
+    """`flag`, parsed into the setting `name` with its config field's
+    default unless `kw` gives one; usage shows the flag's own metavar."""
+    kw.setdefault("default", DEFAULTS.get(name))
+    p.add_argument(flag, dest=name, type=kind,
+                   metavar=flag[2:].upper().replace("-", "_"), **kw)
+
+
 def add_train_args(p, include_variant=False):
     p.add_argument("--topology", required=True,
                    help="bundled preset name or .topo file")
     p.add_argument("--out", required=True, help="output directory")
-    p.add_argument("--run-seed", type=int, default=0)
-    p.add_argument("--seeds", type=int, default=100,
-                   help="training seed count")
-    p.add_argument("--ues", type=int, default=500)
-    p.add_argument("--pri", type=int, default=1)
-    p.add_argument("--weights", default="0.4,0.4,0.2")
-    p.add_argument("--hidden", type=int, default=1024)
-    p.add_argument("--lr", type=float, default=1e-4)
-    p.add_argument("--episodes", type=int, default=None,
-                   help="hard episode cap")
-    p.add_argument("--passes", type=int, default=3)
-    p.add_argument("--rounds", type=int, default=3)
-    p.add_argument("--initial-length", type=float, default=30.0)
-    p.add_argument("--increment", type=float, default=10.0)
-    p.add_argument("--no-lr-halving", action="store_true")
-    p.add_argument("--checkpoint-every", type=int, default=50)
-    p.add_argument("--cache", default=None,
+    add_setting(p, "--run-seed", "run_seed", int)
+    add_setting(p, "--seeds", "seed_count", int, help="training seed count")
+    add_setting(p, "--ues", "n_ues", int)
+    add_setting(p, "--pri", "pri", int)
+    add_setting(p, "--weights", "weights", str,
+                default=",".join(map(str, DEFAULTS["weights"])))
+    add_setting(p, "--hidden", "hidden", int)
+    add_setting(p, "--lr", "lr", float)
+    add_setting(p, "--episodes", "episode_cap", int, help="hard episode cap")
+    add_setting(p, "--passes", "passes_per_round", int)
+    add_setting(p, "--rounds", "rounds", int)
+    add_setting(p, "--initial-length", "initial_length", float)
+    add_setting(p, "--increment", "increment", float)
+    p.add_argument("--no-lr-halving", dest="lr_halving", action="store_false",
+                   default=DEFAULTS["lr_halving"])
+    add_setting(p, "--checkpoint-every", "checkpoint_every", int)
+    p.add_argument("--cache",
                    help=f"reference cache dir (or ${simcore.CACHE_ENV_VAR})")
     if include_variant:
         p.add_argument("--variant", required=True, choices=ABLATION_VARIANTS)
-        p.add_argument("--jobs", type=int, default=1,
+        p.add_argument("--jobs", type=int, default=arg_default(trainer.ablate, "jobs"),
                        help="evaluation runs as this many lockstep shards of "
                             "contiguous seeds, one worker process each")
     else:
-        p.add_argument("--resume", default=None,
-                       help="checkpoint to resume from")
+        p.add_argument("--resume", help="checkpoint to resume from")
 
 
 def add_eval_args(p):
     p.add_argument("--topology", required=True)
-    p.add_argument("--checkpoint", default=None)
-    p.add_argument("--params", default=None,
+    p.add_argument("--checkpoint")
+    p.add_argument("--params",
                    help="preset name to evaluate instead of a checkpoint")
-    p.add_argument("--baseline", default="config_b")
-    p.add_argument("--run-seed", type=int, default=0)
-    p.add_argument("--seeds", type=int, default=20)
-    p.add_argument("--ues", type=int, default=500)
-    p.add_argument("--pri", type=int, default=1)
-    p.add_argument("--length", type=float, default=50.0)
-    p.add_argument("--mobility", action="store_true")
-    p.add_argument("--jobs", type=int, default=1,
+    add_setting(p, "--baseline", "preset", str)
+    add_setting(p, "--run-seed", "run_seed", int)
+    add_setting(p, "--seeds", "eval_seed_count", int)
+    add_setting(p, "--ues", "n_ues", int)
+    add_setting(p, "--pri", "pri", int)
+    p.add_argument("--length", type=float, default=trainer.EVAL_LENGTH)
+    p.add_argument("--mobility", dest="mobility_eval", action="store_true",
+                   default=DEFAULTS["mobility_eval"])
+    p.add_argument("--jobs", type=int, default=arg_default(evaluate, "jobs"),
                    help="run the seeds as this many lockstep shards of "
                         "contiguous seeds, one worker process each")
-    p.add_argument("--cache", default=None)
-    p.add_argument("--out", default=None, help="per-seed CSV path")
+    p.add_argument("--cache")
+    p.add_argument("--out", help="per-seed CSV path")
 
 
 def build_parser() -> argparse.ArgumentParser:

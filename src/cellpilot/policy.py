@@ -153,24 +153,21 @@ def effective_sigma(sigma_raw: np.ndarray) -> np.ndarray:
 
 def sample_action(mu: np.ndarray, sigma_raw: np.ndarray,
                   rng: np.random.Generator) -> np.ndarray:
-    """Draw the 6 parameter values and return the 12-value raw action
-    (sample ++ sigma_raw). The sample is left unclipped here; mapping
-    clips to [0,1]."""
-    a = mu + effective_sigma(sigma_raw) * rng.standard_normal(N_PARAMS)
-    return np.concatenate([a, sigma_raw])
+    """Draw the 6 parameter values, mu + sigma * a standard normal each. The
+    sample is left unclipped here; mapping clips to [0,1]."""
+    return mu + effective_sigma(sigma_raw) * rng.standard_normal(N_PARAMS)
 
 
 def reinforce_backward(net: PolicyNet, records) -> dict[str, np.ndarray]:
     """Gradient of L = -sum_j r_j * log pi(a_j | s_j).
 
-    `records` is a sequence of (obs, raw_action_12, reward). The stored
-    action's first half is the unclipped Gaussian sample; its second half
-    (sigma_raw at sample time) is not part of the density.
+    `records` is a sequence of (obs, action, reward), the action the
+    unclipped 6-value sample of :func:`sample_action`.
     """
     if len(records) == 0:
         raise PolicyError("reinforce_backward needs at least one record")
     x = np.stack([np.asarray(r[0], dtype=float) for r in records])
-    act = np.stack([np.asarray(r[1], dtype=float)[:N_PARAMS] for r in records])
+    act = np.stack([np.asarray(r[1], dtype=float) for r in records])
     rew = np.array([float(r[2]) for r in records])
     a1, a2, out = _forward_batch(net, x)
     mu = out[:, :N_PARAMS]

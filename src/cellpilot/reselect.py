@@ -136,23 +136,18 @@ def _top_priority(cand: np.ndarray, priorities: np.ndarray) -> np.ndarray:
     return cand & (pr == pr.max(axis=1, keepdims=True))
 
 
-def _pick(cand: np.ndarray, metric: np.ndarray,
-          id_rank: np.ndarray | None) -> np.ndarray:
+def _pick(cand: np.ndarray, metric: np.ndarray, id_rank: np.ndarray) -> np.ndarray:
     """Per row, the candidate column with the largest `metric`, then the
-    smallest id rank (the column index without `id_rank`); -1 for a row
-    without candidates. Masked maxima order the candidates as a lexsort over
-    (rank, -metric) does, ties included."""
-    n_cells = cand.shape[1]
-    rank = id_rank if id_rank is not None else np.arange(n_cells)
+    smallest id rank; -1 for a row without candidates. Masked maxima order
+    the candidates as a lexsort over (rank, -metric) does, ties included."""
     m = np.where(cand, metric, -np.inf)
     cand = cand & (m == m.max(axis=1, keepdims=True))
-    best = np.where(cand, rank, n_cells).argmin(axis=1)
+    best = np.where(cand, id_rank, cand.shape[1]).argmin(axis=1)
     return np.where(cand.any(axis=1), best, -1)
 
 
 def initial_select(rx: np.ndarray, priorities: np.ndarray,
-                   params: ReselectionParams,
-                   id_rank: np.ndarray | None = None) -> np.ndarray:
+                   params: ReselectionParams, id_rank: np.ndarray) -> np.ndarray:
     """Best suitable cell per row of rx (N, C): highest priority layer, then
     max rx, then smallest id rank; -1 where no cell is suitable."""
     rx = np.asarray(rx, dtype=float)
@@ -162,8 +157,7 @@ def initial_select(rx: np.ndarray, priorities: np.ndarray,
 
 def step_reselection(serving: np.ndarray, rx: np.ndarray,
                      priorities: np.ndarray, frequencies: np.ndarray,
-                     params: ReselectionParams,
-                     id_rank: np.ndarray | None = None
+                     params: ReselectionParams, id_rank: np.ndarray
                      ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """One reselection step for N camped UEs whose serving cells are suitable.
 
@@ -203,8 +197,7 @@ def step_reselection(serving: np.ndarray, rx: np.ndarray,
 
 def step_ues(serving: np.ndarray, rx: np.ndarray, may_reselect: np.ndarray,
              priorities: np.ndarray, frequencies: np.ndarray,
-             params: ReselectionParams,
-             id_rank: np.ndarray | None = None) -> np.ndarray:
+             params: ReselectionParams, id_rank: np.ndarray) -> np.ndarray:
     """One protocol step for N UEs against the step's rx snapshot (N, C),
     under scalar parameters or (N, 1) columns.
 

@@ -66,11 +66,10 @@ def build_observation(traj, step: int, cell_bw: np.ndarray, n_ues: int,
 # Action mapping
 # ---------------------------------------------------------------------------
 
-def map_action(raw) -> ReselectionParams:
-    """First six raw values (clipped to [0,1]) linearly mapped to the
+def map_action(action) -> ReselectionParams:
+    """The six action values, clipped to [0,1], linearly mapped to the
     physical parameter ranges in canonical order."""
-    raw = np.asarray(raw, dtype=float).ravel()
-    u = np.clip(raw[:6], 0.0, 1.0)
+    u = np.clip(np.asarray(action, dtype=float), 0.0, 1.0)
     vals = []
     for ui, name in zip(u, PARAM_ORDER):
         lo, hi = PARAM_RANGES[name]

@@ -32,7 +32,7 @@ from . import radio, reselect, scheduler, traffic
 from .container import load_container, save_container, write_atomic
 from .reselect import ReselectionParams
 from .rlenv import build_observation
-from .topology import Topology, topology_fingerprint
+from .topology import Topology
 from .traffic import TrafficConfig
 
 DT = 1.0  # s per step
@@ -57,8 +57,8 @@ def step_count(length: float) -> int:
 class EpisodeConfig:
     topology: Topology
     episode_seed: int
-    n_ues: int = 50
-    length: float = 50.0          # s
+    n_ues: int
+    length: float                 # s
     pri: int = 1                  # steps between parameter updates
     traffic: TrafficConfig = field(default_factory=TrafficConfig)
     obstruction_enabled: bool = False
@@ -240,7 +240,7 @@ def reference_fingerprint(cfg: EpisodeConfig, params: ReselectionParams) -> str:
     se = radio.default_se_table()
     doc = {
         "sim_version": SIM_VERSION,
-        "topology": topology_fingerprint(cfg.topology),
+        "topology": cfg.topology.fingerprint,
         "episode_seed": cfg.episode_seed,
         "n_ues": cfg.n_ues,
         "length": float(cfg.length),
@@ -298,7 +298,8 @@ def _fmt(v: float) -> str:
 
 
 def write_trajectory_csv(result: EpisodeResult, path, cell_ids: list[str]) -> None:
-    """Per-step trajectory; one wide row per step, cells in id order."""
+    """Per-step trajectory; one wide row per step, the per-cell columns in
+    the order of `cell_ids` (every caller gives the topology's order)."""
     cols = ["step", "time", "total_tput", "per_ue_mean_tput", "active",
             "idle", "reselections"]
     cols += [f"tput_{cid}" for cid in cell_ids]

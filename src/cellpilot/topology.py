@@ -120,6 +120,12 @@ class Topology:
     def n_cells(self) -> int:
         return len(self.cells)
 
+    @functools.cached_property
+    def fingerprint(self) -> str:
+        """sha256 over the canonical document; identifies topology content."""
+        blob = json.dumps(topology_doc(self), sort_keys=True, separators=(",", ":"))
+        return hashlib.sha256(blob.encode()).hexdigest()
+
     # Placement and mobility sums, computed on first use rather than at load.
     @functools.cached_property
     def street_segment_lengths(self) -> list[np.ndarray]:
@@ -364,13 +370,16 @@ def load_topology(path) -> Topology:
     - tx_power_dbm, [-300, 100]: 100 dBm (10 MW) is above any transmitter;
       -300 dBm, far below thermal noise, is a cell no UE hears.
     """
+    with open(path, "rb") as fh:
+        data = fh.read()
     try:
-        with open(path) as fh:
-            doc = json.load(fh)
+        doc = json.loads(data)
     except json.JSONDecodeError as exc:
         raise TopologyError(
             f"{path}: parse error at line {exc.lineno}, column {exc.colno}: {exc.msg}"
         ) from exc
+    except (ValueError, RecursionError) as exc:   # not UTF-8, an integer too long, deep nesting
+        raise TopologyError(f"{path}: parse error: {exc}") from exc
     return _topology_from_doc(doc, str(path))
 
 
@@ -493,13 +502,6 @@ def topology_doc(topo: Topology) -> dict:
         "buildings": [p.tolist() for p in topo.buildings],
         "streets": [p.tolist() for p in topo.streets],
     }
-
-
-def topology_fingerprint(topo: Topology) -> str:
-    """sha256 over the canonical document; identifies topology content."""
-    blob = json.dumps(topology_doc(topo), sort_keys=True,
-                      separators=(",", ":")).encode()
-    return hashlib.sha256(blob).hexdigest()
 
 
 def save_topology(topo: Topology, path) -> None:
@@ -827,12 +829,12 @@ GENERATOR_PRESETS = {
 }
 
 
-def generate_topology(preset: str | None = None, seed: int = 0, *,
+def generate_topology(preset: str, seed: int, *,
                       towers: int | None = None, cells: int | None = None,
                       area: tuple[float, float] | None = None,
                       buildings: int | None = None,
                       streets: tuple[int, int] | None = None) -> Topology:
-    """Deterministic synthetic scenario for a given (preset/flags, seed).
+    """Deterministic synthetic scenario for a given (preset, overrides, seed).
 
     Cells are assigned round-robin over (band, sector azimuth, tower)
     unless the preset pins per-tower band lists; the band plan fixes
@@ -840,16 +842,12 @@ def generate_topology(preset: str | None = None, seed: int = 0, *,
     built as a ``.topo`` document and read as :func:`load_topology` reads
     a file, so what ``gen-topology`` writes always loads.
     """
-    params = dict(GENERATOR_PRESETS.get(preset or "", {}))
-    if not params and preset is not None and preset not in GENERATOR_PRESETS:
+    if preset not in GENERATOR_PRESETS:
         raise TopologyError(f"unknown preset '{preset}'")
     overrides = dict(towers=towers, cells=cells, area=area,
                      buildings=buildings, streets=streets)
-    params.update((k, v) for k, v in overrides.items() if v is not None)
-    params.setdefault("bands", [0])
-    for key in ("towers", "cells", "area", "buildings", "streets"):
-        if key not in params:
-            raise TopologyError(f"generator: missing parameter '{key}'")
+    params = {**GENERATOR_PRESETS[preset],
+              **{k: v for k, v in overrides.items() if v is not None}}
     if params["towers"] < 1 or params["cells"] < 1:
         raise TopologyError("generator: towers and cells must be >= 1")
     for key, counts in (("buildings", [params["buildings"]]),

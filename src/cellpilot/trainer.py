@@ -36,6 +36,7 @@ ABLATION_VARIANTS = ("no_curriculum", "seeds_500", "mobility_eval",
                      "stress_test", "slow_updates", "synchronous_updates")
 
 EVAL_EPS = 1.0  # bit/s guard in gain ratios
+EVAL_LENGTH = 50.0  # s, the length of an evaluation episode unless one is given
 # UEs one lockstep batch of eval episodes may stack: per-UE state grows with
 # the batch, so larger populations run in batches of fewer seeds
 LOCKSTEP_UES = 1000
@@ -497,7 +498,7 @@ def _eval_rows(args) -> list[EvalRow]:
 
 
 def evaluate(net_or_params, cfg: TrainRunConfig, eval_seeds: list[int],
-             train_seeds: list[int], *, length: float = 50.0, cache=None,
+             train_seeds: list[int], *, length: float = EVAL_LENGTH, cache=None,
              jobs: int = 1) -> EvalReport:
     """Deterministic mean-action rollouts on unseen seeds; per-seed relative
     gains against the heuristic reference (`cfg.preset`), which runs (and is

@@ -33,7 +33,7 @@ from itertools import combinations
 import numpy as np
 
 from cellpilot.container import write_atomic
-from cellpilot.policy import N_PARAMS, effective_sigma, forward
+from cellpilot.policy import effective_sigma, forward
 from cellpilot.reselect import (PARAM_ORDER, S_INTER, S_INTRA, T_RESEL,
                                 ReselectionParams, step_ues)
 
@@ -52,10 +52,12 @@ def _cell(c) -> int | None:
 
 def run_traces(rx_traces: np.ndarray, priorities: np.ndarray,
                frequencies: np.ndarray, params: ReselectionParams,
-               id_rank: np.ndarray | None = None
+               id_rank: np.ndarray
                ) -> list[list[tuple[int, str, int | None, int | None]]]:
     """Full idle-UE protocol for N UEs over a (T, N, C) rx trace, one
-    ``step_ues`` call per step; returns each UE's event list.
+    ``step_ues`` call per step with the cells' id ranks (``cell_id_rank``;
+    ``np.arange(C)`` when the ids sort in column order); returns each UE's
+    event list.
 
     Events are (step, kind, from, to) with kind in {select, outage, high,
     equal, low}: `select` when an out-of-service UE acquires a cell (this
@@ -79,7 +81,7 @@ def run_traces(rx_traces: np.ndarray, priorities: np.ndarray,
 
 def run_ue_trace(rx_trace: np.ndarray, priorities: np.ndarray,
                  frequencies: np.ndarray, params: ReselectionParams,
-                 id_rank: np.ndarray | None = None
+                 id_rank: np.ndarray
                  ) -> list[tuple[int, str, int | None, int | None]]:
     """:func:`run_traces` for one UE over a (T, C) rx trace."""
     rx_trace = np.asarray(rx_trace, dtype=float)
@@ -241,7 +243,7 @@ def reinforce_loss(net, records) -> float:
     total = 0.0
     for obs, action, r in records:
         (mu,), (sr,) = forward(net, np.asarray(obs, dtype=float)[None])
-        total -= float(r) * log_prob(mu, sr, np.asarray(action)[:N_PARAMS])
+        total -= float(r) * log_prob(mu, sr, action)
     return total
 
 

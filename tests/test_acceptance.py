@@ -26,6 +26,7 @@ from cellpilot.reselect import (
     CONFIG_B,
     PARAM_RANGES,
     ReselectionParams,
+    cell_id_rank,
 )
 from cellpilot.rlenv import (
     BASELINE_ARRAYS,
@@ -117,13 +118,15 @@ def _random_reselection_instance(rng, wide):
 
 def test_01_reselection_matches_oracle():
     rng = np.random.default_rng(20240501)
+    id_rng = np.random.default_rng(20240502)   # its own stream: the traces stay the same
     t0 = time.perf_counter()
     kinds: dict[str, int] = {}
     for trial in range(10_000):
         trace, prio, freq, params = _random_reselection_instance(
             rng, wide=trial % 2 == 0)
-        got = run_ue_trace(trace, prio, freq, params)
-        want = brute_force_oracle(trace, prio, freq, params)
+        ids = [f"C{v}" for v in id_rng.choice(np.arange(1, 40), len(prio), replace=False)]
+        got = run_ue_trace(trace, prio, freq, params, cell_id_rank(ids))
+        want = brute_force_oracle(trace, prio, freq, params, cell_ids=ids)
         assert got == want, f"trial {trial}: {got} != {want}"
         for _, kind, _, _ in got:
             kinds[kind] = kinds.get(kind, 0) + 1

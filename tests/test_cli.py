@@ -1,4 +1,6 @@
 import csv
+import dataclasses
+import inspect
 import io
 import json
 from importlib import resources
@@ -6,11 +8,12 @@ from importlib import resources
 import numpy as np
 import pytest
 
-from cellpilot.cli import main, write_manifest
+from cellpilot.cli import build_parser, main, parse_weights, write_manifest
 from cellpilot.policy import load_checkpoint
 from cellpilot.topology import load_topology
-from cellpilot.trainer import (SEED_STREAM_EVAL, TrainLogRow, TrainRunConfig,
-                               derive_seeds, write_training_log)
+from cellpilot.trainer import (SEED_STREAM_EVAL, CurriculumSchedule, TrainLogRow,
+                               TrainRunConfig, ablate, derive_seeds, evaluate,
+                               write_training_log)
 
 
 def test_version_and_missing_command():
@@ -246,6 +249,36 @@ def test_train_takes_no_jobs_flag(tmp_path, capsys):
     assert e.value.code == 2
     assert "--jobs" in capsys.readouterr().err
     assert not (tmp_path / "run").exists()
+
+
+TRAIN_SETTINGS = {"run_seed", "seed_count", "n_ues", "pri", "weights", "hidden", "lr",
+                  "episode_cap", "passes_per_round", "rounds", "initial_length",
+                  "increment", "lr_halving", "checkpoint_every"}
+EVAL_SETTINGS = {"preset", "run_seed", "eval_seed_count", "n_ues", "pri", "length",
+                 "mobility_eval", "jobs"}
+# flags that set no config field or function argument with a default
+CLI_ONLY = {"command", "func", "topology", "out", "cache", "resume", "checkpoint",
+            "params", "variant", "min_tput_gain", "min_bal_gain"}
+
+
+@pytest.mark.parametrize("command, required, settings", [
+    ("train", ["--out", "o"], TRAIN_SETTINGS),
+    ("ablate", ["--out", "o", "--variant", "stress_test"], TRAIN_SETTINGS | {"jobs"}),
+    ("eval", [], EVAL_SETTINGS),
+    ("compare", [], EVAL_SETTINGS),
+])
+def test_every_flag_defaults_to_the_setting_it_sets(command, required, settings):
+    """A flag parses into the name of the config field, or of the argument
+    of `evaluate` or `ablate`, that it sets, with that one's default."""
+    args = vars(build_parser().parse_args([command, "--topology", "desk", *required]))
+    field_defaults = {f.name: f.default for cls in (TrainRunConfig, CurriculumSchedule)
+                      for f in dataclasses.fields(cls)}
+    run = inspect.signature(ablate if command == "ablate" else evaluate).parameters
+    assert set(args) - CLI_ONLY == settings
+    for name in settings:
+        got = parse_weights(args[name]) if name == "weights" else args[name]
+        want = field_defaults[name] if name in field_defaults else run[name].default
+        assert type(got) is type(want) and got == want, name
 
 
 def test_report_training_log(tmp_path, capsys):

@@ -1,6 +1,9 @@
-"""Metamorphic relations of the episode loop: edits of a ``.topo`` document
-whose effect on every Trajectory column is known without a second
-implementation. Each edited document goes through ``load_topology``.
+"""Metamorphic relations of the episode loop: changes of its input whose
+effect is known without a second implementation (Chen et al., "Metamorphic
+Testing: A Review of Challenges and Opportunities", ACM CSUR 2018).
+
+Edits of a ``.topo`` document, each loaded through ``load_topology``, with
+a known effect on every Trajectory column:
 
 - Cell order: with the cells shuffled or reversed in the file, every
   per-cell column comes out permuted the same way and every count column
@@ -17,6 +20,15 @@ order (another column order, or one more exact zero that shifts the
 pairwise blocks), so it agrees only up to rounding: a sum of C
 nonnegative terms differs between two orders by at most (C - 1) eps of
 itself, and ``per_ue_mean_tput`` divides it once more (one more eps).
+
+More UEs, with a known effect on each UE's steps:
+
+- UE prefix: under a constant controller, the first n rows of the serving
+  cells, the IDLE mask and the event codes of every ``reselect.step_ues``
+  call are the same for n UEs and for n + k UEs. Each UE draws only from its
+  own stream, and no stage but the scheduler couples UEs. The larger run
+  also updates at another PRI, which a constant controller cannot feel, so
+  a stage that acts only at PRI boundaries shows as well.
 """
 
 import functools
@@ -27,6 +39,7 @@ from importlib import resources
 import numpy as np
 import pytest
 
+from cellpilot import reselect
 from cellpilot.reselect import CONFIG_A, CONFIG_B
 from cellpilot.simcore import EpisodeConfig, constant_controller, run_episode, run_episodes
 from cellpilot.topology import load_topology
@@ -114,3 +127,44 @@ def test_a_deaf_cell_serves_no_one(tmp_dir, name, preset, at):
         for col in PER_CELL:
             assert bits(getattr(got, col)[:, others]) == bits(getattr(want, col)), col
         assert_counts_equal_and_totals_close(got, want, n + 1)
+
+
+def reselection_rows(monkeypatch, cfg, seeds, preset):
+    """The serving cells (after the call), IDLE masks and event codes of
+    every ``reselect.step_ues`` call of a run of `cfg` at `seeds`, each as a
+    (steps, seeds, UEs) array."""
+    kernel, calls = reselect.step_ues, []
+
+    def recorded(serving, rx, may_reselect, *rest):
+        event = kernel(serving, rx, may_reselect, *rest)
+        calls.append((serving.copy(), may_reselect.copy(), event))
+        return event
+    monkeypatch.setattr(reselect, "step_ues", recorded)
+    run_episodes(cfg, seeds, constant_controller(PRESETS[preset]))
+    monkeypatch.setattr(reselect, "step_ues", kernel)
+    return [np.array(rows).reshape(len(calls), len(seeds), cfg.n_ues)
+            for rows in zip(*calls)]
+
+
+@pytest.mark.parametrize("seeds", [SEEDS[:1], SEEDS[1:], SEEDS],
+                         ids=["first-seed", "second-seed", "lockstep"])
+@pytest.mark.parametrize("preset", sorted(PRESETS))
+@pytest.mark.parametrize("name", sorted(POPULATIONS))
+def test_a_ues_steps_do_not_depend_on_the_ues_after_it(tmp_dir, monkeypatch, name,
+                                                       preset, seeds):
+    n = POPULATIONS[name]
+    path = tmp_dir / f"{name}.topo"
+    path.write_text(json.dumps(bundled_doc(name)))
+    # 90 s: many UEs use up the dwells drawn at init and refill from their stream
+    cfg = EpisodeConfig(load_topology(path), seeds[0], n_ues=n, length=90.0, pri=1,
+                        traffic=TrafficConfig(mobility_enabled=True),
+                        obstruction_enabled=True)
+    few = reselection_rows(monkeypatch, cfg, seeds, preset)
+    more = reselection_rows(monkeypatch, replace(cfg, n_ues=n + 10, pri=3), seeds, preset)
+    for col, a, b in zip(("serving", "idle", "event"), few, more):
+        assert bits(a) == bits(b[..., :n]), col
+    _, idle, event = few
+    # not vacuous: in every seed UEs change mode, and some lose, regain or
+    # change their cell after the first step
+    assert (idle[1:] != idle[:-1]).any(axis=(0, 2)).all()
+    assert (event[1:] >= 0).any(axis=(0, 2)).all()

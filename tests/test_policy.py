@@ -130,14 +130,13 @@ def test_sample_action_logp_consistency():
     net = init_policy(12, 8, seed=2)
     (mu,), (sr,) = forward(net, np.zeros((1, 12)))
     rng = np.random.default_rng(9)
-    raw = sample_action(mu, sr, rng)
-    assert raw.shape == (12,)
-    assert np.array_equal(raw[6:], sr)
+    action = sample_action(mu, sr, rng)
+    assert action.shape == (6,)
     # the draw is mu + sigma * a standard normal from the given generator
     eps = np.random.default_rng(9).standard_normal(6)
-    assert np.array_equal(raw[:6], mu + effective_sigma(sr) * eps)
+    assert np.array_equal(action, mu + effective_sigma(sr) * eps)
     # a displaced action is less likely than the mean
-    assert log_prob(mu, sr, mu) >= log_prob(mu, sr, raw[:6])
+    assert log_prob(mu, sr, mu) >= log_prob(mu, sr, action)
 
 
 def make_records(net, n, seed):
@@ -146,8 +145,7 @@ def make_records(net, n, seed):
     for _ in range(n):
         obs = rng.random(net.obs_dim)
         (mu,), (sr,) = forward(net, obs[None])
-        raw = sample_action(mu, sr, rng)
-        records.append((obs, raw, float(rng.normal())))
+        records.append((obs, sample_action(mu, sr, rng), float(rng.normal())))
     return records
 
 

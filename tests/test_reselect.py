@@ -74,7 +74,8 @@ def test_suitability_is_strict():
 
 def select1(rx, prio, params):
     """initial_select for one UE: a cell index, or None."""
-    sel = int(initial_select(np.asarray(rx, float)[None], np.asarray(prio), params)[0])
+    sel = int(initial_select(np.asarray(rx, float)[None], np.asarray(prio), params,
+                             np.arange(len(prio)))[0])
     return sel if sel >= 0 else None
 
 
@@ -83,7 +84,7 @@ def one_step(serving, rx, prio, freq, params):
     that hold, criterion name or None)."""
     new, holds, crit = step_reselection(
         np.array([serving]), np.asarray(rx, float)[None], np.asarray(prio),
-        np.asarray(freq, float), params)
+        np.asarray(freq, float), params, np.arange(len(prio)))
     return int(new[0]), holds[0], EVENT_NAMES[crit[0]] if crit[0] >= 0 else None
 
 
@@ -191,7 +192,7 @@ def test_trace_select_outage_reacquire():
         [-65.0, -55.0],   # step 3: reacquire on cell 1
         [-65.0, -55.0],
     ])
-    events = run_ue_trace(trace, prio, freq, p)
+    events = run_ue_trace(trace, prio, freq, p, np.arange(2))
     assert events == [(0, "select", None, 0),
                       (2, "outage", 0, None),
                       (3, "select", None, 1)]
@@ -202,7 +203,7 @@ def test_trace_event_kinds_and_shapes():
     prio = np.array([1, 2])
     freq = np.array([1e9, 2e9])
     trace = np.tile([-50.0, -55.0], (3, 1))
-    events = run_ue_trace(trace, prio, freq, p)
+    events = run_ue_trace(trace, prio, freq, p, np.arange(2))
     # initial selection is priority-first (cell 1 despite the weaker rx);
     # serving -55 < t_slow with s_lev 5 < S_INTER opens the low path down,
     # then the high criterion climbs straight back: a ping-pong
@@ -235,7 +236,7 @@ def test_fuzz_against_brute_force_oracle():
     total_events = 0
     for trial in range(300):
         trace, prio, freq, params = random_instance(rng)
-        got = run_ue_trace(trace, prio, freq, params)
+        got = run_ue_trace(trace, prio, freq, params, np.arange(len(prio)))
         want = brute_force_oracle(trace, prio, freq, params)
         assert got == want, f"trial {trial}: {got} != {want}"
         total_events += len(want)
@@ -248,7 +249,7 @@ def test_fuzz_covers_all_kinds():
     kinds = set()
     for _ in range(200):
         trace, prio, freq, params = random_instance(rng)
-        for ev in run_ue_trace(trace, prio, freq, params):
+        for ev in run_ue_trace(trace, prio, freq, params, np.arange(len(prio))):
             kinds.add(ev[1])
     assert kinds == {"select", "outage", "high", "equal", "low"}
 

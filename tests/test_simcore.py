@@ -62,13 +62,11 @@ DESCENT_PARAMS = ReselectionParams(t_xhigh=-56.0, t_xlow=-58.0, t_slow=-54.0,
 
 def test_config_validation():
     topo = two_layer_topo()
-    EpisodeConfig(topo, 0).validate()
-    with pytest.raises(ValueError):
-        EpisodeConfig(topo, 0, length=0.0).validate()
-    with pytest.raises(ValueError):
-        EpisodeConfig(topo, 0, pri=0).validate()
-    with pytest.raises(ValueError):
-        EpisodeConfig(topo, 0, n_ues=0).validate()
+    cfg = EpisodeConfig(topo, 0, n_ues=50, length=50.0)
+    cfg.validate()
+    for bad in (dict(length=0.0), dict(pri=0), dict(n_ues=0)):
+        with pytest.raises(ValueError):
+            replace(cfg, **bad).validate()
 
 
 def test_idle_only_reselection_and_event_counting():

@@ -4,12 +4,14 @@ import functools
 import json
 import math
 import re
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import cellpilot
+from cellpilot import topology as topology_module
 from cellpilot.cli import main
 from cellpilot.topology import (
     FIELDS,
@@ -25,13 +27,13 @@ from cellpilot.topology import (
     save_topology,
     street_points_at,
     topology_doc,
-    topology_fingerprint,
     validate_topology,
     wall_crossings_to_cells,
 )
 from cellpilot.topology import _REQUIRED, _street_wall_rows
 from cellpilot.reselect import CONFIG_B
-from cellpilot.simcore import EpisodeConfig, constant_controller, run_episode
+from cellpilot.simcore import (EpisodeConfig, constant_controller, reference_fingerprint,
+                               run_episode)
 from cellpilot.traffic import TrafficConfig
 
 from oracles import placement_point, polyline_point_at, wall_crossings
@@ -73,7 +75,7 @@ def test_save_load_fingerprint_stable(tmp_path):
     p = tmp_path / "d.topo"
     save_topology(topo, p)
     again = load_topology(p)
-    assert topology_fingerprint(again) == topology_fingerprint(topo)
+    assert again.fingerprint == topo.fingerprint
 
 
 def test_save_topology_is_atomic(tmp_path, monkeypatch, failing_write):
@@ -159,6 +161,11 @@ def _set(*path):
     return edit
 
 
+def _raw(edit):
+    """An edit of the file's bytes: `edit` maps minimal_doc()'s JSON to them."""
+    return lambda doc: edit(json.dumps(doc).encode())
+
+
 @pytest.mark.parametrize("edit, message", [
     (_set("streets", 0, 0, 0, math.inf),
      r"streets\[0\]\[0\]: x: expected a number in .*, got inf"),
@@ -185,15 +192,23 @@ def _set(*path):
     # an int too large for the Topology's arrays, refused before they are built
     (_set("cells", 0, "priority", 1e300),
      r"cells\[0\]: priority: expected an integer in \[0, 7\], got 1e\+300"),
+    # bytes that json cannot decode: not UTF-8, and an integer of 5000 digits
+    (_raw(lambda text: text.replace(b'"C1"', b'"C\xff"')),
+     r"t\.topo: parse error: 'utf-8' codec can't decode byte 0xff"),
+    (_raw(lambda text: text.replace(b'"priority": 3', b'"priority": 1' + b"0" * 4999)),
+     r"t\.topo: parse error: Exceeds the limit .* for integer string conversion"),
 ], ids=["street-infinity", "tx-power-nan", "building-flat", "building-ragged",
         "no-cells", "building-nan-vertex", "bounds-infinity", "tower-infinity",
         "frequency-infinity", "bandwidth-infinity", "tower-x-string", "priority-fraction",
-        "bounds-string", "no-placement-zone", "priority-huge"])
+        "bounds-string", "no-placement-zone", "priority-huge", "not-utf8",
+        "integer-5000-digits"])
 def test_malformed_topology_fails_early_naming_the_field(tmp_path, capsys, edit,
                                                           message):
     doc = minimal_doc()
-    edit(doc)
+    raw = edit(doc)
     path = write_doc(tmp_path, doc)   # json writes NaN and Infinity, and reads them
+    if raw is not None:
+        path.write_bytes(raw)
     with pytest.raises(TopologyError, match=message):
         load_topology(path)
     rc = main(["eval", "--topology", str(path), "--params", "config_a",
@@ -814,11 +829,28 @@ def test_sample_placement_on_streets_only_and_buildings_only():
 # --- generator --------------------------------------------------------------
 
 def test_generate_deterministic_per_seed():
-    f1 = topology_fingerprint(generate_topology("baseline", seed=5))
-    f2 = topology_fingerprint(generate_topology("baseline", seed=5))
-    f3 = topology_fingerprint(generate_topology("baseline", seed=6))
+    f1 = generate_topology("baseline", seed=5).fingerprint
+    f2 = generate_topology("baseline", seed=5).fingerprint
+    f3 = generate_topology("baseline", seed=6).fingerprint
     assert f1 == f2
     assert f1 != f3
+
+
+def test_a_topology_computes_its_fingerprint_once(monkeypatch):
+    topo = generate_topology("desk", seed=4)
+    docs = []
+    doc = topology_module.topology_doc
+    monkeypatch.setattr(topology_module, "topology_doc", lambda t: docs.append(t) or doc(t))
+    cfg = EpisodeConfig(topo, 0, n_ues=5, length=3.0)
+    refs = {reference_fingerprint(replace(cfg, episode_seed=s), CONFIG_B) for s in range(3)}
+    assert len(refs) == 3 and len(topo.fingerprint) == 64
+    assert docs == [topo]
+
+
+@pytest.mark.parametrize("preset", [None, "bogus"])
+def test_generate_refuses_a_preset_it_does_not_know(preset):
+    with pytest.raises(TopologyError, match=f"unknown preset '{preset}'"):
+        generate_topology(preset, seed=0)
 
 
 @pytest.mark.parametrize("preset", sorted(GENERATOR_PRESETS))
