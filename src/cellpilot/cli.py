@@ -99,7 +99,7 @@ def write_manifest(path: Path, command: str, payload: dict) -> None:
     doc = {"tool": "cellpilot", "version": __version__, "command": command}
     doc.update(payload)
     path.parent.mkdir(parents=True, exist_ok=True)
-    write_atomic(path, (json.dumps(doc, indent=2, sort_keys=True) + "\n").encode())
+    write_atomic(path, [(json.dumps(doc, indent=2, sort_keys=True) + "\n").encode()])
 
 
 # ---------------------------------------------------------------------------

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import os
 import struct
 
@@ -17,16 +18,20 @@ import numpy as np
 
 MAGIC = b"CLPTBIN\x00"
 FORMAT_VERSION = 1
+PREFIX_LEN = len(MAGIC) + 12   # magic, u32 version, u64 header length
+DIGEST_LEN = 32
+CHUNK = 1 << 20                # bytes read at a time where a whole file is streamed
 
 
 class ContainerError(Exception):
     """Corrupt, truncated, or version-incompatible container file."""
 
 
-def write_atomic(path, *chunks) -> None:
-    """Write the `chunks` (bytes-like, in order) to a temporary file beside
-    `path`, then rename it over `path`, so readers and concurrent writers see
-    the old file or the whole new one, never a torn write. If a write raises,
+def write_atomic(path, chunks) -> None:
+    """Write the `chunks` (an iterable of bytes-like objects, taken one at a
+    time and in order) to a temporary file beside `path`, then rename it
+    over `path`, so readers and concurrent writers see the old file or the
+    whole new one, never a torn write. If a write raises,
     the temporary file is removed and `path` is left as it was. This covers a
     process dying mid-write, not an OS crash: there is no fsync."""
     path = os.fspath(path)
@@ -82,38 +87,79 @@ def save_container(path, meta: dict, arrays: dict) -> None:
     digest = hashlib.sha256()
     for chunk in chunks:
         digest.update(chunk)
-    write_atomic(path, *chunks, digest.digest())
+    write_atomic(path, [*chunks, digest.digest()])
+
+
+def _empty_arrays(header: bytes, payload_len: int) -> tuple[dict, dict] | None:
+    """The meta of `header` and an empty array for each entry it lists, or
+    None unless every dtype is plain numeric, every name is new and the
+    arrays, in order, fill the `payload_len` bytes exactly (so their sizes
+    are bounded by the file's before any is allocated)."""
+    try:
+        doc = json.loads(header)
+        shapes = {}
+        offset = 0
+        for ent in doc["arrays"]:
+            dtype = np.dtype(ent["dtype"])
+            shape = tuple(ent["shape"])
+            if (dtype.kind not in "biufc" or dtype.byteorder == ">"
+                    or not all(type(d) is int and d >= 0 for d in shape)
+                    or ent["offset"] != offset
+                    or ent["nbytes"] != math.prod(shape) * dtype.itemsize):
+                return None
+            shapes[ent["name"]] = shape, dtype
+            offset += ent["nbytes"]
+        if offset != payload_len or len(shapes) != len(doc["arrays"]):
+            return None
+        return doc["meta"], {name: np.empty(*sd) for name, sd in shapes.items()}
+    except (ValueError, TypeError, KeyError):
+        return None
 
 
 def load_container(path) -> tuple[dict, dict]:
     """Read a container; returns (meta, {name: ndarray}).
 
-    The file is read once; each array is copied out of that one buffer.
-    Raises ContainerError on bad magic, version mismatch, or checksum
-    failure.
+    Each array is read straight from the file into its own buffer and
+    hashed as it is read; nothing is returned unless the SHA-256 matches.
+    Before any array is allocated the header must parse, name only plain
+    numeric dtypes and give sizes that fill the file exactly. Raises
+    ContainerError on a truncated file, bad magic, version mismatch or
+    checksum failure, and on a refused header: as a checksum failure
+    unless the digest, then taken over the rest of the file in chunks,
+    matches.
     """
     with open(path, "rb") as fh:
-        blob = fh.read()
-    if len(blob) < len(MAGIC) + 12 + 32:
-        raise ContainerError(f"{path}: truncated container")
-    if blob[: len(MAGIC)] != MAGIC:
-        raise ContainerError(f"{path}: bad magic, not a cellpilot container")
-    (version,) = struct.unpack_from("<I", blob, len(MAGIC))
-    if version != FORMAT_VERSION:
-        raise ContainerError(
-            f"{path}: container version {version}, expected {FORMAT_VERSION}"
-        )
-    body = memoryview(blob)[:-32]
-    if hashlib.sha256(body).digest() != blob[-32:]:
-        raise ContainerError(f"{path}: checksum mismatch, file corrupt")
-    (header_len,) = struct.unpack_from("<Q", blob, len(MAGIC) + 4)
-    header_start = len(MAGIC) + 12
-    header = json.loads(blob[header_start : header_start + header_len])
-    payload_start = header_start + header_len
-    arrays = {}
-    for ent in header["arrays"]:
-        dtype = np.dtype(ent["dtype"])
-        arrays[ent["name"]] = np.frombuffer(
-            body, dtype, ent["nbytes"] // dtype.itemsize, payload_start + ent["offset"]
-        ).reshape(ent["shape"]).copy()
-    return header["meta"], arrays
+        size = os.fstat(fh.fileno()).st_size
+        if size < PREFIX_LEN + DIGEST_LEN:
+            raise ContainerError(f"{path}: truncated container")
+        prefix = fh.read(PREFIX_LEN)
+        if prefix[: len(MAGIC)] != MAGIC:
+            raise ContainerError(f"{path}: bad magic, not a cellpilot container")
+        version, header_len = struct.unpack_from("<IQ", prefix, len(MAGIC))
+        if version != FORMAT_VERSION:
+            raise ContainerError(
+                f"{path}: container version {version}, expected {FORMAT_VERSION}"
+            )
+        digest = hashlib.sha256(prefix)
+        payload_len = size - PREFIX_LEN - DIGEST_LEN - header_len
+        parsed = None
+        if payload_len >= 0:
+            header = fh.read(header_len)
+            digest.update(header)
+            parsed = _empty_arrays(header, payload_len)
+        if parsed is None:
+            view = memoryview(bytearray(CHUNK))
+            while got := fh.readinto(view[: size - DIGEST_LEN - fh.tell()]):
+                digest.update(view[:got])
+        else:
+            meta, arrays = parsed
+            for arr in arrays.values():
+                raw = arr.reshape(-1).view(np.uint8)
+                if fh.readinto(raw) != arr.nbytes:
+                    raise ContainerError(f"{path}: truncated container")
+                digest.update(raw)
+        if digest.digest() != fh.read(DIGEST_LEN):
+            raise ContainerError(f"{path}: checksum mismatch, file corrupt")
+    if parsed is None:
+        raise ContainerError(f"{path}: malformed header")
+    return meta, arrays

@@ -223,8 +223,26 @@ def init_optimizer(net: PolicyNet, lr: float = 1e-4, weight_decay: float = 1e-4,
     return opt
 
 
+def _sum_squares(g: np.ndarray, buf: np.ndarray) -> float:
+    """``np.sum(g * g)`` of a flat float64 array, bit for bit, squaring at
+    most ADAM_BLOCK elements at a time into `buf`. numpy's pairwise sum
+    splits a run of n > 128 elements at n // 2 rounded down to a multiple of
+    8 and adds the two halves' sums; a run longer than a block is split
+    where numpy splits it, so each block is one of numpy's own runs."""
+    n = g.size
+    if n <= ADAM_BLOCK:
+        return float(np.sum(np.multiply(g, g, out=buf[:n])))
+    half = n // 2 - n // 2 % 8
+    return _sum_squares(g[:half], buf) + _sum_squares(g[half:], buf)
+
+
 def global_norm(grads: dict[str, np.ndarray]) -> float:
-    return float(math.sqrt(sum(float(np.sum(g * g)) for g in grads.values())))
+    """The l2 norm over all (C-contiguous, float64) gradients: the square
+    root of the sum, in dict order, of each one's ``np.sum(g * g)``, without
+    a gradient-sized temporary."""
+    buf = np.empty(ADAM_BLOCK)
+    return float(math.sqrt(sum(_sum_squares(g.reshape(-1), buf)
+                               for g in grads.values())))
 
 
 def apply_update(net: PolicyNet, opt: OptimizerState,

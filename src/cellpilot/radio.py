@@ -74,8 +74,9 @@ def received_power_matrix(ue_xy: np.ndarray, topo: Topology, *,
     UEs' street (-1 indoors) and arc length, let street UEs read them from
     the topology's street table (``topology.wall_crossings_to_cells``).
     With `obstruction_enabled` False the wall term is 0. Distances and
-    bearings are taken once per (UE, cell site) and path losses once per
-    (UE, site, frequency), then gathered to the cells.
+    bearings are taken once per (UE, cell site), path losses once per
+    (UE, site, frequency) and antenna gains once per (UE, site, azimuth,
+    beamwidth), then gathered to the cells.
     """
     ue_xy = np.asarray(ue_xy, dtype=float).reshape(-1, 2)
     n = len(ue_xy)
@@ -87,8 +88,9 @@ def received_power_matrix(ue_xy: np.ndarray, topo: Topology, *,
     # bearing from cell to UE, degrees clockwise from +y (compass convention)
     bearing = np.degrees(np.arctan2(dx, dy)) % 360.0
     loss = fspl_db(dist[:, band_site], band_freq[None, :])[:, band_of]
-    gain = antenna_gain_db(bearing[:, site_of], topo.cell_azimuth[None, :],
-                           topo.cell_beamwidth[None, :])
+    lobe_site, lobe_azimuth, lobe_beamwidth, lobe_of = topo._lobes
+    gain = antenna_gain_db(bearing[:, lobe_site], lobe_azimuth[None, :],
+                           lobe_beamwidth[None, :])[:, lobe_of]
     rx = topo.cell_tx_power[None, :] + gain - loss
     if obstruction_enabled and len(topo.buildings) > 0 and n > 0:
         walls = wall_crossings_to_cells(ue_xy, topo, street, arc)

@@ -315,4 +315,4 @@ def write_trajectory_csv(result: EpisodeResult, path, cell_ids: list[str]) -> No
         row += [_fmt(v) for v in tr.per_cell_avail_bw[i]]
         row += [str(int(v)) for v in tr.per_cell_active[i]]
         lines.append(",".join(row))
-    write_atomic(path, ("\n".join(lines) + "\n").encode())
+    write_atomic(path, [("\n".join(lines) + "\n").encode()])

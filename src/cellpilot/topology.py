@@ -168,14 +168,26 @@ class Topology:
         counts = np.array([len(b) for b in self.buildings], dtype=int)
         return np.cumsum(counts) - counts, counts
 
+    def _site_groups(self, *columns: np.ndarray) -> tuple[np.ndarray, ...]:
+        """Distinct (site, *columns) rows of the cells: the site (G,) and each
+        column's value (G,) of each group, then the group of each cell (C,)."""
+        _, site_of = self._cell_sites
+        groups, group_of = np.unique(np.column_stack([site_of, *columns]),
+                                     axis=0, return_inverse=True)
+        return (groups[:, 0].astype(int), *groups[:, 1:].T.copy(), group_of.ravel())
+
     @functools.cached_property
     def _site_bands(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Distinct (site, frequency) pairs of the cells: the site (P,) and
         frequency (P,) of each pair and the pair of each cell (C,)."""
-        _, site_of = self._cell_sites
-        pairs, pair_of = np.unique(np.column_stack([site_of, self.cell_frequency]),
-                                   axis=0, return_inverse=True)
-        return pairs[:, 0].astype(int), pairs[:, 1].copy(), pair_of.ravel()
+        return self._site_groups(self.cell_frequency)
+
+    @functools.cached_property
+    def _lobes(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """Distinct (site, azimuth, beamwidth) antenna lobes of the cells: the
+        site (L,), azimuth (L,) and beamwidth (L,) of each lobe and the lobe
+        of each cell (C,)."""
+        return self._site_groups(self.cell_azimuth, self.cell_beamwidth)
 
     @functools.cached_property
     def _wall_pad(self) -> float:
@@ -506,7 +518,7 @@ def topology_doc(topo: Topology) -> dict:
 
 def save_topology(topo: Topology, path) -> None:
     text = json.dumps(topology_doc(topo), indent=1, sort_keys=True) + "\n"
-    write_atomic(path, text.encode())
+    write_atomic(path, [text.encode()])
 
 
 # ---------------------------------------------------------------------------

@@ -14,13 +14,14 @@ from __future__ import annotations
 import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field, fields, replace
+from functools import partial
 from pathlib import Path
 
 import numpy as np
 
 from . import policy as pol
 from . import rlenv, simcore
-from .container import write_atomic
+from .container import CHUNK, write_atomic
 from .reselect import PRESETS, ReselectionParams
 from .rlenv import BaselineTable, compute_reward, interval_aggregates, map_action
 from .simcore import EpisodeConfig
@@ -121,7 +122,7 @@ class TrainRunConfig:
         if self.preset not in PRESETS:
             raise ValueError(f"preset must be one of {', '.join(sorted(PRESETS))}, "
                              f"got '{self.preset}'")
-        for name in ("pri", "n_ues", "hidden", "seed_count",
+        for name in ("pri", "n_ues", "hidden", "seed_count", "eval_seed_count",
                      "validation_seed_count", "checkpoint_every",
                      "baseline_window"):
             if getattr(self, name) < 1:
@@ -227,7 +228,7 @@ def write_training_log(rows: list[TrainLogRow], path, append: bool = False) -> N
         vals = [getattr(r, c) for c in LOG_COLUMNS]
         lines.append(",".join(
             str(v) if isinstance(v, int) else f"{v:.17g}" for v in vals))
-    write_atomic(path, (old or b"") + "".join(line + "\n" for line in lines).encode())
+    write_atomic(path, [old or b"", "".join(line + "\n" for line in lines).encode()])
 
 
 @dataclass
@@ -361,7 +362,8 @@ def train(cfg: TrainRunConfig, schedule: CurriculumSchedule,
         # the resumed best_score comes with the checkpoint that scored it
         old_best = Path(resume_from).parent / "ckpt_best.bin"
         if old_best.exists():
-            write_atomic(best_path, old_best.read_bytes())
+            with open(old_best, "rb") as src:
+                write_atomic(best_path, iter(partial(src.read, CHUNK), b""))
     last_good = str(resume_from) if resume_from else None
 
     def checkpoint(path, final: bool = False) -> None:
@@ -560,7 +562,7 @@ def write_eval_csv(report: EvalReport, path) -> None:
                     ("p75", report.p75)):
         lines.append(f"{name},{d['tput_gain']:.17g},{d['bal_gain']:.17g},"
                      f"{d['ue_gain']:.17g}")
-    write_atomic(path, ("\n".join(lines) + "\n").encode())
+    write_atomic(path, [("\n".join(lines) + "\n").encode()])
 
 
 # ---------------------------------------------------------------------------
@@ -621,4 +623,4 @@ def write_ablation_csv(result: AblationResult, path) -> None:
     for r in result.report.rows:
         lines.append(f"{r.seed},{r.tput_gain:.17g},{r.bal_gain:.17g},"
                      f"{r.ue_gain:.17g}")
-    write_atomic(path, ("\n".join(lines) + "\n").encode())
+    write_atomic(path, [("\n".join(lines) + "\n").encode()])

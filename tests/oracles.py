@@ -291,4 +291,4 @@ def write_updates_csv(result, path, rewards: list | None = None) -> None:
             row += [fmt(r.r_tput), fmt(r.r_bal), fmt(r.r_ue_eff),
                     fmt(r.r_total)]
         lines.append(",".join(row))
-    write_atomic(path, ("\n".join(lines) + "\n").encode())
+    write_atomic(path, [("\n".join(lines) + "\n").encode()])

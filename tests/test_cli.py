@@ -172,7 +172,10 @@ def test_train_manifest_copies_the_recorded_settings(tmp_path, monkeypatch):
 @pytest.mark.parametrize("argv, field", [
     (["train", "--checkpoint-every", "0"], "checkpoint_every"),
     (["train", "--seeds", "0"], "seed_count"),
-    (["eval", "--params", "config_b", "--seeds", "0"], "eval_seeds"),
+    (["eval", "--params", "config_b", "--seeds", "0"], "eval_seed_count"),
+    (["compare", "--params", "config_b", "--seeds", "0"], "eval_seed_count"),
+    # ablate's --seeds is the training seed count; it too is refused untrained
+    (["ablate", "--variant", "stress_test", "--seeds", "0"], "seed_count"),
     (["eval", "--params", "config_b", "--baseline", "bogus"], "preset"),
     (["eval", "--params", "config_b", "--ues", "0"], "n_ues"),
     (["train", "--hidden", "0"], "hidden"),
@@ -198,7 +201,8 @@ def test_train_manifest_copies_the_recorded_settings(tmp_path, monkeypatch):
     (["train", "--weights", "0.5,0.4,0.2"], "sum to 1"),
     (["ablate", "--variant", "synchronous_updates", "--weights", "0.5,0.4,0.2"],
      "sum to 1"),
-], ids=["checkpoint-every", "train-seeds", "eval-seeds", "eval-baseline",
+], ids=["checkpoint-every", "train-seeds", "eval-seeds", "compare-seeds",
+        "ablate-seeds", "eval-baseline",
         "eval-ues", "train-hidden", "eval-length", "train-initial-length",
         "eval-jobs", "compare-jobs", "ablate-jobs", "train-weights",
         "eval-length-inf", "eval-length-nan", "train-initial-length-inf",

@@ -1,12 +1,15 @@
 """Binary container round-trip and integrity checks."""
 
 import hashlib
+import json
+import struct
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from cellpilot.container import ContainerError, load_container, save_container
+from cellpilot.container import (CHUNK, DIGEST_LEN, PREFIX_LEN, ContainerError,
+                                  load_container, save_container)
 
 
 def test_roundtrip_meta_and_arrays(tmp_path):
@@ -143,5 +146,106 @@ def test_load_reads_the_file_once(tmp_path):
     save_container(path, {"v": 1}, {"big": big, "small": np.arange(7)})
     out = {}
     peak = traced_peak(lambda: out.update(load_container(path)[1]))
-    assert peak < 2.2 * path.stat().st_size, peak
+    assert peak < 1.1 * path.stat().st_size, peak
     assert np.array_equal(out["big"], big)
+
+
+def corrupt_copies(tmp_path):
+    """A small container's bytes and a writer of altered copies beside it."""
+    path = tmp_path / "ok.bin"
+    save_container(path, {"v": 1, "tag": "x"},
+                   {"a": np.arange(40.0), "b": np.arange(6).reshape(2, 3)})
+    blob = path.read_bytes()
+    bad = tmp_path / "bad.bin"
+
+    def write(data):
+        bad.write_bytes(bytes(data))
+        return bad
+    return blob, write
+
+
+def flipped(blob, i, mask=0xFF):
+    out = bytearray(blob)
+    out[i] ^= mask
+    return out
+
+
+def test_every_flipped_header_or_digest_byte_is_refused(tmp_path):
+    blob, write = corrupt_copies(tmp_path)
+    (header_len,) = struct.unpack_from("<Q", blob, PREFIX_LEN - 8)
+    # the header length, the JSON header itself and the stored digest; a
+    # low-bit flip mostly leaves a header that parses (a digit or a letter
+    # changed), a high-bit flip one that is not UTF-8
+    spots = [*range(PREFIX_LEN - 8, PREFIX_LEN + header_len),
+             *range(len(blob) - DIGEST_LEN, len(blob))]
+    for i in spots:
+        for mask in (0x01, 0xFF):
+            with pytest.raises(ContainerError, match="checksum mismatch, file corrupt"):
+                load_container(write(flipped(blob, i, mask)))
+
+
+def test_flipped_payload_bytes_are_refused(tmp_path):
+    blob, write = corrupt_copies(tmp_path)
+    (header_len,) = struct.unpack_from("<Q", blob, PREFIX_LEN - 8)
+    start = PREFIX_LEN + header_len
+    for i in (start, start + 7, start + 320, len(blob) - DIGEST_LEN - 1):
+        with pytest.raises(ContainerError, match="checksum mismatch, file corrupt"):
+            load_container(write(flipped(blob, i)))
+
+
+def test_flipped_magic_and_version_keep_their_messages(tmp_path):
+    blob, write = corrupt_copies(tmp_path)
+    with pytest.raises(ContainerError, match="bad magic"):
+        load_container(write(flipped(blob, 3)))
+    with pytest.raises(ContainerError, match="container version"):
+        load_container(write(flipped(blob, 8)))
+
+
+def test_truncation_at_any_offset_is_refused(tmp_path):
+    blob, write = corrupt_copies(tmp_path)
+    for keep in (0, 7, PREFIX_LEN, PREFIX_LEN + DIGEST_LEN - 1, PREFIX_LEN + 40,
+                 len(blob) // 2, len(blob) - 100, len(blob) - DIGEST_LEN,
+                 len(blob) - 1):
+        message = ("truncated container" if keep < PREFIX_LEN + DIGEST_LEN
+                   else "checksum mismatch, file corrupt")
+        with pytest.raises(ContainerError, match=message):
+            load_container(write(blob[:keep]))
+
+
+def rewritten(blob, edit):
+    """`blob` with its JSON header changed by `edit` and a valid digest."""
+    (header_len,) = struct.unpack_from("<Q", blob, PREFIX_LEN - 8)
+    doc = json.loads(blob[PREFIX_LEN:PREFIX_LEN + header_len])
+    edit(doc)
+    header = json.dumps(doc, sort_keys=True, separators=(",", ":")).encode()
+    body = (blob[:PREFIX_LEN - 8] + struct.pack("<Q", len(header)) + header
+            + blob[PREFIX_LEN + header_len:-DIGEST_LEN])
+    return body + hashlib.sha256(body).digest()
+
+
+def grow_first_array(doc):
+    ent = doc["arrays"][0]
+    ent["shape"] = [1 << 40]
+    ent["nbytes"] = 8 << 40
+
+
+def object_dtype(doc):
+    doc["arrays"][0]["dtype"] = "|O"
+
+
+@pytest.mark.parametrize("edit", [grow_first_array, object_dtype])
+@pytest.mark.parametrize("digest", ["valid", "stale"])
+def test_header_is_checked_before_any_array_is_allocated(tmp_path, edit, digest):
+    # an 8 TB claim in a 500-byte file, and an object dtype; with the digest
+    # recomputed the header is malformed, without it the file is corrupt
+    blob, write = corrupt_copies(tmp_path)
+    data = rewritten(blob, edit)
+    if digest == "stale":
+        data = data[:-DIGEST_LEN] + blob[-DIGEST_LEN:]
+    path = write(data)
+    message = "malformed header" if digest == "valid" else "checksum mismatch"
+
+    def load():
+        with pytest.raises(ContainerError, match=message):
+            load_container(path)
+    assert traced_peak(load) < CHUNK + 64 * 1024

@@ -1,10 +1,12 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from cellpilot.container import save_container
 from cellpilot.policy import (
+    ADAM_BLOCK,
     BLOCK_ROWS,
     PARAM_NAMES,
     SIGMA_CAP,
@@ -12,6 +14,7 @@ from cellpilot.policy import (
     PolicyError,
     PolicyNet,
     _rows_matmul,
+    _sum_squares,
     apply_update,
     effective_sigma,
     forward,
@@ -215,6 +218,48 @@ def test_clipping_equals_prescaled_gradients():
     apply_update(b, opt_b, scaled)
     for n in PARAM_NAMES:
         assert np.allclose(a.params()[n], b.params()[n], rtol=0, atol=1e-15), n
+
+
+# numpy's pairwise sum runs 8 accumulators up to 128 elements and splits
+# longer runs at n // 2 rounded down to a multiple of 8; these sizes sit on
+# and beside those edges, and beside one and two Adam blocks
+NORM_SIZES = [1, 7, 8, 9, 127, 128, 129, ADAM_BLOCK - 1, ADAM_BLOCK, ADAM_BLOCK + 1,
+              2 * ADAM_BLOCK - 8, 2 * ADAM_BLOCK + 8, 3 * 5 * 7 * 11 * 13 * 17,
+              1021 * 1031, 2 * ADAM_BLOCK + 7 * 131]
+RANDOM_NORM_SIZES = np.random.default_rng(21).integers(1, 2_000_001, 12).tolist()
+
+
+@pytest.mark.parametrize("n", NORM_SIZES + RANDOM_NORM_SIZES)
+def test_blocked_sum_of_squares_is_numpy_sum(n):
+    g = np.random.default_rng(n).normal(0.0, 1.0, n)
+    assert _sum_squares(g, np.empty(ADAM_BLOCK)) == float(np.sum(g * g))
+
+
+# the gradient shapes of the desk, baseline and large observation widths
+# (6, 15 and 48 cells at history 10) at hidden 8, 300 and 1024
+@pytest.mark.parametrize("hidden", [8, 300, 1024])
+@pytest.mark.parametrize("obs_dim", [170, 350, 1010])
+def test_global_norm_is_the_sum_of_numpy_sums(obs_dim, hidden):
+    rng = np.random.default_rng(obs_dim + hidden)
+    shapes = {"w1": (obs_dim, hidden), "b1": (hidden,), "w2": (hidden, hidden),
+              "b2": (hidden,), "w3": (hidden, 12), "b3": (12,)}
+    grads = {n: rng.normal(0.0, 1.0, s) for n, s in shapes.items()}
+    buf = np.empty(ADAM_BLOCK)
+    for g in grads.values():
+        assert _sum_squares(g.reshape(-1), buf) == float(np.sum(g * g))
+    assert global_norm(grads) == math.sqrt(sum(float(np.sum(g * g))
+                                               for g in grads.values()))
+
+
+def test_global_norm_holds_no_gradient_sized_temporary():
+    grads = {"w2": np.random.default_rng(4).normal(0.0, 1.0, (1024, 1024))}
+    tracemalloc.start()
+    try:
+        global_norm(grads)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * ADAM_BLOCK * 8, peak
 
 
 def test_optimizer_descends():

@@ -4,6 +4,7 @@ Reference values were computed independently at 30-digit precision from the
 closed-form definitions and are asserted here as frozen constants.
 """
 
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -23,7 +24,7 @@ from cellpilot.radio import (
     spectral_efficiency,
 )
 from cellpilot.topology import (Cell, Topology, Tower, generate_topology,
-                                load_topology, sample_placement)
+                                load_topology, sample_placement, street_points_at)
 
 from oracles import placement_point, wall_crossings
 
@@ -203,13 +204,32 @@ def one_cell_per_site_topo():
     return Topology(base.area_bounds, towers, cells, base.buildings, base.streets)
 
 
+def rx_test_topology(name):
+    if name == "one-cell-per-site":
+        return one_cell_per_site_topo()
+    if name == "generated":
+        return generate_topology("large", seed=17)
+    if name == "mixed-beamwidths":
+        # cells of one site and azimuth in lobes of three widths
+        large = load_topology(DATA / "large.topo")
+        cells = [replace(c, beamwidth=(60.0, 120.0, 359.0)[i % 5 % 3])
+                 for i, c in enumerate(large.cells)]
+        return Topology(large.area_bounds, large.towers, cells, large.buildings,
+                        large.streets)
+    return load_topology(DATA / f"{name}.topo")
+
+
+# `large` has 48 cells on 6 sites in 4 bands and 18 antenna lobes, `baseline`
+# 15 cells on 6 lobes and `desk` one cell per lobe; the last topology has one
+# cell per site, each in a band of its own at that site
+RX_TOPOLOGIES = ["desk", "baseline", "large", "generated", "mixed-beamwidths",
+                 "one-cell-per-site"]
+
+
 @pytest.mark.parametrize("obstruction", [True, False])
-@pytest.mark.parametrize("name", ["large", "one-cell-per-site"])
+@pytest.mark.parametrize("name", RX_TOPOLOGIES)
 def test_rx_per_site_matches_per_cell_terms(name, obstruction):
-    # `large` has 48 cells on 6 sites in 4 bands; the other topology has one
-    # cell per site, each in a band of its own at that site
-    topo = (load_topology(DATA / "large.topo") if name == "large"
-            else one_cell_per_site_topo())
+    topo = rx_test_topology(name)
     rng = np.random.default_rng(12)
     xmin, ymin, xmax, ymax = topo.area_bounds
     pts = np.vstack([rng.uniform((xmin, ymin), (xmax, ymax), (40, 2)),
@@ -217,6 +237,24 @@ def test_rx_per_site_matches_per_cell_terms(name, obstruction):
                      topo.cell_xy[:3], topo.cell_xy[:3] + (0.25, 0.0)])
     rx = received_power_matrix(pts, topo, obstruction_enabled=obstruction)
     assert rx.shape == (len(pts), topo.n_cells)
+    assert rx.tobytes() == per_cell_rx(pts, topo, obstruction).tobytes()
+
+
+@pytest.mark.parametrize("obstruction", [True, False])
+@pytest.mark.parametrize("name", RX_TOPOLOGIES)
+def test_rx_of_movers_matches_per_cell_terms(name, obstruction):
+    # street movers pass their street and arc, indoor ones street -1
+    topo = rx_test_topology(name)
+    rng = np.random.default_rng(13)
+    street = np.where(rng.random(60) < 0.75,
+                      rng.integers(0, len(topo.streets), 60), -1)
+    arc = rng.uniform(0.0, 1.0, 60) * topo.street_lengths[street]
+    xmin, ymin, xmax, ymax = topo.area_bounds
+    pts = rng.uniform((xmin, ymin), (xmax, ymax), (60, 2))
+    on = street >= 0
+    pts[on] = street_points_at(topo, street[on], arc[on])
+    rx = received_power_matrix(pts, topo, obstruction_enabled=obstruction,
+                               street=street, arc=arc)
     assert rx.tobytes() == per_cell_rx(pts, topo, obstruction).tobytes()
 
 

@@ -497,11 +497,19 @@ def test_resume_rejects_another_run_layout(three_seed_run, tmp_path, field,
 
 def test_config_rejects_counts_below_one():
     topo = tiny_topo()
-    for name in ("seed_count", "validation_seed_count", "checkpoint_every",
-                 "baseline_window", "pri", "n_ues", "hidden", "episode_cap"):
+    for name in ("seed_count", "eval_seed_count", "validation_seed_count",
+                 "checkpoint_every", "baseline_window", "pri", "n_ues", "hidden",
+                 "episode_cap"):
         with pytest.raises(ValueError, match=f"{name} must be >= 1"):
             tiny_cfg(topo, **{name: 0}).validate()
     tiny_cfg(topo, episode_cap=None).validate()
+
+
+def test_ablate_refuses_no_eval_seeds_before_it_trains(tmp_path):
+    with pytest.raises(ValueError, match="eval_seed_count must be >= 1"):
+        trainer.ablate(tiny_cfg(tiny_topo(), eval_seed_count=0), TINY_SCHED,
+                       "stress_test", tmp_path / "run", cache=tmp_path / "cache")
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_evaluate_rejects_an_empty_seed_list(tmp_path):
