@@ -155,9 +155,9 @@ def cmd_train(args) -> int:
 def load_candidate(args):
     """--checkpoint path or --params preset name -> policy net or params."""
     if getattr(args, "checkpoint", None):
-        ck = pol.load_checkpoint(args.checkpoint)
-        train_seeds = ck.meta.get("loop", {}).get("train_seeds", [])
-        return ck.net, [int(s) for s in train_seeds]
+        net, extra = pol.load_net(args.checkpoint)
+        train_seeds = extra.get("loop", {}).get("train_seeds", [])
+        return net, [int(s) for s in train_seeds]
     name = getattr(args, "params", None)
     if name is None:
         raise CliError("provide --checkpoint or --params")

@@ -90,14 +90,15 @@ def save_container(path, meta: dict, arrays: dict) -> None:
     write_atomic(path, [*chunks, digest.digest()])
 
 
-def _empty_arrays(header: bytes, payload_len: int) -> tuple[dict, dict] | None:
-    """The meta of `header` and an empty array for each entry it lists, or
-    None unless every dtype is plain numeric, every name is new and the
-    arrays, in order, fill the `payload_len` bytes exactly (so their sizes
-    are bounded by the file's before any is allocated)."""
+def _layout(header: bytes, payload_len: int) -> tuple[dict, list] | None:
+    """The meta of `header` and the (name, shape, dtype) of each array it
+    lists, in file order, or None unless every dtype is plain numeric, every
+    name is new and the arrays, in order, fill the `payload_len` bytes
+    exactly (so their sizes are bounded by the file's before any is
+    allocated)."""
     try:
         doc = json.loads(header)
-        shapes = {}
+        entries = []
         offset = 0
         for ent in doc["arrays"]:
             dtype = np.dtype(ent["dtype"])
@@ -107,26 +108,38 @@ def _empty_arrays(header: bytes, payload_len: int) -> tuple[dict, dict] | None:
                     or ent["offset"] != offset
                     or ent["nbytes"] != math.prod(shape) * dtype.itemsize):
                 return None
-            shapes[ent["name"]] = shape, dtype
+            entries.append((ent["name"], shape, dtype))
             offset += ent["nbytes"]
-        if offset != payload_len or len(shapes) != len(doc["arrays"]):
+        if offset != payload_len or len({e[0] for e in entries}) != len(entries):
             return None
-        return doc["meta"], {name: np.empty(*sd) for name, sd in shapes.items()}
+        return doc["meta"], entries
     except (ValueError, TypeError, KeyError):
         return None
 
 
-def load_container(path) -> tuple[dict, dict]:
-    """Read a container; returns (meta, {name: ndarray}).
+def _hash_through(fh, digest, nbytes: int, buf: memoryview) -> int:
+    """Feed the next `nbytes` of `fh` to `digest` through `buf`; returns the
+    count read, fewer than `nbytes` only at the end of the file."""
+    done = 0
+    while done < nbytes and (got := fh.readinto(buf[: min(len(buf), nbytes - done)])):
+        digest.update(buf[:got])
+        done += got
+    return done
 
-    Each array is read straight from the file into its own buffer and
-    hashed as it is read; nothing is returned unless the SHA-256 matches.
-    Before any array is allocated the header must parse, name only plain
-    numeric dtypes and give sizes that fill the file exactly. Raises
-    ContainerError on a truncated file, bad magic, version mismatch or
-    checksum failure, and on a refused header: as a checksum failure
-    unless the digest, then taken over the rest of the file in chunks,
-    matches.
+
+def load_container(path, names=None) -> tuple[dict, dict]:
+    """Read a container; returns (meta, {name: ndarray}), with only the
+    arrays listed in `names` when it is given.
+
+    Each returned array is read straight from the file into its own buffer
+    and hashed as it is read; every other array is hashed through one
+    CHUNK-byte buffer and never allocated. Nothing is returned unless the
+    SHA-256 over the whole file matches. Before any array is allocated the
+    header must parse, name only plain numeric dtypes and give sizes that
+    fill the file exactly. Raises ContainerError on a truncated file, bad
+    magic, version mismatch or checksum failure, and on a refused header:
+    as a checksum failure unless the digest, then taken over the rest of
+    the file in chunks, matches.
     """
     with open(path, "rb") as fh:
         size = os.fstat(fh.fileno()).st_size
@@ -146,18 +159,27 @@ def load_container(path) -> tuple[dict, dict]:
         if payload_len >= 0:
             header = fh.read(header_len)
             digest.update(header)
-            parsed = _empty_arrays(header, payload_len)
+            parsed = _layout(header, payload_len)
+        buf = None
         if parsed is None:
-            view = memoryview(bytearray(CHUNK))
-            while got := fh.readinto(view[: size - DIGEST_LEN - fh.tell()]):
-                digest.update(view[:got])
+            buf = memoryview(bytearray(CHUNK))
+            _hash_through(fh, digest, size - DIGEST_LEN - fh.tell(), buf)
         else:
-            meta, arrays = parsed
-            for arr in arrays.values():
-                raw = arr.reshape(-1).view(np.uint8)
-                if fh.readinto(raw) != arr.nbytes:
+            meta, entries = parsed
+            arrays = {}
+            for name, shape, dtype in entries:
+                nbytes = math.prod(shape) * dtype.itemsize
+                if names is None or name in names:
+                    arr = arrays[name] = np.empty(shape, dtype)
+                    raw = arr.reshape(-1).view(np.uint8)
+                    got = fh.readinto(raw)
+                    digest.update(raw)
+                else:
+                    if buf is None:
+                        buf = memoryview(bytearray(CHUNK))
+                    got = _hash_through(fh, digest, nbytes, buf)
+                if got != nbytes:
                     raise ContainerError(f"{path}: truncated container")
-                digest.update(raw)
         if digest.digest() != fh.read(DIGEST_LEN):
             raise ContainerError(f"{path}: checksum mismatch, file corrupt")
     if parsed is None:

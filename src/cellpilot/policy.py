@@ -349,15 +349,34 @@ def save_checkpoint(path, net: PolicyNet, opt: OptimizerState,
     save_container(path, meta, arrays)
 
 
-def load_checkpoint(path) -> Checkpoint:
-    meta, arrays = load_container(path)
+def _read_checkpoint(path, names=None) -> tuple[dict, dict]:
+    """A checkpoint's meta and arrays (those in `names` when given), after
+    the container's checks and the kind and version checks."""
+    meta, arrays = load_container(path, names)
     if meta.get("kind") != CHECKPOINT_KIND:
         raise PolicyError(f"{path}: not a checkpoint file")
     if meta.get("version") != CHECKPOINT_VERSION:
         raise PolicyError(
             f"{path}: checkpoint version {meta.get('version')} unsupported "
             f"(expected {CHECKPOINT_VERSION})")
-    net = PolicyNet(**{n: arrays[f"net_{n}"] for n in PARAM_NAMES})
+    return meta, arrays
+
+
+def _net_of(arrays: dict) -> PolicyNet:
+    return PolicyNet(**{n: arrays[f"net_{n}"] for n in PARAM_NAMES})
+
+
+def load_net(path) -> tuple[PolicyNet, dict]:
+    """A checkpoint's net and its `extra` document, for evaluation: the
+    optimizer and baseline arrays are verified by the file's digest but
+    never held."""
+    meta, arrays = _read_checkpoint(path, [f"net_{n}" for n in PARAM_NAMES])
+    return _net_of(arrays), meta["extra"]
+
+
+def load_checkpoint(path) -> Checkpoint:
+    meta, arrays = _read_checkpoint(path)
+    net = _net_of(arrays)
     o = meta["opt"]
     opt = OptimizerState(lr=o["lr"], beta1=o["beta1"], beta2=o["beta2"],
                          eps=o["eps"], weight_decay=o["weight_decay"],

@@ -23,7 +23,7 @@ import hashlib
 import json
 import math
 import os
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -222,6 +222,16 @@ def constant_controller(params: ReselectionParams):
     return lambda obs, interval: [params] * len(obs)
 
 
+def one_interval(cfg: EpisodeConfig) -> EpisodeConfig:
+    """`cfg` (validated) with one PRI spanning the whole episode. A constant
+    controller's trajectory does not read PRI, which is why the reference
+    fingerprint leaves it out, so a run whose update records nobody reads
+    can take this config: one observation, one controller call and one
+    clamp per episode, not one per PRI boundary."""
+    cfg.validate()
+    return replace(cfg, pri=step_count(cfg.length))
+
+
 # ---------------------------------------------------------------------------
 # Heuristic reference cache
 # ---------------------------------------------------------------------------
@@ -261,8 +271,10 @@ def reference_fingerprint(cfg: EpisodeConfig, params: ReselectionParams) -> str:
 def run_heuristic_reference(cfg: EpisodeConfig, params: ReselectionParams,
                             cache: str | os.PathLike | None = None) -> Trajectory:
     """Constant-parameter episode trajectory, cached on disk by fingerprint.
-    A cache hit and a fill return the same `Trajectory`; no update records
-    are kept, as the parameters never change.
+    A cache hit and a fill return the same `Trajectory`. A fill runs as one
+    control interval (`one_interval`): its single observation, controller
+    call and clamp give the trajectory that per-step control gives, and no
+    update records are kept, as the parameters never change.
 
     Its prefix does not depend on the configured length (per-UE streams are
     consumed identically), so callers cache one run at the longest length
@@ -277,7 +289,7 @@ def run_heuristic_reference(cfg: EpisodeConfig, params: ReselectionParams,
             return Trajectory(**arrays)
         except Exception as exc:
             raise SimError(f"corrupt reference cache {path}: {exc}") from exc
-    traj = run_episode(cfg, constant_controller(params)).steps
+    traj = run_episode(one_interval(cfg), constant_controller(params)).steps
     try:
         cdir.mkdir(parents=True, exist_ok=True)
         # "preset" is always empty; it stays so fills keep their bytes

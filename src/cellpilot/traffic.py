@@ -3,15 +3,16 @@ street-constrained mobility.
 
 Every UE owns an independent RNG stream, exactly the one numpy's
 SeedSequence([episode_seed, ue_index]) seeds, so populations are
-reproducible and invariant to iteration order. The seed words of all of an
-episode's UEs come from one array pass of SeedSequence's hash, not from
-one SeedSequence object per UE. The per-UE draw order at init is fixed:
-placement, speed, travel direction, initial mode, then one block of
-1 + DWELL_BUFFER standard exponentials, the first dwell and a full buffer of
-later ones. A UE hands out its later dwells from that buffer and refills it
-from its stream when it runs out: a block draw continues the stream exactly
-as single draws would, and ``scale * standard_exponential`` is what
-``exponential(scale)`` computes, so the dwells are unchanged.
+reproducible and invariant to iteration order. The seed words of all UEs
+of a batch of episodes come from one array pass of SeedSequence's hash per
+seed word count, not from one SeedSequence object per UE. The per-UE draw
+order at init is fixed: placement, speed, travel direction, initial mode,
+then one block of 1 + DWELL_BUFFER standard exponentials, the first dwell
+and a full buffer of later ones. A UE hands out its later dwells from that
+buffer and refills it from its stream when it runs out: a block draw
+continues the stream exactly as single draws would, and
+``scale * standard_exponential`` is what ``exponential(scale)`` computes,
+so the dwells are unchanged.
 """
 
 from __future__ import annotations
@@ -107,23 +108,42 @@ def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return v ^ (v >> 16)
 
 
-def _seed_words(episode_seed: int, n: int) -> np.ndarray:
-    """(n, 4) uint64 whose row i equals
-    SeedSequence([episode_seed, i]).generate_state(4, np.uint64), the words
-    PCG64 seeds from, for all i in one pass. The uint32 arithmetic runs in
-    uint64 arrays masked to 32 bits, one row per pool word; the pool words a
-    step updates depend only on words it leaves alone, so each is one op."""
-    seed = operator.index(episode_seed)
-    if seed < 0:
-        raise ValueError(f"episode_seed must be >= 0, got {seed}")
-    # entropy words as SeedSequence lays them out: the seed's 32-bit words,
-    # low first (one word for 0), then i's (a single word, as n < 2**32),
-    # then zeros up to the pool size
-    words = [seed >> b & _MASK32 for b in range(0, max(seed.bit_length(), 1), 32)]
-    entropy = np.zeros((max(len(words) + 1, _POOL), n), dtype=np.uint64)
-    entropy[:len(words)] = np.array(words, dtype=np.uint64)[:, None]
-    entropy[len(words)] = np.arange(n)
-    extra = entropy[_POOL:len(words) + 1]
+def _seed_words(seeds: list[int], n: int) -> np.ndarray:
+    """(len(seeds) * n, 4) uint64 whose row j * n + i equals
+    SeedSequence([seeds[j], i]).generate_state(4, np.uint64), the words PCG64
+    seeds from, for all rows in one hash pass per 32-bit word count among
+    the seeds. The uint32 arithmetic runs in uint64 arrays masked to 32
+    bits, one row per pool word and one column per (seed, i); the pool
+    words a step updates depend only on words it leaves alone, so each is
+    one op."""
+    seeds = [operator.index(s) for s in seeds]
+    for seed in seeds:
+        if seed < 0:
+            raise ValueError(f"episode_seed must be >= 0, got {seed}")
+    # rows contiguous, as PCG64 reads them from memory
+    out = np.empty((len(seeds), n, 4), dtype=np.uint64)
+    groups: dict[int, list[int]] = {}
+    for j, seed in enumerate(seeds):
+        groups.setdefault(len(range(0, max(seed.bit_length(), 1), 32)), []).append(j)
+    for n_words, members in groups.items():
+        # entropy words as SeedSequence lays them out: the seed's 32-bit
+        # words, low first (one word for 0), then i's (a single word, as
+        # n < 2**32), then zeros up to the pool size
+        words = np.array([[seeds[j] >> b & _MASK32 for b in range(0, 32 * n_words, 32)]
+                          for j in members], dtype=np.uint64)
+        entropy = np.zeros((max(n_words + 1, _POOL), len(members), n), dtype=np.uint64)
+        entropy[:n_words] = words.T[:, :, None]
+        entropy[n_words] = np.arange(n)
+        state = _seed_state(entropy.reshape(len(entropy), -1), n_words)
+        out[members] = state.reshape(len(members), n, 4)
+    return out.reshape(-1, 4)
+
+
+def _seed_state(entropy: np.ndarray, n_words: int) -> np.ndarray:
+    """SeedSequence's hash of each column of `entropy` (rows: the entropy
+    words, `n_words` of the seed then i's, zero-padded to the pool size) to
+    its 4 uint64 state words, one row per column."""
+    extra = entropy[_POOL:n_words + 1]
     xor, mul = _hash_consts(_INIT_A, _MULT_A, _POOL * _POOL + _POOL * len(extra))
     pool = _hash(entropy[:_POOL], xor[:_POOL], mul[:_POOL])
     k = _POOL
@@ -136,8 +156,8 @@ def _seed_words(episode_seed: int, n: int) -> np.ndarray:
         k += _POOL
     xor, mul = _hash_consts(_INIT_B, _MULT_B, 8)
     state = _hash(np.concatenate([pool, pool]), xor, mul)   # the pool, cycled
-    # little-endian pairs; rows contiguous, as PCG64 reads them from memory
-    return np.ascontiguousarray((state[0::2] | (state[1::2] << 32)).T)
+    # little-endian pairs, one row per column
+    return (state[0::2] | (state[1::2] << 32)).T
 
 
 @ISeedSequence.register
@@ -162,7 +182,7 @@ def init_population(n: int, topo: Topology, seeds: list[int],
     if n <= 0:
         raise ValueError("population size must be > 0")
     cfg.validate()
-    words = np.concatenate([_seed_words(seed, n) for seed in seeds])
+    words = _seed_words(seeds, n)
     total = len(words)
     indoor_pos, street_index, arc_pos = [], [], []
     direction, speed_mps, mode, rngs = [], [], [], []

@@ -10,6 +10,8 @@ import importlib.resources
 import importlib.util
 from pathlib import Path
 
+import pytest
+
 from cellpilot import simcore
 from cellpilot.reselect import CONFIG_B
 from cellpilot.simcore import EpisodeConfig
@@ -26,11 +28,15 @@ def load_tracing():
     return module
 
 
-def test_traced_episode_records_the_simulator_layers():
-    tracing = load_tracing()
+def desk_topology():
     with importlib.resources.as_file(
             importlib.resources.files("cellpilot.data") / "desk.topo") as p:
-        topo = load_topology(p)
+        return load_topology(p)
+
+
+def test_traced_episode_records_the_simulator_layers():
+    tracing = load_tracing()
+    topo = desk_topology()
     cfg = EpisodeConfig(topo, 0, n_ues=6, length=8.0,
                         traffic=TrafficConfig(mobility_enabled=True),
                         obstruction_enabled=True)
@@ -41,3 +47,19 @@ def test_traced_episode_records_the_simulator_layers():
     # `reselect` spans both initial_select and step_reselection, each at
     # most once per step: more calls than steps means step_reselection ran
     assert tracer.calls["reselect"] > simcore.step_count(cfg.length)
+
+
+@pytest.mark.parametrize("pri", [1, 3])
+def test_traced_reference_fill_records_its_spans(tmp_path, pri):
+    # a fill runs as one control interval, but still through
+    # `simcore.run_episode` (a span baseline-eval must record) and with one
+    # observation; the cache write counts as the lookup's miss
+    tracing = load_tracing()
+    cfg = EpisodeConfig(desk_topology(), 0, n_ues=6, length=8.0, pri=pri)
+    with tracing.installed(tracing.Tracer()) as tracer:
+        simcore.run_heuristic_reference(cfg, CONFIG_B, tmp_path)
+    for span in ("simcore.reference", "simcore.run_episode",
+                 "rlenv.build_observation"):
+        assert tracer.calls[span] >= 1, span
+    assert tracer.calls["rlenv.build_observation"] == 1
+    assert tracer.counts["simcore.reference.misses"] == 1

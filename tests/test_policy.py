@@ -1,10 +1,13 @@
+import json
 import math
+import struct
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from cellpilot.container import save_container
+from cellpilot.container import (CHUNK, PREFIX_LEN, ContainerError,
+                                  save_container)
 from cellpilot.policy import (
     ADAM_BLOCK,
     BLOCK_ROWS,
@@ -22,6 +25,7 @@ from cellpilot.policy import (
     init_optimizer,
     init_policy,
     load_checkpoint,
+    load_net,
     logit,
     reinforce_backward,
     sample_action,
@@ -305,14 +309,58 @@ def test_checkpoint_round_trip(tmp_path):
 def test_checkpoint_rejects_foreign_files(tmp_path):
     p = tmp_path / "junk.bin"
     save_container(p, {"kind": "something-else", "extra": {}}, {"x": np.zeros(3)})
-    with pytest.raises(PolicyError, match="not a checkpoint"):
-        load_checkpoint(p)
+    for load in (load_checkpoint, load_net):
+        with pytest.raises(PolicyError, match="not a checkpoint"):
+            load(p)
     net = init_policy(10, 8, seed=0)
     opt = init_optimizer(net)
     good = tmp_path / "good.ckpt"
     save_checkpoint(good, net, opt, BaselineTable(), None, {})
     meta_ok = load_checkpoint(good)
     assert meta_ok.rng_state is None
+
+
+def trained_checkpoint(path, obs_dim, hidden):
+    net = init_policy(obs_dim, hidden, seed=2)
+    opt = init_optimizer(net)
+    apply_update(net, opt, reinforce_backward(net, make_records(net, 2, 3)))
+    save_checkpoint(path, net, opt, BaselineTable(), None, {"loop": {"train_seeds": [4]}})
+    return net
+
+
+def test_load_net_holds_the_net_and_no_optimizer_array(tmp_path):
+    # the Adam moments, two thirds of the payload, are hashed through one
+    # CHUNK buffer and never allocated
+    path = tmp_path / "h256.ckpt"
+    net = trained_checkpoint(path, 400, 256)
+    net_bytes = sum(p.nbytes for p in net.params().values())
+    out = []
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        out.append(load_net(path))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert path.stat().st_size > 2.5 * net_bytes
+    assert peak < net_bytes + 1.1 * CHUNK, (peak, net_bytes)
+    got, extra = out[0]
+    assert extra == {"loop": {"train_seeds": [4]}}
+    for n in PARAM_NAMES:
+        assert got.params()[n].tobytes() == net.params()[n].tobytes(), n
+
+
+def test_load_net_refuses_a_flipped_optimizer_byte(tmp_path):
+    path = tmp_path / "net.ckpt"
+    trained_checkpoint(path, 14, 8)
+    blob = bytearray(path.read_bytes())
+    (header_len,) = struct.unpack_from("<Q", blob, PREFIX_LEN - 8)
+    entries = json.loads(blob[PREFIX_LEN:PREFIX_LEN + header_len])["arrays"]
+    [ent] = [e for e in entries if e["name"] == "opt_v_w2"]
+    blob[PREFIX_LEN + header_len + ent["offset"] + ent["nbytes"] // 2] ^= 0xFF
+    path.write_bytes(blob)
+    with pytest.raises(ContainerError, match="checksum mismatch"):
+        load_net(path)
 
 
 # the 12x16 net fits in one 16 K-element Adam block; in the 100x200 net w1

@@ -1,5 +1,6 @@
 import hashlib
 import importlib.resources
+import itertools
 import multiprocessing
 import types
 from dataclasses import replace
@@ -8,7 +9,7 @@ import numpy as np
 import pytest
 
 from cellpilot import radio, simcore
-from cellpilot.container import load_container
+from cellpilot.container import load_container, save_container
 from cellpilot.policy import BLOCK_ROWS, init_policy
 from cellpilot.reselect import CONFIG_A, CONFIG_B, ReselectionParams
 from cellpilot.rlenv import observation_dim
@@ -322,6 +323,28 @@ def test_an_int_length_shares_the_float_lengths_cache_entry(tmp_path):
     again = run_heuristic_reference(replace(cfg, length=6.0), CONFIG_B, cache=tmp_path)
     assert list(tmp_path.iterdir()) == [path]
     assert arrays_bytes(again) == arrays_bytes(first)
+
+
+@pytest.mark.parametrize("name", ["desk", "baseline", "large"])
+def test_a_reference_fill_writes_the_file_of_per_step_control(tmp_path, name):
+    # a fill runs as one control interval whatever the configured pri; its
+    # file is the one a run at pri 1, with a controller call every step,
+    # gives under the same meta
+    topo = bundled_topology(name)
+    for mobility, obstruction in itertools.product((False, True), repeat=2):
+        cfg = EpisodeConfig(topo, 11, n_ues=20, length=9.0, pri=1,
+                            traffic=TrafficConfig(mobility_enabled=mobility),
+                            obstruction_enabled=obstruction)
+        steps = run_episode(cfg, constant_controller(CONFIG_A)).steps
+        fp = reference_fingerprint(cfg, CONFIG_A)
+        want = tmp_path / f"want_{mobility}_{obstruction}.bin"
+        save_container(want, {"fingerprint": fp, "n_ues": 20, "preset": "",
+                              "length": 9.0}, vars(steps))
+        for pri in (1, 3):
+            cache = tmp_path / f"cache_{mobility}_{obstruction}_{pri}"
+            traj = run_heuristic_reference(replace(cfg, pri=pri), CONFIG_A, cache)
+            assert (cache / f"ref_{fp}.bin").read_bytes() == want.read_bytes()
+            assert arrays_bytes(traj) == arrays_bytes(steps)
 
 
 def _fill_cfg():

@@ -159,10 +159,20 @@ def test_init_population_matches_the_element_loop(topo_name):
     int, np.random.default_rng(33).integers(0, 2**63, 4))])
 def test_seed_words_are_seed_sequence_state(seed):
     # 2**128 has five 32-bit words, more than SeedSequence's pool of four,
-    # so it also runs the hash's extra mixing loop
+    # so it also runs the hash's extra mixing loop. The seed runs alone and
+    # in a batch that mixes seeds of one, two and five words, which hashes
+    # each word count in its own pass and puts the rows back in seed order
     n = 4000
-    words = _seed_words(seed, n)
+    words = _seed_words([seed], n)
     assert (words.dtype, words.shape) == (np.uint64, (n, 4))
+    batch = [0, 2**32, seed, 2**128, 2**32 - 1]
+    mixed = _seed_words(batch, n)
+    assert mixed.shape == (len(batch) * n, 4) and mixed.flags.c_contiguous
+    for j, s in enumerate(batch):
+        for i in [0, 1, 2345, n - 1]:
+            want = np.random.SeedSequence([s, i]).generate_state(4, np.uint64)
+            assert mixed[j * n + i].tobytes() == want.tobytes(), (s, i)
+    assert mixed[2 * n:3 * n].tobytes() == words.tobytes()
     for i in [*range(0, n, 37), n - 1]:
         ss = np.random.SeedSequence([seed, i])
         assert words[i].tobytes() == ss.generate_state(4, np.uint64).tobytes(), i

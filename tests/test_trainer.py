@@ -230,6 +230,30 @@ def test_evaluate_takes_the_reference_preset_from_the_config(tmp_path):
                for r in other.rows)
 
 
+def test_constant_parameter_eval_rows_equal_per_step_control(tmp_path, monkeypatch):
+    # evaluate(ReselectionParams) runs the agent episodes, like the reference
+    # fills, as one control interval; the rows are those of a run whose
+    # controller is called at every step
+    cfg = tiny_cfg(load_topology(DATA / "desk.topo"), n_ues=20, mobility_eval=True)
+    seeds = [100, 101, 102]
+    observations = []
+    build = simcore.build_observation
+
+    def counted(*args):
+        observations.append(args[1])
+        return build(*args)
+
+    monkeypatch.setattr(simcore, "build_observation", counted)
+    one = evaluate(CONFIG_A, cfg, seeds, [1], length=10.0, cache=tmp_path)
+    assert observations == [0] * (len(seeds) + 1)   # three fills, one batch
+    observations.clear()
+    monkeypatch.setattr(simcore, "one_interval", lambda ep: ep)
+    per_step = evaluate(CONFIG_A, cfg, seeds, [1], length=10.0, cache=tmp_path)
+    assert observations == list(range(10))   # the references are hits now
+    assert per_step.rows == one.rows
+    assert any(r.tput_gain != 0.0 for r in one.rows)
+
+
 def test_evaluate_shards_give_the_same_rows(tmp_path):
     # jobs=k runs k lockstep shards of contiguous seeds in worker processes;
     # the rows and their order do not depend on k
