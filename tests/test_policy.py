@@ -334,17 +334,15 @@ def test_load_net_holds_the_net_and_no_optimizer_array(tmp_path):
     path = tmp_path / "h256.ckpt"
     net = trained_checkpoint(path, 400, 256)
     net_bytes = sum(p.nbytes for p in net.params().values())
-    out = []
     tracemalloc.start()
     try:
         tracemalloc.reset_peak()
-        out.append(load_net(path))
+        got, extra = load_net(path)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert path.stat().st_size > 2.5 * net_bytes
     assert peak < net_bytes + 1.1 * CHUNK, (peak, net_bytes)
-    got, extra = out[0]
     assert extra == {"loop": {"train_seeds": [4]}}
     for n in PARAM_NAMES:
         assert got.params()[n].tobytes() == net.params()[n].tobytes(), n
