@@ -177,8 +177,9 @@ def step_reselection(serving: np.ndarray, rx: np.ndarray,
     fired[:, EQUAL] = ((priorities == pr_s) & suitable
                        & (rx_off > rx_s + params.q_hyst))
     fired[rows, EQUAL, serving] = False
-    same_freq = frequencies == frequencies[serving][:, None]
-    measured = np.where(same_freq, s_lev < S_INTRA, s_lev < S_INTER)
+    # S_INTRA on the serving frequency, S_INTER off it (S_INTRA < S_INTER)
+    measured = (((frequencies != frequencies[serving][:, None]) | (s_lev < S_INTRA))
+                & (s_lev < S_INTER))
     fired[:, LOW] = ((priorities < pr_s) & measured & (rx_s < params.t_slow)
                      & (rx > params.t_xlow) & suitable)
     # criterion order high > equal > low: the first criterion row that fired
@@ -187,10 +188,10 @@ def step_reselection(serving: np.ndarray, rx: np.ndarray,
     new = serving.copy()
     moving = np.flatnonzero(crit >= 0)
     if moving.size:
-        c = crit[moving][:, None]
-        cand = fired[moving, crit[moving]]
-        cand = np.where(c == HIGH, _top_priority(cand, priorities), cand)
-        metric = np.where(c == EQUAL, rx_off[moving], rx[moving])
+        c = crit[moving]
+        cand = fired[moving, c]
+        cand[c == HIGH] = _top_priority(cand[c == HIGH], priorities)
+        metric = np.where((c == EQUAL)[:, None], rx_off[moving], rx[moving])
         new[moving] = _pick(cand, metric, id_rank)
     return new, fired, crit
 
@@ -207,18 +208,21 @@ def step_ues(serving: np.ndarray, rx: np.ndarray, may_reselect: np.ndarray,
     the next step); the other camped rows where `may_reselect` holds run one
     reselection step. Returns the event code per row: SELECT, OUTAGE, the
     fired criterion, or -1.
+
+    Initial selection runs only on the out-of-service rows whose strongest
+    cell is suitable: rounding is monotone, so for finite rx some cell of a
+    row has `rx - q_rxlevmin > 0` exactly when the row's maximum has it.
     """
     event = np.full(len(serving), -1)
     camped = np.flatnonzero(serving >= 0)
     out = np.flatnonzero(serving < 0)
+    out = out[is_suitable(rx[out].max(axis=1, keepdims=True), _rows(params, out))[:, 0]]
     ok = is_suitable(rx, params)[camped, serving[camped]]
     lost = camped[~ok]
     staying = camped[ok & may_reselect[camped]]
-    if out.size:
-        sel = initial_select(rx[out], priorities, _rows(params, out), id_rank)
-        got = sel >= 0
-        serving[out[got]] = sel[got]
-        event[out[got]] = SELECT
+    if out.size:   # each of these rows has a suitable cell, so it selects one
+        serving[out] = initial_select(rx[out], priorities, _rows(params, out), id_rank)
+        event[out] = SELECT
     serving[lost] = -1
     event[lost] = OUTAGE
     if staying.size:

@@ -23,7 +23,7 @@ import hashlib
 import json
 import math
 import os
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -120,6 +120,19 @@ class EpisodeResult:
     updates: list[UpdateRecord]
 
 
+@dataclass(frozen=True)
+class ConstantController:
+    """Returns `params` for every seed whatever it sees, so `run_episodes`
+    runs it as one control interval: one observation, call and record."""
+    params: ReselectionParams
+
+    def __call__(self, obs, interval) -> list[ReselectionParams]:
+        return [self.params] * len(obs)
+
+
+constant_controller = ConstantController
+
+
 def run_episode(cfg: EpisodeConfig, controller) -> EpisodeResult:
     """Run one seeded episode; `controller(obs, interval)` is invoked at
     every PRI boundary with one observation row, (1, D), and returns a
@@ -136,7 +149,8 @@ def run_episodes(cfg: EpisodeConfig, seeds: list[int],
     `controller(obs, interval)` gets the observation rows of all seeds,
     (S, D), and returns S ReselectionParams, row i's for seed i. Each seed's
     result is exactly that of its run alone when the controller's row i does
-    not depend on the other rows."""
+    not depend on the other rows. A `ConstantController` is called only at
+    step 0, with the trajectory that a call at every boundary gives."""
     if len(seeds) == 0:
         raise ValueError("run_episodes needs at least one seed")
     cfg.validate()
@@ -155,6 +169,7 @@ def run_episodes(cfg: EpisodeConfig, seeds: list[int],
     traj = Trajectory.zeros(n_steps, n_cells, n_seeds)
     updates: list[list[UpdateRecord]] = [[] for _ in seeds]
     params: ReselectionParams | None = None
+    pri = n_steps if isinstance(controller, ConstantController) else cfg.pri
 
     for s in range(n_steps):
         t = s * DT
@@ -164,22 +179,22 @@ def run_episodes(cfg: EpisodeConfig, seeds: list[int],
         else:
             # rows are pure functions of position: only movers need new ones
             moved = traffic.step_mobility(pop, topo, DT, cfg.traffic)
-            if moved:
+            if moved.size:
                 rx[moved] = radio.received_power_matrix(
                     pop.pos[moved], topo,
                     obstruction_enabled=cfg.obstruction_enabled,
                     street=pop.street_index[moved], arc=pop.arc_pos[moved])
-        if s % cfg.pri == 0:
+        if s % pri == 0:
             obs = build_observation(traj, s, topo.cell_bandwidth, n_ues,
                                     cfg.history_k)
-            chosen = controller(obs, s // cfg.pri)
+            chosen = controller(obs, s // pri)
             if len(chosen) != n_seeds:
                 raise ValueError(f"controller returned {len(chosen)} parameter "
                                  f"sets for {n_seeds} seeds")
             applied = []
             for i, choice in enumerate(chosen):
                 p, clamped = reselect.clamp_params(choice)
-                updates[i].append(UpdateRecord(s // cfg.pri, s, p, clamped))
+                updates[i].append(UpdateRecord(s // pri, s, p, clamped))
                 applied.append(p)
             params = (applied[0] if n_seeds == 1
                       else reselect.param_columns(applied, n_ues))
@@ -216,20 +231,6 @@ def run_episodes(cfg: EpisodeConfig, seeds: list[int],
                                          if s > 0 else 0)
 
     return [EpisodeResult(traj.seed(i), updates[i]) for i in range(n_seeds)]
-
-
-def constant_controller(params: ReselectionParams):
-    return lambda obs, interval: [params] * len(obs)
-
-
-def one_interval(cfg: EpisodeConfig) -> EpisodeConfig:
-    """`cfg` (validated) with one PRI spanning the whole episode. A constant
-    controller's trajectory does not read PRI, which is why the reference
-    fingerprint leaves it out, so a run whose update records nobody reads
-    can take this config: one observation, one controller call and one
-    clamp per episode, not one per PRI boundary."""
-    cfg.validate()
-    return replace(cfg, pri=step_count(cfg.length))
 
 
 # ---------------------------------------------------------------------------
@@ -271,10 +272,8 @@ def reference_fingerprint(cfg: EpisodeConfig, params: ReselectionParams) -> str:
 def run_heuristic_reference(cfg: EpisodeConfig, params: ReselectionParams,
                             cache: str | os.PathLike | None = None) -> Trajectory:
     """Constant-parameter episode trajectory, cached on disk by fingerprint.
-    A cache hit and a fill return the same `Trajectory`. A fill runs as one
-    control interval (`one_interval`): its single observation, controller
-    call and clamp give the trajectory that per-step control gives, and no
-    update records are kept, as the parameters never change.
+    A cache hit and a fill return the same `Trajectory`. A fill runs under
+    a `ConstantController`, so as one control interval, whatever `cfg.pri`.
 
     Its prefix does not depend on the configured length (per-UE streams are
     consumed identically), so callers cache one run at the longest length
@@ -289,7 +288,7 @@ def run_heuristic_reference(cfg: EpisodeConfig, params: ReselectionParams,
             return Trajectory(**arrays)
         except Exception as exc:
             raise SimError(f"corrupt reference cache {path}: {exc}") from exc
-    traj = run_episode(one_interval(cfg), constant_controller(params)).steps
+    traj = run_episode(cfg, constant_controller(params)).steps
     try:
         cdir.mkdir(parents=True, exist_ok=True)
         # "preset" is always empty; it stays so fills keep their bytes

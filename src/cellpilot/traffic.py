@@ -250,10 +250,10 @@ def step_modes(pop: Population, t: float, dt: float, cfg: TrafficConfig) -> int:
 
 
 def step_mobility(pop: Population, topo: Topology, dt: float,
-                  cfg: TrafficConfig) -> list[int]:
+                  cfg: TrafficConfig) -> np.ndarray:
     """Advance street UEs along their polyline by speed*dt, reflecting at
     the ends; indoor UEs do not move. Returns the indices of the UEs it
-    moved (none when mobility is off).
+    moved, an int array (empty when mobility is off).
 
     An arc more than one reflection away, outside [-L, 2L] for a street of
     length L, is first reduced as the reflections would reduce it: mirrored
@@ -261,7 +261,7 @@ def step_mobility(pop: Population, topo: Topology, dt: float,
     into (0, 2L]. So every step ends after at most one more reflection,
     whatever the speed."""
     if not cfg.mobility_enabled:
-        return []
+        return np.empty(0, dtype=np.intp)
     moved = np.flatnonzero(pop.street_index >= 0)
     k = pop.street_index[moved]
     total = topo.street_lengths[k]
@@ -283,4 +283,4 @@ def step_mobility(pop: Population, topo: Topology, dt: float,
     pop.arc_pos[moved] = arc
     pop.direction[moved] = direction
     pop.pos[moved] = street_points_at(topo, k, arc)
-    return moved.tolist()
+    return moved

@@ -475,14 +475,11 @@ def _eval_rows(args) -> list[EvalRow]:
     """Gain rows for a run of eval seeds of one episode config, in seed
     order. The seeds go in batches of at most LOCKSTEP_UES UEs: each seed's
     reference is looked up (or filled) on its own, then the agent episodes
-    of the batch advance in lockstep. Constant parameters run as one
-    control interval (`simcore.one_interval`), as a reference fill does:
-    the rows read only the trajectories, which PRI does not change for
-    them."""
+    of the batch advance in lockstep. Constant parameters run under a
+    `simcore.ConstantController`, so as one control interval, as a
+    reference fill does."""
     (net_or_params, ep, seeds, baseline_params, cache) = args
-    agent_ep = ep
     if isinstance(net_or_params, ReselectionParams):
-        agent_ep = simcore.one_interval(ep)
         controller = simcore.constant_controller(net_or_params)
     else:
         controller = _mean_action_controller(net_or_params)
@@ -493,7 +490,7 @@ def _eval_rows(args) -> list[EvalRow]:
         refs = [simcore.run_heuristic_reference(
                     replace(ep, episode_seed=s), baseline_params, cache)
                 for s in batch]
-        results = simcore.run_episodes(agent_ep, batch, controller)
+        results = simcore.run_episodes(ep, batch, controller)
         for seed, ref, res in zip(batch, refs, results):
             # an episode's figures are those of one interval spanning it
             [r] = interval_aggregates(ref, len(ref))

@@ -35,6 +35,9 @@ def desk_topology():
 
 
 def test_traced_episode_records_the_simulator_layers():
+    # large-mobility's required spans, from a constant-controller episode
+    # with mobility: its one observation still records
+    # `rlenv.build_observation`, once
     tracing = load_tracing()
     topo = desk_topology()
     cfg = EpisodeConfig(topo, 0, n_ues=6, length=8.0,
@@ -42,8 +45,10 @@ def test_traced_episode_records_the_simulator_layers():
                         obstruction_enabled=True)
     with tracing.installed(tracing.Tracer()) as tracer:
         simcore.run_episode(cfg, simcore.constant_controller(CONFIG_B))
-    for span in ("reselect", "traffic.step_modes", "simcore.run_episode"):
+    for span in ("reselect", "traffic.step_modes", "simcore.run_episode",
+                 "topology.sample_placement"):
         assert tracer.calls[span] >= 1, span
+    assert tracer.calls["rlenv.build_observation"] == 1
     # `reselect` spans both initial_select and step_reselection, each at
     # most once per step: more calls than steps means step_reselection ran
     assert tracer.calls["reselect"] > simcore.step_count(cfg.length)

@@ -19,7 +19,6 @@ import json
 import os
 import subprocess
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -27,17 +26,17 @@ import pytest
 
 import cellpilot
 from cellpilot import simcore
-from cellpilot.reselect import CONFIG_A, CONFIG_B, ReselectionParams
+from cellpilot.reselect import CONFIG_A, CONFIG_B
 from cellpilot.simcore import EpisodeConfig
-from cellpilot.topology import Topology, load_topology
+from cellpilot.topology import load_topology
 from cellpilot.traffic import TrafficConfig
+from scenes import DATA, link_limited_large
 
 try:
     from numpy._core._multiarray_umath import __cpu_dispatch__, __cpu_features__
 except ImportError:   # numpy < 2
     from numpy.core._multiarray_umath import __cpu_dispatch__, __cpu_features__
 
-DATA = Path(cellpilot.__file__).parent / "data"
 HOST_VARS = ("NPY_DISABLE_CPU_FEATURES", "OPENBLAS_CORETYPE")
 
 # case id -> the environment its child runs under. The dispatch targets
@@ -53,35 +52,22 @@ def enabled_targets() -> list[str]:
     return [t for t in __cpu_dispatch__ if __cpu_features__.get(t)]
 
 
-def weakened(topo: Topology, params: ReselectionParams, db: float):
-    """`topo` with every cell `db` weaker and `params` with every dBm
-    threshold `db` lower: the same camping, at SNRs `db` lower."""
-    cells = [replace(c, tx_power=c.tx_power - db) for c in topo.cells]
-    shifted = {f: getattr(params, f) - db
-               for f in ("t_xhigh", "t_xlow", "t_slow", "q_rxlevmin")}
-    return (Topology(topo.area_bounds, topo.towers, cells, topo.buildings,
-                     topo.streets), replace(params, **shifted))
-
-
 def trajectory_digest() -> str:
     """SHA-256 over the trajectory bytes of a `large` 100-UE, 10 s mobility
     and obstruction episode and a 3-seed lockstep `baseline` run, both under
-    constant controllers, and of the `large` episode again 40 dB weaker.
-    With the bundled cells and presets every scheduled UE's SNR is above the
-    SE table's last entry, so rx reaches the throughput columns only in the
-    weakened run."""
+    constant controllers, and of the `large` episode again in the
+    link-limited scene (`scenes.link_limited_large`), the only one of the
+    three where rx reaches the throughput columns."""
     moving = TrafficConfig(mobility_enabled=True)
-    large_topo = load_topology(DATA / "large.topo")
-    large = EpisodeConfig(large_topo, 7, n_ues=100, length=10.0, traffic=moving,
-                          obstruction_enabled=True)
+    large = EpisodeConfig(load_topology(DATA / "large.topo"), 7, n_ues=100,
+                          length=10.0, traffic=moving, obstruction_enabled=True)
     base = EpisodeConfig(load_topology(DATA / "baseline.topo"), 0, n_ues=50,
                          length=10.0, traffic=moving, obstruction_enabled=True)
-    weak_topo, weak_params = weakened(large_topo, CONFIG_B, 40.0)
+    weak, weak_params = link_limited_large()
     results = [simcore.run_episode(large, simcore.constant_controller(CONFIG_B)),
                *simcore.run_episodes(base, [11, 12, 13],
                                      simcore.constant_controller(CONFIG_A)),
-               simcore.run_episode(replace(large, topology=weak_topo),
-                                   simcore.constant_controller(weak_params))]
+               simcore.run_episode(weak, simcore.constant_controller(weak_params))]
     digest = hashlib.sha256()
     for res in results:
         for name, arr in sorted(vars(res.steps).items()):
@@ -134,6 +120,7 @@ def here():
     return report()
 
 
+@pytest.mark.usefixtures("link_limited")
 @pytest.mark.parametrize("case", list(CASES))
 def test_trajectory_bytes_do_not_depend_on_the_host(case, children, here):
     if equals_this_process(case):

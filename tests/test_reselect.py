@@ -1,6 +1,7 @@
 import numpy as np
+import pytest
 
-from cellpilot import simcore
+from cellpilot import reselect, simcore
 from cellpilot.reselect import (
     CONFIG_A,
     CONFIG_B,
@@ -11,8 +12,10 @@ from cellpilot.reselect import (
     PARAM_RANGES,
     S_INTER,
     S_INTRA,
+    SELECT,
     T_RESEL,
     ReselectionParams,
+    _rows,
     cell_id_rank,
     clamp_params,
     initial_select,
@@ -351,3 +354,73 @@ def test_per_row_parameters_match_scalar_calls_and_oracle():
             traces += 1
     assert traces >= 256
     assert kinds == {"select", "outage", "high", "equal", "low"}
+
+
+def out_of_service_outcome(serving, rx, prio, params, rank):
+    """The out-of-service rows of `serving` and the serving cells and events
+    `step_ues` gives them when initial selection runs on every one."""
+    out = np.flatnonzero(serving < 0)
+    sel = initial_select(rx[out], prio, _rows(params, out), rank)
+    return out, sel, np.where(sel >= 0, SELECT, -1)
+
+
+def check_prefilter(serving, rx, may, prio, freq, params, rank):
+    """One `step_ues` call, checked on its out-of-service rows against
+    initial selection on all of them; returns its events."""
+    out, want_cells, want_events = out_of_service_outcome(serving, rx, prio,
+                                                          params, rank)
+    event = step_ues(serving, rx, may, prio, freq, params, rank)
+    assert serving[out].tolist() == want_cells.tolist()
+    assert event[out].tolist() == want_events.tolist()
+    return event
+
+
+@pytest.mark.parametrize("per_row", [False, True], ids=["scalar", "columns"])
+def test_initial_selection_prefilter_is_exact_at_q_rxlevmin(per_row):
+    """`step_ues` runs initial selection only on the out-of-service rows
+    whose strongest cell is suitable. On a 0.5 dB grid, a row's strongest
+    cell sits exactly at q_rxlevmin, one ulp above it or one ulp below it;
+    the other rows are free grid rows, which often meet it exactly too."""
+    rng = np.random.default_rng(8642)
+    n, n_cells = 400, 6
+    prio = rng.integers(0, 3, n_cells)
+    freq = rng.choice([7e8, 1.8e9], n_cells)
+    rank = cell_id_rank([f"C{v}" for v in rng.permutation(n_cells)])
+    q = np.round(rng.uniform(-80.0, -50.0, n) * 2) / 2 if per_row else np.full(n, -60.0)
+    rx = np.round(rng.uniform(-15.0, 15.0, (n, n_cells)) * 2) / 2 + q[:, None]
+    kind = rng.integers(0, 4, n)   # 0 at, 1 above, 2 below, 3 free
+    edge = kind < 3
+    top = np.select([kind == 1, kind == 2],
+                    [np.nextafter(q, np.inf), np.nextafter(q, -np.inf)], q)
+    rx[edge] = np.minimum(rx[edge], q[edge, None] - 0.5)
+    rx[edge, rng.integers(0, n_cells, n)[edge]] = top[edge]
+    params = (param_columns([make_params(q_rxlevmin=v) for v in q], 1) if per_row
+              else make_params())
+    # a quarter of the free rows camp on their strongest cell
+    serving = np.where(edge | (rng.random(n) < 0.75), -1, rx.argmax(axis=1))
+    free_out = (kind == 3) & (serving < 0)
+    event = check_prefilter(serving, rx, rng.random(n) < 0.8, prio, freq, params, rank)
+    assert (event[kind == 1] == SELECT).all()
+    assert (event[(kind == 0) | (kind == 2)] == -1).all()
+    assert 0 < (event[free_out] == SELECT).sum() < free_out.sum()
+
+
+def test_initial_selection_prefilter_in_the_link_limited_scene(link_limited,
+                                                               monkeypatch):
+    """Every `step_ues` call of episodes in the link-limited scene, alone
+    (scalar parameters) and in lockstep (per-row columns), gives its
+    out-of-service rows the outcome of initial selection on all of them."""
+    cfg, params = link_limited
+    outcomes = []
+
+    def checked(serving, rx, may, prio, freq, p, rank):
+        out = serving < 0
+        event = check_prefilter(serving, rx, may, prio, freq, p, rank)
+        outcomes.append((out.sum(), (event[out] == SELECT).sum()))
+        return event
+
+    monkeypatch.setattr(reselect, "step_ues", checked)
+    simcore.run_episode(cfg, simcore.constant_controller(params))
+    simcore.run_episodes(cfg, [7, 8], simcore.constant_controller(params))
+    out, selected = np.array(outcomes).sum(axis=0)
+    assert 0 < selected < out   # some out-of-service rows find no suitable cell

@@ -3,7 +3,7 @@ import importlib.resources
 import itertools
 import multiprocessing
 import types
-from dataclasses import replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 import pytest
@@ -14,6 +14,7 @@ from cellpilot.policy import BLOCK_ROWS, init_policy
 from cellpilot.reselect import CONFIG_A, CONFIG_B, ReselectionParams
 from cellpilot.rlenv import observation_dim
 from cellpilot.simcore import (
+    ConstantController,
     EpisodeConfig,
     EpisodeResult,
     SimError,
@@ -149,6 +150,12 @@ def arrays_bytes(traj):
     return {k: v.tobytes() for k, v in vars(traj).items()}
 
 
+def per_step(params):
+    """A plain controller returning `params`, which `run_episodes` calls at
+    every PRI boundary (a `ConstantController` is called once)."""
+    return lambda obs, interval: [params] * len(obs)
+
+
 def test_episode_determinism():
     topo = bundled_topology("desk")
     cfg = EpisodeConfig(topo, 123, n_ues=25, length=8.0, pri=1,
@@ -227,19 +234,20 @@ def test_only_a_run_with_mobility_builds_the_street_table():
 def test_pri_and_history_leave_constant_controller_trajectories_unchanged(
         name, n_ues, params):
     # reference_fingerprint leaves pri and history_k out of the cache key
-    # on this claim: a constant controller's trajectory reads neither
+    # on this claim: a trajectory under constant parameters reads neither,
+    # even when they are returned at every PRI boundary
     cfg = EpisodeConfig(bundled_topology(name), 7, n_ues=n_ues, length=12.0, pri=1,
                         traffic=TrafficConfig(mobility_enabled=True),
                         obstruction_enabled=True)
     seeds = [7, 8]
-    base = run_episodes(cfg, seeds, constant_controller(params))
+    base = run_episodes(cfg, seeds, per_step(params))
     assert sum(r.steps.reselection_events.sum() for r in base) > 0
     want = [arrays_bytes(r.steps) for r in base]
     for change in (dict(pri=3), dict(pri=5), dict(history_k=3), dict(pri=5, history_k=3)):
         changed = replace(cfg, **change)
-        got = run_episodes(changed, seeds, constant_controller(params))
+        got = run_episodes(changed, seeds, per_step(params))
         assert [arrays_bytes(r.steps) for r in got] == want, change
-        alone = run_episode(changed, constant_controller(params))   # seed 7 alone
+        alone = run_episode(changed, per_step(params))   # seed 7 alone
         assert arrays_bytes(alone.steps) == want[0], change
 
 
@@ -268,13 +276,66 @@ def test_lockstep_matches_serial_runs():
     together = run_episodes(cfg, seeds, dispatch)
     assert len(together) == len(seeds)
     for i, (seed, got) in enumerate(zip(seeds, together)):
-        alone = (constant_controller(fixed[i]) if i in fixed
-                 else policy_controller)
+        alone = per_step(fixed[i]) if i in fixed else policy_controller
         want = run_episode(replace(cfg, episode_seed=seed), alone)
         assert arrays_bytes(got.steps) == arrays_bytes(want.steps)
         assert got.updates == want.updates
     params = {u.params for r in together for u in r.updates}
     assert len(params) > 2   # the seeds really ran under different parameters
+    assert sum(r.steps.reselection_events.sum() for r in together) > 0
+
+
+@dataclass(frozen=True)
+class RecordingConstant(ConstantController):
+    """A constant controller that records the calls it gets."""
+    calls: list = field(default_factory=list)
+
+    def __call__(self, obs, interval):
+        self.calls.append((obs.copy(), interval))
+        return super().__call__(obs, interval)
+
+
+def check_constant_controller(cfg, seeds, params):
+    """Runs `cfg` on `seeds` under a ConstantController and under per-step
+    control with the same parameters: the trajectories are equal bit for
+    bit, and the constant one is called once, with the step-0 observation
+    rows, and leaves one update record per seed. Returns its results."""
+    seen = []
+
+    def plain(obs, interval):
+        seen.append(obs.copy())
+        return [params] * len(obs)
+
+    want = run_episodes(cfg, seeds, plain)
+    const = RecordingConstant(params)
+    got = run_episodes(cfg, seeds, const)
+    assert [arrays_bytes(r.steps) for r in got] == [arrays_bytes(r.steps) for r in want]
+    assert len(seen) == -(-simcore.step_count(cfg.length) // cfg.pri)
+    [(obs, interval)] = const.calls
+    assert interval == 0 and obs.tobytes() == seen[0].tobytes()
+    for r in got:
+        assert [(u.interval, u.step, u.params, u.clamped)
+                for u in r.updates] == [(0, 0, params, [])]
+    return got
+
+
+@pytest.mark.parametrize("mobility, obstruction",
+                         [(False, False), (True, False), (False, True), (True, True)])
+@pytest.mark.parametrize("name", ["desk", "baseline", "large"])
+@pytest.mark.parametrize("pri", [1, 3])
+def test_constant_controller_is_consulted_once(pri, name, mobility, obstruction):
+    # one seed (scalar parameters) and lockstep seeds (per-row columns)
+    cfg = EpisodeConfig(bundled_topology(name), 0, n_ues=12, length=10.0, pri=pri,
+                        traffic=TrafficConfig(mobility_enabled=mobility),
+                        obstruction_enabled=obstruction)
+    check_constant_controller(cfg, [21], CONFIG_B)
+    together = check_constant_controller(cfg, [21, 22, 23], CONFIG_A)
+    assert sum(r.steps.reselection_events.sum() for r in together) > 0
+
+
+def test_constant_controller_is_consulted_once_link_limited(link_limited):
+    cfg, params = link_limited
+    together = check_constant_controller(replace(cfg, pri=3), [7, 8], params)
     assert sum(r.steps.reselection_events.sum() for r in together) > 0
 
 
@@ -475,7 +536,7 @@ def test_updates_csv(tmp_path):
     topo = two_layer_topo()
     cfg = EpisodeConfig(topo, 17, n_ues=8, length=4.0, pri=2,
                         traffic=FROZEN_TRAFFIC)
-    res = run_episode(cfg, constant_controller(CONFIG_B))
+    res = run_episode(cfg, per_step(CONFIG_B))
     rewards = [types.SimpleNamespace(r_tput=0.1, r_bal=0.2, r_ue_eff=0.3,
                                      r_total=0.6) for _ in res.updates]
     path = tmp_path / "upd.csv"

@@ -232,8 +232,8 @@ def test_evaluate_takes_the_reference_preset_from_the_config(tmp_path):
 
 def test_constant_parameter_eval_rows_equal_per_step_control(tmp_path, monkeypatch):
     # evaluate(ReselectionParams) runs the agent episodes, like the reference
-    # fills, as one control interval; the rows are those of a run whose
-    # controller is called at every step
+    # fills, under a ConstantController, so as one control interval; the
+    # rows are those of a plain controller called at every step
     cfg = tiny_cfg(load_topology(DATA / "desk.topo"), n_ues=20, mobility_eval=True)
     seeds = [100, 101, 102]
     observations = []
@@ -247,7 +247,8 @@ def test_constant_parameter_eval_rows_equal_per_step_control(tmp_path, monkeypat
     one = evaluate(CONFIG_A, cfg, seeds, [1], length=10.0, cache=tmp_path)
     assert observations == [0] * (len(seeds) + 1)   # three fills, one batch
     observations.clear()
-    monkeypatch.setattr(simcore, "one_interval", lambda ep: ep)
+    monkeypatch.setattr(simcore, "constant_controller",
+                        lambda p: lambda obs, interval: [p] * len(obs))
     per_step = evaluate(CONFIG_A, cfg, seeds, [1], length=10.0, cache=tmp_path)
     assert observations == list(range(10))   # the references are hits now
     assert per_step.rows == one.rows
